@@ -19,7 +19,6 @@ from .errors import (
     NoRootError,
     SignError,
     StagnationError,
-    SupportOverlapError,
 )
 from .functional import (
     Nonlinearity,
@@ -33,6 +32,7 @@ from .functional import (
     sobolev_threshold,
 )
 from .mesh import (
+    LaplacePreconditioner,
     Mesh,
     apply_dirichlet,
     build_mesh,
@@ -51,13 +51,10 @@ from .nehari import (
     fibering_coefficients,
     fibering_root,
     fibering_upper_bound,
-    project_pair_to_M3,
     scale_to_manifold,
-    smallest_positive_root,
     tangent_project,
 )
 from .optimizer import (
-    LaplacePreconditioner,
     SolutionTriple,
     SolveReport,
     SolverConfig,

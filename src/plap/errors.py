@@ -17,12 +17,8 @@ class DegenerateInputError(ValueError):
     """An input field is identically zero where a nontrivial one is required."""
 
 
-class SupportOverlapError(ValueError):
-    """Two fields that must have disjoint nodal supports overlap."""
-
-
 class NoRootError(RuntimeError):
-    """Bracketing failed: no sign change found for the fibering map."""
+    """The fibering map has no positive root within the solver's reach."""
 
 
 class LostSignError(RuntimeError):

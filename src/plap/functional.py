@@ -31,6 +31,7 @@ __all__ = [
     "Nonlinearity",
     "RunParameters",
     "nonlin_eval",
+    "source_power_terms",
     "plus_minus_parts",
     "energy",
     "energy_parts",
@@ -182,6 +183,18 @@ def nonlin_eval(nl: Nonlinearity, u: np.ndarray):
         F = F + up ** r / r
         fu = fu + (r - 1.0) * _masked_power(up, r - 2.0)
     return f, F, fu
+
+
+def source_power_terms(nl: Nonlinearity, w: np.ndarray):
+    """Pairs (e, g_e) with f(t w) t w = sum_e t^e g_e pointwise for t > 0.
+
+    signed gives (q, |w|^q) and (r, |w|^r); pospart gives (q, |w|^q) and
+    (r, max(w, 0)^r), whose second entry vanishes on nonpositive w.
+    """
+    w = np.asarray(w, dtype=float)
+    aw = np.abs(w)
+    second = aw if nl.family == "signed" else np.maximum(w, 0.0)
+    return ((nl.q, aw ** nl.q), (nl.r, second ** nl.r))
 
 
 def plus_minus_parts(u: np.ndarray):

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DimensionMismatchError
 
@@ -27,6 +28,7 @@ __all__ = [
     "gradient_table",
     "apply_dirichlet",
     "laplace_stiffness",
+    "LaplacePreconditioner",
     "dump_mesh",
 ]
 
@@ -185,6 +187,33 @@ def laplace_stiffness(mesh: Mesh):
         shape=(mesh.n_vertices, mesh.n_vertices),
     )
     return mat.tocsr()
+
+
+class LaplacePreconditioner:
+    """Dirichlet Laplace solver on the interior vertices, factored once."""
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        K = laplace_stiffness(mesh)
+        self.interior = np.where(~mesh.boundary)[0]
+        self._K_int = K[self.interior][:, self.interior].tocsc()
+        self._lu = splu(self._K_int)
+
+    def solve(self, covector: np.ndarray) -> np.ndarray:
+        """K^-1 r on the interior, zero on the boundary."""
+        out = np.zeros(self.mesh.n_vertices)
+        out[self.interior] = self._lu.solve(covector[self.interior])
+        return out
+
+    def norm(self, v: np.ndarray) -> float:
+        """Dirichlet energy norm sqrt(v^T K v) of an interior field."""
+        vi = v[self.interior]
+        return float(np.sqrt(max(vi @ (self._K_int @ vi), 0.0)))
+
+    def dual_norm(self, covector: np.ndarray) -> float:
+        """Preconditioned norm sqrt(r^T K^-1 r) of a nodal co-vector."""
+        ri = covector[self.interior]
+        return float(np.sqrt(max(ri @ self._lu.solve(ri), 0.0)))
 
 
 def dump_mesh(mesh: Mesh) -> str:

@@ -15,16 +15,18 @@ gradient pairs nondegenerately with the respective part while the
 constraint itself is zero.
 
 Scaling a fixed shape w onto the constraint set leads to the scalar
-fibering map t -> phi(t w).  Its coefficients for a pure power source are
-A t^p - B t^p* - lam C t^q with A, B, C the integrals below, and the
-first positive root is bounded above by t1 = (A / (c3 lam C))^(1/(q-p)).
+fibering map t -> phi(t w).  For sign-definite w it is a sum of powers,
+A t^p - B t^p* - lam sum_e C_e t^e with A, B and the source moments C_e
+the integrals below, and has exactly one positive root, bounded above by
+t1 = (A / (c3 lam C))^(1/(q-p)) with C = int |w|^q.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +35,14 @@ from .errors import (
     DegenerateInputError,
     NoRootError,
     SignError,
-    SupportOverlapError,
 )
 from .functional import (
     Nonlinearity,
     RunParameters,
-    _odd_power,
     nonlin_eval,
     p_stiffness_vector,
     plus_minus_parts,
+    source_power_terms,
 )
 from .mesh import Mesh, _check_field, gradient_table, integrate
 
@@ -53,17 +54,13 @@ __all__ = [
     "constraint_scale",
     "fibering_coefficients",
     "fibering_upper_bound",
-    "smallest_positive_root",
     "fibering_root",
     "scale_to_manifold",
-    "project_pair_to_M3",
     "constraint_gradient",
     "tangent_project",
 ]
 
-MAX_DOUBLINGS = 60
-SCAN_SPAN = 60          # upward scan covers [t_hi * 2^-SCAN_SPAN, t_hi]
-BISECT_REL = 1e-12
+MAX_NEWTON = 100
 
 
 class KIndex(enum.Enum):
@@ -89,7 +86,7 @@ class FiberingCoefficients:
 
 
 class ScaleResult(NamedTuple):
-    t: float                        # first positive root of the fibering map
+    t: float                        # positive root of the fibering map
     bracket: float                  # closed-form upper bound t1
     coefficients: FiberingCoefficients
 
@@ -141,77 +138,47 @@ def fibering_coefficients(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
 
 def fibering_upper_bound(A: float, c3: float, lam: float, C: float,
                          q: float, p: float) -> float:
-    """t1 = (A / (c3 lam C))^(1/(q-p)), an upper bound for the first root
+    """t1 = (A / (c3 lam C))^(1/(q-p)), an upper bound for the root
     whenever the source term dominates c3 |u|^q."""
     return (A / (c3 * lam * C)) ** (1.0 / (q - p))
 
 
-def smallest_positive_root(g: Callable[[float], float], t_start: float,
-                           tol: float) -> float:
-    """First positive root of g, with g > 0 near 0 and g(t) <= 0 for some t.
+def fibering_root(A: float, B: float, terms: list[tuple[float, float]],
+                  p: float, pstar: float, tol_rel: float = 1e-10) -> float:
+    """Unique positive root of phi(t) = A t^p - B t^p* - sum_e c_e t^e.
 
-    t_start is doubled until g <= 0 (at most MAX_DOUBLINGS times), then the
-    interval (0, t_hi] is scanned upward in multiplicative steps of 2 for
-    the first sign change, which is sharpened by bisection to BISECT_REL
-    relative width and |g| <= tol.
+    `terms` holds the source pairs (e, c_e).  Every exponent must exceed p
+    and every coefficient, B included, must be nonnegative.  Divided by
+    t^p the map becomes h(t) = A - B t^(p*-p) - sum_e c_e t^(e-p), which
+    strictly decreases from h(0) = A > 0.  Any single term drives h below
+    zero by (A / c)^(1/(e-p)), so the smallest of these bounds the root.
+    Safeguarded Newton on h (bisection whenever a step leaves the bracket)
+    stops once |phi(t)| <= tol_rel * A and |phi(t)| <= tol_rel * t^p * A.
     """
-    if not (t_start > 0.0) or not np.isfinite(t_start):
-        raise NoRootError(f"invalid bracket start {t_start}")
-    t_hi = t_start
-    g_hi = g(t_hi)
-    doublings = 0
-    while g_hi > 0.0:
-        doublings += 1
-        if doublings > MAX_DOUBLINGS:
-            raise NoRootError(
-                f"no sign change after {MAX_DOUBLINGS} doublings from {t_start}"
-            )
-        t_hi *= 2.0
-        g_hi = g(t_hi)
-
-    lo = t_hi * 2.0 ** -SCAN_SPAN
-    g_lo = g(lo)
-    if g_lo <= 0.0:
-        if g_lo == 0.0:
-            return lo
-        raise NoRootError("fibering map not positive near t = 0")
-    hi = lo
-    for k in range(SCAN_SPAN - 1, -1, -1):
-        hi = t_hi * 2.0 ** -k
-        g_next = g(hi)
-        if g_next <= 0.0:
-            if g_next == 0.0:
-                return hi
-            break
-        lo, g_lo = hi, g_next
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_REL * hi and abs(g_mid) <= tol:
-            return mid
-    mid = 0.5 * (lo + hi)
-    if abs(g(mid)) <= tol:
-        return mid
-    raise NoRootError("bisection stalled above the constraint tolerance")
-
-
-def fibering_root(A: float, B: float, lamC: float, p: float, pstar: float,
-                  q: float, tol_rel: float = 1e-10) -> float:
-    """First positive root of A t^p - B t^p* - lamC t^q, found with the
-    same bracketing policy as `scale_to_manifold`."""
     if A <= 0.0:
         raise DegenerateInputError(f"need A > 0, got {A}")
-
-    def g(t: float) -> float:
-        return A * t ** p - B * t ** pstar - lamC * t ** q
-
-    t_start = (A / lamC) ** (1.0 / (q - p)) if lamC > 0 else (A / B) ** (1.0 / (pstar - p))
-    return smallest_positive_root(g, t_start, tol_rel * A)
+    powers = [(e - p, c) for e, c in ((pstar, B), *terms) if c != 0.0]
+    if not powers or any(a <= 0.0 or c < 0.0 for a, c in powers):
+        raise NoRootError("fibering map needs nonnegative coefficients, "
+                          "not all zero, on exponents above p")
+    # pick the tightest single-term bound in log space: the bounds of
+    # negligible terms overflow a float
+    a, c = min(powers, key=lambda ac: math.log(A / ac[1]) / ac[0])
+    lo = 0.0
+    hi = t = (A / c) ** (1.0 / a)
+    for _ in range(MAX_NEWTON):
+        h = A - sum(c * t ** a for a, c in powers)
+        if abs(h) * max(t ** p, 1.0) <= tol_rel * A:
+            return t
+        if h > 0.0:
+            lo = t
+        else:
+            hi = t
+        slope = -sum(a * c * t ** (a - 1.0) for a, c in powers)
+        step = t - h / slope
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NoRootError("fibering root not within tolerance after "
+                      f"{MAX_NEWTON} Newton steps")
 
 
 def _check_sign(w: np.ndarray, which: int) -> None:
@@ -226,49 +193,21 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                       tol_rel: float = 1e-10) -> ScaleResult:
     """Scale a sign-definite shape w onto {phi_which = 0}.
 
-    Returns the first positive root t of t -> phi_which(t w) together
+    Returns the unique positive root t of t -> phi_which(t w) together
     with the closed-form bracket t1 and the fibering coefficients of w.
-    The root satisfies |phi_which(t w)| <= tol_rel * A.
+    On sign-definite fields both constraints coincide with <E'(tw), tw>,
+    a sum of powers of t whose coefficients are nodal moments of w.  The
+    root satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A.
     """
     w = _check_field(mesh, w)
     _check_sign(w, which)
     coeffs = fibering_coefficients(mesh, nl, params, w)   # raises on w == 0
-    A, B = coeffs.A, coeffs.B
-    lam, p, pstar = params.lam, params.p, params.pstar
-    t1 = fibering_upper_bound(A, nl.c3, lam, coeffs.C, nl.q, p)
-
-    # On sign-definite fields both constraints coincide with <E'(tw), tw>,
-    # so the map can be evaluated from the nonzero nodal values alone.
-    active = w != 0.0
-    wv = w[active]
-    weights = mesh.lumped_mass[active]
-
-    def g(t: float) -> float:
-        tv = t * wv
-        f, _, _ = nonlin_eval(nl, tv)
-        return A * t ** p - B * t ** pstar - lam * float(np.dot(weights, f * tv))
-
-    t = smallest_positive_root(g, t1, tol_rel * A)
+    lam, p = params.lam, params.p
+    terms = [(e, lam * integrate(mesh, g))
+             for e, g in source_power_terms(nl, w)]
+    t = fibering_root(coeffs.A, coeffs.B, terms, p, params.pstar, tol_rel)
+    t1 = fibering_upper_bound(coeffs.A, nl.c3, lam, coeffs.C, nl.q, p)
     return ScaleResult(t, t1, coeffs)
-
-
-def project_pair_to_M3(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                       w_pos: np.ndarray, w_neg: np.ndarray,
-                       tol_rel: float = 1e-10):
-    """Scale a nonnegative and a nonpositive shape with disjoint nodal
-    supports onto K3.  The two scalar problems decouple, so each part is
-    scaled independently.  Returns (t_pos, t_neg, combined field)."""
-    w_pos = _check_field(mesh, w_pos)
-    w_neg = _check_field(mesh, w_neg)
-    _check_sign(w_pos, 1)
-    _check_sign(w_neg, 2)
-    if not np.any(w_pos != 0.0) or not np.any(w_neg != 0.0):
-        raise DegenerateInputError("both parts must be nontrivial")
-    if np.any((w_pos != 0.0) & (w_neg != 0.0)):
-        raise SupportOverlapError("parts must have disjoint nodal supports")
-    t_pos = scale_to_manifold(mesh, nl, params, w_pos, 1, tol_rel).t
-    t_neg = scale_to_manifold(mesh, nl, params, w_neg, 2, tol_rel).t
-    return t_pos, t_neg, t_pos * w_pos + t_neg * w_neg
 
 
 def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -301,16 +240,22 @@ def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return out
 
 
-def _project_one(grad_phi: np.ndarray, direction: np.ndarray,
-                 v: np.ndarray) -> np.ndarray:
-    denom = float(np.dot(grad_phi, direction))
-    scale = float(np.linalg.norm(grad_phi) * np.linalg.norm(direction))
+def _remove_normal(v: np.ndarray, along: np.ndarray,
+                   against: np.ndarray) -> np.ndarray:
+    """v minus the multiple of `along` that pairs to zero with `against`.
+
+    Serves both the tangent projector (along = field part, against =
+    constraint gradient) and its transpose, the multiplier removal on
+    co-vectors (the roles swapped).  Raises DegenerateConstraintError
+    when <against, along> is negligible against the two norms.
+    """
+    denom = float(np.dot(against, along))
+    scale = float(np.linalg.norm(against) * np.linalg.norm(along))
     if scale == 0.0 or abs(denom) <= 1e-14 * scale:
         raise DegenerateConstraintError(
             "constraint gradient pairs degenerately with the field part"
         )
-    alpha = float(np.dot(grad_phi, v)) / denom
-    return v - alpha * direction
+    return v - (float(np.dot(against, v)) / denom) * along
 
 
 def tangent_project(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -323,8 +268,8 @@ def tangent_project(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     out = v
     if 1 in k.active_constraints:
         g1 = constraint_gradient(mesh, nl, params, u, 1)
-        out = _project_one(g1, plus, out)
+        out = _remove_normal(out, plus, g1)
     if 2 in k.active_constraints:
         g2 = constraint_gradient(mesh, nl, params, u, 2)
-        out = _project_one(g2, minus, out)
+        out = _remove_normal(out, minus, g2)
     return out

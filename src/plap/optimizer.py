@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import (
     ConfigurationError,
@@ -35,16 +34,16 @@ from .functional import (
     RunParameters,
     energy,
     energy_residual,
+    plus_minus_parts,
     sobolev_threshold,
 )
-from .mesh import Mesh, apply_dirichlet, build_mesh, laplace_stiffness
-from .functional import plus_minus_parts
+from .mesh import LaplacePreconditioner, Mesh, apply_dirichlet, build_mesh
 from .nehari import (
     KIndex,
+    _remove_normal,
     constraint_gradient,
     constraint_phi,
     constraint_scale,
-    project_pair_to_M3,
     scale_to_manifold,
     tangent_project,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "SolveReport",
     "SolutionTriple",
     "SweepRow",
-    "LaplacePreconditioner",
     "initial_point",
     "retract",
     "descend",
@@ -63,7 +61,6 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
-MAX_RESCALE_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -149,33 +146,6 @@ class SweepRow:
     threshold3: bool | None
 
 
-class LaplacePreconditioner:
-    """Dirichlet Laplace solver on the interior vertices, factored once."""
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        K = laplace_stiffness(mesh)
-        self.interior = np.where(~mesh.boundary)[0]
-        self._K_int = K[self.interior][:, self.interior].tocsc()
-        self._lu = splu(self._K_int)
-
-    def solve(self, covector: np.ndarray) -> np.ndarray:
-        """K^-1 r on the interior, zero on the boundary."""
-        out = np.zeros(self.mesh.n_vertices)
-        out[self.interior] = self._lu.solve(covector[self.interior])
-        return out
-
-    def norm(self, v: np.ndarray) -> float:
-        """Dirichlet energy norm sqrt(v^T K v) of an interior field."""
-        vi = v[self.interior]
-        return float(np.sqrt(max(vi @ (self._K_int @ vi), 0.0)))
-
-    def dual_norm(self, covector: np.ndarray) -> float:
-        """Preconditioned norm sqrt(r^T K^-1 r) of a nodal co-vector."""
-        ri = covector[self.interior]
-        return float(np.sqrt(max(ri @ self._lu.solve(ri), 0.0)))
-
-
 def _mirror_first_axis(mesh: Mesh) -> np.ndarray:
     """Vertex permutation realizing x_1 -> 1 - x_1 on the structured grid."""
     side = mesh.cells_per_side + 1
@@ -191,29 +161,32 @@ def _transverse_profile(mesh: Mesh) -> np.ndarray:
     return prof
 
 
+def _jittered(mesh: Mesh, profile: np.ndarray, seed: int) -> np.ndarray:
+    """profile times a seeded multiplicative jitter in [1, 1.1), zeroed
+    on the boundary."""
+    rng = np.random.default_rng(seed)
+    jitter = 1.0 + 0.1 * rng.random(mesh.n_vertices)
+    return apply_dirichlet(mesh, profile * jitter)
+
+
 def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                   k: KIndex, seed: int,
                   tol_rel: float = 1e-10) -> np.ndarray:
-    """Seeded smooth bump(s), scaled onto the constraint set of k.
+    """Seeded smooth bump(s), retracted onto the constraint set of k.
 
-    K1 uses a positive product-of-sines bump with a mild multiplicative
-    jitter; K2 is its exact negation drawn from the same seed, so the two
-    runs start from mirror images.  K3 places one bump in each half
-    {x_1 < 1/2}, {x_1 > 1/2} (requires at least 4 cells per side), the
-    negative one being the mirrored negation of the positive one.
+    K1 uses `reference_bump`, a positive product-of-sines bump with a mild
+    multiplicative jitter; K2 is its exact negation drawn from the same
+    seed, so the two runs start from mirror images.  K3 places one bump in
+    each half {x_1 < 1/2}, {x_1 > 1/2} (requires at least 4 cells per
+    side), the negative one being the mirrored negation of the positive
+    one.
     """
-    rng = np.random.default_rng(seed)
-    jitter = 1.0 + 0.1 * rng.random(mesh.n_vertices)
     if k in (KIndex.K1, KIndex.K2):
         if mesh.cells_per_side < 2:
             raise ConfigurationError("need at least 2 cells per side")
-        bump = np.prod(np.sin(np.pi * mesh.vertices), axis=1)
-        w = apply_dirichlet(mesh, bump * jitter)
-        if k is KIndex.K1:
-            t = scale_to_manifold(mesh, nl, params, w, 1, tol_rel).t
-            return t * w
-        t = scale_to_manifold(mesh, nl, params, -w, 2, tol_rel).t
-        return t * -w
+        w = reference_bump(mesh, seed)
+        return retract(mesh, nl, params, w if k is KIndex.K1 else -w, k,
+                       tol_rel)
 
     if mesh.cells_per_side < 4:
         raise ConfigurationError(
@@ -221,12 +194,11 @@ def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         )
     x1 = mesh.vertices[:, 0]
     left = np.where(x1 < 0.5, np.sin(2.0 * np.pi * x1), 0.0)
-    w_pos = apply_dirichlet(mesh, left * _transverse_profile(mesh) * jitter)
-    w_pos = np.maximum(w_pos, 0.0)
+    w_pos = np.maximum(_jittered(mesh, left * _transverse_profile(mesh), seed),
+                       0.0)
     # exact mirrored negation keeps the pair antisymmetric to the last bit
     w_neg = -w_pos[_mirror_first_axis(mesh)]
-    _, _, combined = project_pair_to_M3(mesh, nl, params, w_pos, w_neg, tol_rel)
-    return combined
+    return retract(mesh, nl, params, w_pos + w_neg, k, tol_rel)
 
 
 def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -234,41 +206,21 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
             tol_rel: float = 1e-10) -> np.ndarray:
     """Map an arbitrary field back onto the constraint set of k.
 
-    K1/K2 clip to the admissible sign and rescale; K3 rescales the
-    positive and negative parts by alternating scalar root solves until
-    both constraint residuals pass.
+    Each active part is clipped to its sign, zeroed on the boundary and
+    scaled once onto its own constraint.  phi1 reads only the nodes where
+    u > 0 and phi2 only those where u < 0, so on K3 the two scalings do
+    not interact and one pass leaves both residuals within tol_rel.
     """
-    if k is KIndex.K1:
-        w = apply_dirichlet(mesh, np.maximum(u, 0.0))
-        if not np.any(w > 0.0):
-            raise LostSignError("clipping removed the whole positive part")
-        return scale_to_manifold(mesh, nl, params, w, 1, tol_rel).t * w
-    if k is KIndex.K2:
-        w = apply_dirichlet(mesh, np.minimum(u, 0.0))
-        if not np.any(w < 0.0):
-            raise LostSignError("clipping removed the whole negative part")
-        return scale_to_manifold(mesh, nl, params, w, 2, tol_rel).t * w
-
-    pos = apply_dirichlet(mesh, np.maximum(u, 0.0))
-    neg = apply_dirichlet(mesh, np.minimum(u, 0.0))
-    if not np.any(pos > 0.0):
-        raise LostSignError("sign-changing iterate lost its positive part")
-    if not np.any(neg < 0.0):
-        raise LostSignError("sign-changing iterate lost its negative part")
-    for _ in range(MAX_RESCALE_SWEEPS):
-        pos = scale_to_manifold(mesh, nl, params, pos, 1, tol_rel).t * pos
-        neg = scale_to_manifold(mesh, nl, params, neg, 2, tol_rel).t * neg
-        combined = pos + neg
-        ok = True
-        for which, part in ((1, pos), (2, neg)):
-            resid = abs(constraint_phi(mesh, nl, params, combined, which))
-            scale = constraint_scale(mesh, params, combined, which)
-            if resid > tol_rel * scale:
-                ok = False
-        if ok:
-            return combined
-    raise NoRootError("alternating part rescaling did not settle in "
-                      f"{MAX_RESCALE_SWEEPS} sweeps")
+    out = np.zeros(mesh.n_vertices)
+    for which in k.active_constraints:
+        clipped = np.maximum(u, 0.0) if which == 1 else np.minimum(u, 0.0)
+        part = apply_dirichlet(mesh, clipped)
+        if not np.any(part):
+            side = "positive" if which == 1 else "negative"
+            raise LostSignError(f"clipping removed the whole {side} part")
+        t = scale_to_manifold(mesh, nl, params, part, which, tol_rel).t
+        out += t * part
+    return out
 
 
 def _remove_multipliers(mesh, nl, params, u, r, k) -> np.ndarray:
@@ -285,14 +237,7 @@ def _remove_multipliers(mesh, nl, params, u, r, k) -> np.ndarray:
     for which in k.active_constraints:
         direction = plus if which == 1 else minus
         grad_phi = constraint_gradient(mesh, nl, params, u, which)
-        denom = float(np.dot(grad_phi, direction))
-        scale = float(np.linalg.norm(grad_phi) * np.linalg.norm(direction))
-        if scale == 0.0 or abs(denom) <= 1e-14 * scale:
-            raise DegenerateConstraintError(
-                "constraint gradient pairs degenerately with the field part"
-            )
-        mu = float(np.dot(out, direction)) / denom
-        out = out - mu * grad_phi
+        out = _remove_normal(out, grad_phi, direction)
     return out
 
 
@@ -442,10 +387,7 @@ def solve_three(config: SolverConfig, mesh: Mesh | None = None) -> SolutionTripl
 
 def reference_bump(mesh: Mesh, seed: int) -> np.ndarray:
     """The unscaled nonnegative bump shape used by sweeps, fixed per seed."""
-    rng = np.random.default_rng(seed)
-    jitter = 1.0 + 0.1 * rng.random(mesh.n_vertices)
-    bump = np.prod(np.sin(np.pi * mesh.vertices), axis=1)
-    return apply_dirichlet(mesh, bump * jitter)
+    return _jittered(mesh, np.prod(np.sin(np.pi * mesh.vertices), axis=1), seed)
 
 
 def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:

@@ -19,9 +19,8 @@ from .functional import (
     nonlin_eval,
     plus_minus_parts,
 )
-from .mesh import Mesh, integrate
+from .mesh import LaplacePreconditioner, Mesh, integrate
 from .nehari import KIndex, constraint_phi, constraint_scale
-from .optimizer import LaplacePreconditioner
 
 __all__ = [
     "CheckReport",

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from plap.errors import (DegenerateConstraintError, DegenerateInputError,
-                         SignError, SupportOverlapError)
+                         LostSignError, SignError)
 from plap.functional import (Nonlinearity, RunParameters, nonlin_eval,
                              plus_minus_parts)
 from plap.mesh import apply_dirichlet, build_mesh, integrate
 from plap.nehari import (KIndex, constraint_gradient, constraint_phi,
                          constraint_scale, fibering_coefficients,
                          fibering_root, fibering_upper_bound,
-                         project_pair_to_M3, scale_to_manifold,
-                         smallest_positive_root, tangent_project)
+                         scale_to_manifold, tangent_project)
+from plap.optimizer import retract
 
 from conftest import interior_bump
 
@@ -128,9 +128,9 @@ class TestRootFinding:
                           0.25, rtol=0, atol=1e-15)
 
     def test_synthetic_roots(self):
-        got = fibering_root(1.0, 1.0, 1.0, 2.0, 6.0, 4.0)
+        got = fibering_root(1.0, 1.0, [(4.0, 1.0)], 2.0, 6.0)
         assert abs(got - np.sqrt((np.sqrt(5.0) - 1.0) / 2.0)) <= 1e-12
-        got4 = fibering_root(1.0, 1.0, 4.0, 2.0, 6.0, 4.0)
+        got4 = fibering_root(1.0, 1.0, [(4.0, 4.0)], 2.0, 6.0)
         assert abs(got4 - np.sqrt(np.sqrt(5.0) - 2.0)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -142,16 +142,34 @@ class TestRootFinding:
         def g(t):
             return A * t**p - B * t**pstar - lamC * t**q
 
-        got = fibering_root(A, B, lamC, p, pstar, q)
+        got = fibering_root(A, B, [(q, lamC)], p, pstar)
         hi = got
         while g(2 * hi) >= 0:
             hi *= 2
         oracle = brentq(g, got / 2, 2 * hi, xtol=1e-14, rtol=1e-14)
         assert np.isclose(got, oracle, rtol=1e-9, atol=0)
 
-    def test_exact_zero_endpoint(self):
-        root = smallest_positive_root(lambda t: 1.0 - t, 1.0, 1e-12)
-        assert root == 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(exps=st.sampled_from([(2.0, 6.0, 2.5, 4.0), (1.5, 6.0, 2.0, 3.0),
+                                 (2.0, 6.0, 3.0, 5.0)]),
+           A=st.floats(0.01, 100.0), B=st.floats(0.01, 100.0),
+           c_r=st.floats(0.0, 100.0), c_q=st.floats(0.01, 100.0))
+    def test_two_terms_against_library_solver(self, exps, A, B, c_r, c_q):
+        # r - p < 1 in the first two cases: h is convex near 0 there
+        p, pstar, r, q = exps
+        terms = [(q, c_q), (r, c_r)]
+
+        def h(t):
+            return (A - B * t**(pstar - p) - c_q * t**(q - p)
+                    - c_r * t**(r - p))
+
+        got = fibering_root(A, B, terms, p, pstar)
+        hi = 1.0
+        while h(hi) >= 0:
+            hi *= 2
+        oracle = brentq(h, 0.0, hi, xtol=1e-15, rtol=1e-14)
+        assert np.isclose(got, oracle, rtol=1e-9, atol=0)
+        assert abs(h(got)) * max(got**p, 1.0) <= 1e-10 * A
 
 
 class TestScaleToManifold:
@@ -205,6 +223,26 @@ class TestScaleToManifold:
         with pytest.raises(DegenerateInputError):
             scale_to_manifold(mesh, NL2, P2, np.zeros(mesh.n_vertices), 1)
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_pospart_against_library_solver(self, which):
+        # pospart's r-term acts on w+ only: it drops out on K2, so the two
+        # sides need different roots
+        nl = Nonlinearity(family="pospart", q=3.0, r=2.0)
+        mesh = build_mesh(2, 6)
+        w = interior_bump(mesh, seed=3) * (1.0 if which == 1 else -1.0)
+        res = scale_to_manifold(mesh, nl, P2, w, which)
+
+        def phi(t):
+            return constraint_phi(mesh, nl, P2, t * w, which)
+
+        lo, hi = 1e-8 * res.bracket, 2.0 * res.bracket
+        assert phi(lo) > 0.0 > phi(hi)
+        oracle = brentq(phi, lo, hi, xtol=1e-15, rtol=1e-14)
+        assert np.isclose(res.t, oracle, rtol=1e-9, atol=0)
+        assert abs(phi(res.t)) <= 1e-10 * res.coefficients.A
+        other = scale_to_manifold(mesh, nl, P2, -w, 3 - which).t
+        assert (res.t < other) == (which == 1)
+
     def test_negative_side_mirrors_positive_side(self):
         mesh = build_mesh(2, 6)
         w = interior_bump(mesh, seed=3)
@@ -214,6 +252,8 @@ class TestScaleToManifold:
 
 
 class TestPairProjection:
+    """K3 retraction of a split pair: each part is scaled once, on its own."""
+
     def test_translated_pair_scales_equally(self):
         # a bump translated by whole cells sees identical local geometry,
         # so the two decoupled scalings agree (a mirrored bump would not:
@@ -224,32 +264,27 @@ class TestPairProjection:
                                   np.sin(2.0 * np.pi * s), 0.0)
         w_pos = prof(x) * np.sin(np.pi * y)
         w_neg = -prof(x - 0.5) * np.sin(np.pi * y)
-        t_pos, t_neg, combined = project_pair_to_M3(mesh, NL2, P2,
-                                                    w_pos, w_neg)
+        out = retract(mesh, NL2, P2, w_pos + w_neg, KIndex.K3)
+        t_pos = np.max(out) / np.max(w_pos)
+        t_neg = np.min(out) / np.min(w_neg)
         assert np.isclose(t_pos, t_neg, rtol=1e-12, atol=0)
-        A = fibering_coefficients(mesh, NL2, P2, combined).A
-        assert abs(constraint_phi(mesh, NL2, P2, combined, 1)) <= 1e-10 * A
-        assert abs(constraint_phi(mesh, NL2, P2, combined, 2)) <= 1e-10 * A
+        for which in (1, 2):
+            resid = abs(constraint_phi(mesh, NL2, P2, out, which))
+            assert resid <= 1e-10 * constraint_scale(mesh, P2, out, which)
 
     def test_decoupling_matches_single_scaling(self):
         mesh = build_mesh(2, 8)
         w_pos, w_neg = split_pair(mesh, seed=5)
-        t_pos, _, _ = project_pair_to_M3(mesh, NL2, P2, w_pos, w_neg)
-        alone = scale_to_manifold(mesh, NL2, P2, w_pos, 1).t
-        assert np.isclose(t_pos, alone, rtol=1e-12, atol=0)
-
-    def test_overlap_rejected(self):
-        mesh = build_mesh(2, 8)
-        w = interior_bump(mesh)
-        with pytest.raises(SupportOverlapError):
-            project_pair_to_M3(mesh, NL2, P2, w, -0.5 * w)
+        out = retract(mesh, NL2, P2, w_pos + w_neg, KIndex.K3)
+        alone = scale_to_manifold(mesh, NL2, P2, w_pos, 1).t * w_pos
+        assert np.allclose(np.maximum(out, 0.0), alone, rtol=1e-12, atol=0)
 
     def test_trivial_part_rejected(self):
         mesh = build_mesh(2, 8)
         w_pos, _ = split_pair(mesh)
-        with pytest.raises(DegenerateInputError):
-            project_pair_to_M3(mesh, NL2, P2, w_pos,
-                               np.zeros(mesh.n_vertices))
+        for u in (w_pos, -w_pos):
+            with pytest.raises(LostSignError):
+                retract(mesh, NL2, P2, u, KIndex.K3)
 
 
 class TestConstraintGradient:
@@ -303,7 +338,7 @@ class TestTangentProject:
     def setup_method(self):
         self.mesh = build_mesh(2, 8)
         w_pos, w_neg = split_pair(self.mesh, seed=1)
-        _, _, self.u3 = project_pair_to_M3(self.mesh, NL2, P2, w_pos, w_neg)
+        self.u3 = retract(self.mesh, NL2, P2, w_pos + w_neg, KIndex.K3)
         w = interior_bump(self.mesh, seed=1)
         self.u1 = scale_to_manifold(self.mesh, NL2, P2, w, 1).t * w
 

@@ -4,12 +4,12 @@ import pytest
 from plap.errors import ConfigurationError, LostSignError
 from plap.functional import (Nonlinearity, RunParameters, energy,
                              sobolev_threshold)
-from plap.mesh import apply_dirichlet, build_mesh
+from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import (KIndex, constraint_phi, constraint_scale,
-                         fibering_coefficients, project_pair_to_M3)
-from plap.optimizer import (LaplacePreconditioner, SolverConfig, descend,
-                            initial_point, lambda_sweep, reference_bump,
-                            retract, solve_three)
+                         fibering_coefficients)
+from plap.optimizer import (SolverConfig, descend, initial_point,
+                            lambda_sweep, reference_bump, retract,
+                            solve_three)
 from plap.verify import check_membership
 
 from conftest import coarse_config

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from plap.functional import Nonlinearity, RunParameters
-from plap.mesh import apply_dirichlet, build_mesh
+from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import KIndex
-from plap.optimizer import LaplacePreconditioner, initial_point
+from plap.optimizer import initial_point
 from plap.verify import (check_energy_chain, check_euler_lagrange,
                          check_membership, check_sign_structure, infer_kind,
                          verify_fields)
