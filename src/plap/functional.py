@@ -203,14 +203,18 @@ def plus_minus_parts(u: np.ndarray):
     return np.maximum(u, 0.0), np.maximum(-u, 0.0)
 
 
+def _p_dirichlet(mesh: Mesh, g: np.ndarray, p: float) -> float:
+    """int |grad u|^p of the field u whose gradient table is g."""
+    g2 = np.einsum("sd,sd->s", g, g)
+    return float(np.dot(mesh.volumes, g2 ** (p / 2.0)))
+
+
 def energy_parts(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                  u: np.ndarray):
     """The three quadrature terms of the energy:
     (1/p) int |grad u|^p,  (1/p*) int |u|^p*,  lam int F(u)."""
     u = _check_field(mesh, u)
-    g = gradient_table(mesh, u)
-    g2 = np.einsum("sd,sd->s", g, g)
-    grad_term = float(np.dot(mesh.volumes, g2 ** (params.p / 2.0))) / params.p
+    grad_term = _p_dirichlet(mesh, gradient_table(mesh, u), params.p) / params.p
     crit_term = integrate(mesh, np.abs(u) ** params.pstar) / params.pstar
     _, F, _ = nonlin_eval(nl, u)
     source_term = params.lam * integrate(mesh, F)
@@ -223,11 +227,11 @@ def energy(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return grad_term - crit_term - source_term
 
 
-def p_stiffness_vector(mesh: Mesh, u: np.ndarray, p: float,
+def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float,
                        eps: float) -> np.ndarray:
-    """Nodal co-vector of the regularized p-Dirichlet term: entry i pairs a
-    variation v to int (|grad u|^2 + eps^2)^((p-2)/2) grad u . grad v."""
-    g = gradient_table(mesh, u)
+    """Nodal co-vector of the regularized p-Dirichlet term of the field u
+    whose gradient table is g: entry i pairs a variation v to
+    int (|grad u|^2 + eps^2)^((p-2)/2) grad u . grad v."""
     g2 = np.einsum("sd,sd->s", g, g)
     expo = (p - 2.0) / 2.0
     if eps == 0.0 and expo < 0.0:
@@ -252,7 +256,8 @@ def energy_residual(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     (|grad u|^2 + eps^2)^((p-2)/2), which only matters for p < 2.
     """
     u = _check_field(mesh, u)
-    res = p_stiffness_vector(mesh, u, params.p, params.eps)
+    res = p_stiffness_vector(mesh, gradient_table(mesh, u), params.p,
+                             params.eps)
     f, _, _ = nonlin_eval(nl, u)
     res -= mesh.lumped_mass * (_odd_power(u, params.pstar - 1.0) + params.lam * f)
     res[mesh.boundary] = 0.0

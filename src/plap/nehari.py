@@ -24,6 +24,7 @@ t1 = (A / (c3 lam C))^(1/(q-p)) with C = int |w|^q.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +40,8 @@ from .errors import (
 from .functional import (
     Nonlinearity,
     RunParameters,
+    _odd_power,
+    _p_dirichlet,
     nonlin_eval,
     p_stiffness_vector,
     plus_minus_parts,
@@ -89,6 +92,8 @@ class ScaleResult(NamedTuple):
     t: float                        # positive root of the fibering map
     bracket: float                  # closed-form upper bound t1
     coefficients: FiberingCoefficients
+    gradients: np.ndarray           # gradient table of the shape w
+    terms: tuple[tuple[float, float], ...]  # (e, lam int g_e(w)) source pairs
 
 
 def constraint_phi(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -99,9 +104,7 @@ def constraint_phi(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         raise ValueError(f"which must be 1 or 2, got {which}")
     plus, minus = plus_minus_parts(u)
     part = plus if which == 1 else minus
-    g = gradient_table(mesh, part)
-    g2 = np.einsum("sd,sd->s", g, g)
-    grad_term = float(np.dot(mesh.volumes, g2 ** (params.p / 2.0)))
+    grad_term = _p_dirichlet(mesh, gradient_table(mesh, part), params.p)
     crit_term = integrate(mesh, part ** params.pstar)
     f, _, _ = nonlin_eval(nl, u)
     source = params.lam * integrate(mesh, f * part)
@@ -116,24 +119,25 @@ def constraint_scale(mesh: Mesh, params: RunParameters, u: np.ndarray,
     int |grad u_part|^p.  Used to make constraint tolerances relative."""
     plus, minus = plus_minus_parts(_check_field(mesh, u))
     part = plus if which == 1 else minus
-    g = gradient_table(mesh, part)
-    g2 = np.einsum("sd,sd->s", g, g)
-    return float(np.dot(mesh.volumes, g2 ** (params.p / 2.0)))
+    return _p_dirichlet(mesh, gradient_table(mesh, part), params.p)
+
+
+def _coefficients_and_table(mesh, nl, params, w):
+    """FiberingCoefficients of w and the gradient table they were read from."""
+    w = _check_field(mesh, w)
+    if not np.any(w != 0.0):
+        raise DegenerateInputError("fibering coefficients of the zero field")
+    g = gradient_table(mesh, w)
+    aw = np.abs(w)
+    B = integrate(mesh, aw ** params.pstar)
+    C = integrate(mesh, aw ** nl.q)
+    return FiberingCoefficients(_p_dirichlet(mesh, g, params.p), B, C), g
 
 
 def fibering_coefficients(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                           w: np.ndarray) -> FiberingCoefficients:
     """A, B, C for the shape w.  Homogeneous of degree p, p*, q in w."""
-    w = _check_field(mesh, w)
-    if not np.any(w != 0.0):
-        raise DegenerateInputError("fibering coefficients of the zero field")
-    g = gradient_table(mesh, w)
-    g2 = np.einsum("sd,sd->s", g, g)
-    A = float(np.dot(mesh.volumes, g2 ** (params.p / 2.0)))
-    aw = np.abs(w)
-    B = integrate(mesh, aw ** params.pstar)
-    C = integrate(mesh, aw ** nl.q)
-    return FiberingCoefficients(A, B, C)
+    return _coefficients_and_table(mesh, nl, params, w)[0]
 
 
 def fibering_upper_bound(A: float, c3: float, lam: float, C: float,
@@ -153,7 +157,12 @@ def fibering_root(A: float, B: float, terms: list[tuple[float, float]],
     strictly decreases from h(0) = A > 0.  Any single term drives h below
     zero by (A / c)^(1/(e-p)), so the smallest of these bounds the root.
     Safeguarded Newton on h (bisection whenever a step leaves the bracket)
-    stops once |phi(t)| <= tol_rel * A and |phi(t)| <= tol_rel * t^p * A.
+    stops once |phi(t)| <= tol_rel * A and |phi(t)| <= tol_rel * t^p * A,
+    or once t is resolved to the last bit: the bracket holds no double
+    strictly inside, or the Newton update leaves t unchanged.  Rounding
+    keeps |h| above about eps_mach * A, so for a root with t^p above about
+    tol_rel / eps_mach the tolerance cannot be met and these are the only
+    exits.
     """
     if A <= 0.0:
         raise DegenerateInputError(f"need A > 0, got {A}")
@@ -174,8 +183,12 @@ def fibering_root(A: float, B: float, terms: list[tuple[float, float]],
             lo = t
         else:
             hi = t
+        if math.nextafter(lo, hi) >= hi:
+            return t
         slope = -sum(a * c * t ** (a - 1.0) for a, c in powers)
         step = t - h / slope
+        if step == t:
+            return t
         t = step if lo < step < hi else 0.5 * (lo + hi)
     raise NoRootError("fibering root not within tolerance after "
                       f"{MAX_NEWTON} Newton steps")
@@ -197,17 +210,21 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     with the closed-form bracket t1 and the fibering coefficients of w.
     On sign-definite fields both constraints coincide with <E'(tw), tw>,
     a sum of powers of t whose coefficients are nodal moments of w.  The
-    root satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A.
+    root satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A, or is
+    resolved to the last bit where t^p is too large for that.  The
+    gradient table of w and the source pairs come along, so a caller can
+    evaluate the scaled field t w without touching the mesh again.
     """
     w = _check_field(mesh, w)
     _check_sign(w, which)
-    coeffs = fibering_coefficients(mesh, nl, params, w)   # raises on w == 0
+    # raises on w == 0
+    coeffs, table = _coefficients_and_table(mesh, nl, params, w)
     lam, p = params.lam, params.p
-    terms = [(e, lam * integrate(mesh, g))
-             for e, g in source_power_terms(nl, w)]
+    terms = tuple((e, lam * integrate(mesh, g))
+                  for e, g in source_power_terms(nl, w))
     t = fibering_root(coeffs.A, coeffs.B, terms, p, params.pstar, tol_rel)
     t1 = fibering_upper_bound(coeffs.A, nl.c3, lam, coeffs.C, nl.q, p)
-    return ScaleResult(t, t1, coeffs)
+    return ScaleResult(t, t1, coeffs, table, terms)
 
 
 def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -228,12 +245,14 @@ def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     M = mesh.lumped_mass
     if which == 1:
         chi = (u > 0.0).astype(float)
-        out = p * chi * p_stiffness_vector(mesh, plus, p, params.eps)
+        out = p * chi * p_stiffness_vector(
+            mesh, gradient_table(mesh, plus), p, params.eps)
         out -= pstar * M * plus ** (pstar - 1.0)
         out -= lam * M * (f * chi + fu * plus)
     else:
         chi = (u < 0.0).astype(float)
-        out = -p * chi * p_stiffness_vector(mesh, minus, p, params.eps)
+        out = -p * chi * p_stiffness_vector(
+            mesh, gradient_table(mesh, minus), p, params.eps)
         out += pstar * M * minus ** (pstar - 1.0)
         out += lam * M * (fu * minus - f * chi)
     out[mesh.boundary] = 0.0
@@ -273,3 +292,156 @@ def tangent_project(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         g2 = constraint_gradient(mesh, nl, params, u, 2)
         out = _remove_normal(out, minus, g2)
     return out
+
+
+def _field_table(mesh, u, k, tables):
+    """Gradient table of u from those of its active parts, and whether u
+    is +-(its one active part), as on K1 and K2 fields of the right sign."""
+    if k is KIndex.K3:
+        return tables[1] - tables[2], False
+    (which, g), = tables.items()
+    if np.any(u < 0.0 if which == 1 else u > 0.0):
+        return gradient_table(mesh, u), False
+    return (g if which == 1 else -g), True
+
+
+@dataclass(eq=False)
+class _Iterate:
+    """One field u of constraint set k with everything the descent reads.
+
+    The energy, the constraint values phi_i and their scales
+    int |grad u_part|^p are set on construction from one gradient table
+    per active part: the table of u itself is their sum, since
+    u = u_plus - u_minus.  The residual E'(u), the constraint gradients
+    and the two projections follow on first use from one `nonlin_eval`
+    and one p-stiffness scatter per distinct table: one on K1 and K2,
+    where the active part is +-u itself, three on K3 (u, u_plus, u_minus).
+    The standalone functions of this module and `functional` are the
+    reference for every quantity.
+    """
+
+    mesh: Mesh
+    nl: Nonlinearity
+    params: RunParameters
+    u: np.ndarray
+    tables: dict            # which -> gradient table of u_plus / u_minus
+    table: np.ndarray       # gradient table of u
+    single: bool            # u is +-(its one active part)
+    energy: float
+    phis: dict              # which -> phi_which(u)
+    scales: dict            # which -> int |grad u_part|^p
+    nonlin: tuple | None = None   # (f, f') at u, if already evaluated
+
+    @classmethod
+    def at(cls, mesh, nl, params, u, k):
+        """State of an arbitrary field."""
+        u = _check_field(mesh, u)
+        p, pstar, lam = params.p, params.pstar, params.lam
+        parts = dict(zip((1, 2), plus_minus_parts(u)))
+        tables = {which: gradient_table(mesh, parts[which])
+                  for which in k.active_constraints}
+        table, single = _field_table(mesh, u, k, tables)
+        f, F, fu = nonlin_eval(nl, u)
+        phis, scales = {}, {}
+        for which, g in tables.items():
+            part = parts[which]
+            source = lam * integrate(mesh, f * part)
+            scales[which] = _p_dirichlet(mesh, g, p)
+            phis[which] = (scales[which] - integrate(mesh, part ** pstar)
+                           - (source if which == 1 else -source))
+        energy = (_p_dirichlet(mesh, table, p) / p
+                  - integrate(mesh, np.abs(u) ** pstar) / pstar
+                  - lam * integrate(mesh, F))
+        return cls(mesh, nl, params, u, tables, table, single, energy, phis,
+                   scales, (f, fu))
+
+    @classmethod
+    def scaled(cls, mesh, nl, params, k, scaled):
+        """State of u = sum_i t_i w_i from the scalings of its parts.
+
+        `scaled` maps each active constraint to its sign-definite shape w_i
+        and the ScaleResult of w_i.  The parts have disjoint supports, so
+        every nodal integral splits into t_i^e times a moment of w_i that
+        the scaling already holds; only int |grad u|^p on K3 reads the
+        summed gradient table.
+        """
+        p, pstar = params.p, params.pstar
+        u = np.zeros(mesh.n_vertices)
+        tables, phis, scales = {}, {}, {}
+        nodal = 0.0                 # (1/p*) int |u|^p* + lam int F(u)
+        for which, (w, res) in scaled.items():
+            t, A, B = res.t, res.coefficients.A, res.coefficients.B
+            u += t * w
+            tables[which] = (t if which == 1 else -t) * res.gradients
+            scales[which] = t ** p * A
+            phis[which] = (scales[which] - t ** pstar * B
+                           - sum(c * t ** e for e, c in res.terms))
+            nodal += (t ** pstar * B / pstar
+                      + sum(c * t ** e / e for e, c in res.terms))
+        table, single = _field_table(mesh, u, k, tables)
+        grad = (sum(scales.values()) if single
+                else _p_dirichlet(mesh, table, p))
+        return cls(mesh, nl, params, u, tables, table, single,
+                   grad / p - nodal, phis, scales)
+
+    @property
+    def relative_residuals(self) -> tuple[float, ...]:
+        """|phi_i| / int |grad u_part|^p per active constraint."""
+        return tuple(abs(self.phis[w]) / s if s > 0.0 else float("inf")
+                     for w, s in self.scales.items())
+
+    @functools.cached_property
+    def _calculus(self):
+        """Residual E'(u), and per active constraint the part and grad phi."""
+        mesh, params, u = self.mesh, self.params, self.u
+        p, pstar, lam, eps = params.p, params.pstar, params.lam, params.eps
+        if self.nonlin is None:
+            f, _, fu = nonlin_eval(self.nl, u)
+        else:
+            f, fu = self.nonlin
+        M = mesh.lumped_mass
+        stiff = p_stiffness_vector(mesh, self.table, p, eps)
+        residual = stiff - M * (_odd_power(u, pstar - 1.0) + lam * f)
+        residual[mesh.boundary] = 0.0
+        parts, grads = {}, {}
+        for which, g in self.tables.items():
+            s = 1.0 if which == 1 else -1.0
+            part = np.maximum(s * u, 0.0)
+            chi = (s * u > 0.0).astype(float)
+            part_stiff = (s * stiff if self.single
+                          else p_stiffness_vector(mesh, g, p, eps))
+            crit = pstar * M * part ** (pstar - 1.0)
+            grad = (s * (p * chi * part_stiff - crit)
+                    - lam * M * (f * chi + s * fu * part))
+            grad[mesh.boundary] = 0.0
+            parts[which], grads[which] = part, grad
+        return residual, parts, grads
+
+    @property
+    def residual(self) -> np.ndarray:
+        """E'(u) as a nodal co-vector, zeroed on the boundary."""
+        return self._calculus[0]
+
+    def constraint_gradient(self, which: int) -> np.ndarray:
+        return self._calculus[2][which]
+
+    def remove_multipliers(self, r: np.ndarray) -> np.ndarray:
+        """The co-vector r less its constraint-normal components.
+
+        The multipliers are fixed by pairing against the part directions
+        that `tangent_project` removes, so the result pairs to zero with
+        u_plus and/or u_minus.  Preconditioned, it gives a direction whose
+        slope is a positive quadratic form, which certifies the Armijo
+        decrease in the descent.
+        """
+        _, parts, grads = self._calculus
+        for which in self.tables:
+            r = _remove_normal(r, grads[which], parts[which])
+        return r
+
+    def tangent_project(self, v: np.ndarray) -> np.ndarray:
+        """As the standalone `tangent_project` at u."""
+        _, parts, grads = self._calculus
+        for which in self.tables:
+            v = _remove_normal(v, parts[which], grads[which])
+        return v

@@ -1,13 +1,22 @@
 """Projected descent on the sign-restricted constraint sets.
 
 The minimizing sequence for each constraint set is generated by a
-Sobolev-gradient loop:
+Sobolev-gradient loop.  Every iterate is carried as one evaluation state
+(`nehari._Iterate`) that holds E, E', phi_i, grad phi_i and the
+constraint scales of the field, all read from one gradient table per
+active part.  One pass:
 
-    1. assemble the nodal energy gradient,
+    1. take the energy gradient from the state and remove its
+       constraint-normal components (the multipliers),
     2. precondition it with one discrete Dirichlet-Laplace solve,
     3. project the preconditioned direction onto the constraint tangent,
-    4. take an Armijo-backtracked step,
-    5. retract (clip to the admissible sign, rescale onto the constraint).
+       with the state's constraint gradients,
+    4. retract trial steps (clip each part to its sign, scale it once
+       onto its constraint) and backtrack until the Armijo test holds;
+       each retraction returns the state of its field, whose energy
+       comes from the scaling's moments without a new gradient table,
+    5. keep the accepted trial's state as the next iterate; its E' and
+       grad phi_i are evaluated when step 1 first reads them.
 
 The iteration stops when the preconditioned projected-residual norm drops
 below grad_tol.  Each accepted iterate is on its constraint set up to the
@@ -29,24 +38,9 @@ from .errors import (
     SignError,
     StagnationError,
 )
-from .functional import (
-    Nonlinearity,
-    RunParameters,
-    energy,
-    energy_residual,
-    plus_minus_parts,
-    sobolev_threshold,
-)
+from .functional import Nonlinearity, RunParameters, sobolev_threshold
 from .mesh import LaplacePreconditioner, Mesh, apply_dirichlet, build_mesh
-from .nehari import (
-    KIndex,
-    _remove_normal,
-    constraint_gradient,
-    constraint_phi,
-    constraint_scale,
-    scale_to_manifold,
-    tangent_project,
-)
+from .nehari import KIndex, _Iterate, scale_to_manifold
 
 __all__ = [
     "SolverConfig",
@@ -201,6 +195,20 @@ def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return retract(mesh, nl, params, w_pos + w_neg, k, tol_rel)
 
 
+def _retract(mesh, nl, params, u, k, tol_rel) -> _Iterate:
+    """`retract`, returning the state of the retracted field."""
+    scaled = {}
+    for which in k.active_constraints:
+        clipped = np.maximum(u, 0.0) if which == 1 else np.minimum(u, 0.0)
+        part = apply_dirichlet(mesh, clipped)
+        if not np.any(part):
+            side = "positive" if which == 1 else "negative"
+            raise LostSignError(f"clipping removed the whole {side} part")
+        scaled[which] = (part, scale_to_manifold(mesh, nl, params, part,
+                                                 which, tol_rel))
+    return _Iterate.scaled(mesh, nl, params, k, scaled)
+
+
 def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
             u: np.ndarray, k: KIndex,
             tol_rel: float = 1e-10) -> np.ndarray:
@@ -211,43 +219,7 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     u > 0 and phi2 only those where u < 0, so on K3 the two scalings do
     not interact and one pass leaves both residuals within tol_rel.
     """
-    out = np.zeros(mesh.n_vertices)
-    for which in k.active_constraints:
-        clipped = np.maximum(u, 0.0) if which == 1 else np.minimum(u, 0.0)
-        part = apply_dirichlet(mesh, clipped)
-        if not np.any(part):
-            side = "positive" if which == 1 else "negative"
-            raise LostSignError(f"clipping removed the whole {side} part")
-        t = scale_to_manifold(mesh, nl, params, part, which, tol_rel).t
-        out += t * part
-    return out
-
-
-def _remove_multipliers(mesh, nl, params, u, r, k) -> np.ndarray:
-    """Subtract the constraint-normal components from the co-vector r.
-
-    The multipliers are fixed by pairing against the same part directions
-    the tangent projector uses, so afterwards <r, u_plus> = <r, u_minus> = 0
-    on the active constraints.  Preconditioning the corrected co-vector
-    yields a direction whose slope is a positive quadratic form, which is
-    what certifies the Armijo decrease below.
-    """
-    plus, minus = plus_minus_parts(u)
-    out = r
-    for which in k.active_constraints:
-        direction = plus if which == 1 else minus
-        grad_phi = constraint_gradient(mesh, nl, params, u, which)
-        out = _remove_normal(out, grad_phi, direction)
-    return out
-
-
-def _relative_residuals(mesh, nl, params, u, k) -> tuple[float, ...]:
-    out = []
-    for which in k.active_constraints:
-        resid = abs(constraint_phi(mesh, nl, params, u, which))
-        scale = constraint_scale(mesh, params, u, which)
-        out.append(resid / scale if scale > 0.0 else float("inf"))
-    return tuple(out)
+    return _retract(mesh, nl, params, u, k, tol_rel).u
 
 
 def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
@@ -263,10 +235,9 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     P = precond if precond is not None else LaplacePreconditioner(mesh)
     tol_rel = config.constraint_tol
 
-    u = np.asarray(initial, dtype=float)
-    E = energy(mesh, nl, params, u)
-    history = [E]
-    residuals = _relative_residuals(mesh, nl, params, u, k)
+    state = _Iterate.at(mesh, nl, params, initial, k)
+    history = [state.energy]
+    residuals = state.relative_residuals
     max_resid = max(residuals)
     step = config.step_init
     converged = False
@@ -278,20 +249,19 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             kind=k.name,
             converged=converged,
             iterations=iterations,
-            energy=E,
+            energy=state.energy,
             constraint_residuals=residuals,
             max_constraint_residual=max_resid,
             projected_norm=pnorm,
-            below_threshold=E < sobolev_threshold(params),
+            below_threshold=state.energy < sobolev_threshold(params),
             energy_history=tuple(history),
             error=error,
         )
 
     for iterations in range(config.max_iters + 1):
-        r = energy_residual(mesh, nl, params, u)
-        r_proj = _remove_multipliers(mesh, nl, params, u, r, k)
+        r_proj = state.remove_multipliers(state.residual)
         g = P.solve(r_proj)
-        gt = tangent_project(mesh, nl, params, u, g, k)
+        gt = state.tangent_project(g)
         # <r, gt> collapses to the positive form r_proj^T K^-1 r_proj: gt is
         # tangent, and r_proj pairs to zero with the part directions.
         slope = float(np.dot(r_proj, g))
@@ -310,13 +280,13 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
         lost = 0
         for _ in range(MAX_BACKTRACKS):
             try:
-                cand = retract(mesh, nl, params, u - t * gt, k, tol_rel)
+                cand = _retract(mesh, nl, params, state.u - t * gt, k,
+                                tol_rel)
             except LostSignError:
                 lost += 1
                 t *= config.backtrack_factor
                 continue
-            E_cand = energy(mesh, nl, params, cand)
-            if E_cand <= E - config.armijo_c * t * slope:
+            if cand.energy <= state.energy - config.armijo_c * t * slope:
                 accepted = True
                 break
             t *= config.backtrack_factor
@@ -328,14 +298,13 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             raise StagnationError(
                 f"no acceptable step in {MAX_BACKTRACKS} backtracks", report()
             )
-        u = cand
-        E = E_cand
-        history.append(E)
-        residuals = _relative_residuals(mesh, nl, params, u, k)
+        state = cand
+        history.append(state.energy)
+        residuals = state.relative_residuals
         max_resid = max(max_resid, max(residuals))
         step = min(config.step_init, t / config.backtrack_factor)
 
-    return u, report()
+    return state.u, report()
 
 
 def _descend_or_annotate(mesh, config, k, P):
@@ -348,7 +317,8 @@ def _descend_or_annotate(mesh, config, k, P):
         empty = np.zeros(mesh.n_vertices)
         return empty, SolveReport(
             kind=k.name, converged=False, iterations=0,
-            energy=float("nan"), constraint_residuals=(float("nan"),),
+            energy=float("nan"),
+            constraint_residuals=(float("nan"),) * len(k.active_constraints),
             max_constraint_residual=float("nan"),
             projected_norm=float("nan"), below_threshold=False,
             energy_history=(), error=f"initial point failed: {exc}")
@@ -359,10 +329,11 @@ def _descend_or_annotate(mesh, config, k, P):
             return u0, replace(exc.report, error=str(exc))
         raise
     except (LostSignError, NoRootError, DegenerateConstraintError) as exc:
+        state = _Iterate.at(mesh, nl, params, u0, k)
         return u0, SolveReport(
             kind=k.name, converged=False, iterations=0,
-            energy=energy(mesh, nl, params, u0),
-            constraint_residuals=_relative_residuals(mesh, nl, params, u0, k),
+            energy=state.energy,
+            constraint_residuals=state.relative_residuals,
             max_constraint_residual=float("nan"),
             projected_norm=float("nan"), below_threshold=False,
             energy_history=(), error=str(exc))

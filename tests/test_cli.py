@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ class TestConfigParsing:
         assert cfg.solver.params.eps == 1e-8
         assert cfg.solver.grad_tol == 1e-7
         assert cfg.solver.max_iters == 5000
+        assert cfg.out_dir == Path(".")
 
     @pytest.mark.parametrize("text", [
         "dim=2\nres=4\np=1.5\nq=3\nlambda=5\nbogus=1\n",

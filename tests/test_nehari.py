@@ -6,14 +6,15 @@ from scipy.optimize import brentq
 
 from plap.errors import (DegenerateConstraintError, DegenerateInputError,
                          LostSignError, SignError)
-from plap.functional import (Nonlinearity, RunParameters, nonlin_eval,
-                             plus_minus_parts)
+from plap.functional import (Nonlinearity, RunParameters, energy,
+                             energy_residual, nonlin_eval, plus_minus_parts)
 from plap.mesh import apply_dirichlet, build_mesh, integrate
-from plap.nehari import (KIndex, constraint_gradient, constraint_phi,
-                         constraint_scale, fibering_coefficients,
-                         fibering_root, fibering_upper_bound,
-                         scale_to_manifold, tangent_project)
-from plap.optimizer import retract
+from plap.nehari import (KIndex, _Iterate, constraint_gradient,
+                         constraint_phi, constraint_scale,
+                         fibering_coefficients, fibering_root,
+                         fibering_upper_bound, scale_to_manifold,
+                         tangent_project)
+from plap.optimizer import _retract, retract
 
 from conftest import interior_bump
 
@@ -170,6 +171,22 @@ class TestRootFinding:
         oracle = brentq(h, 0.0, hi, xtol=1e-15, rtol=1e-14)
         assert np.isclose(got, oracle, rtol=1e-9, atol=0)
         assert abs(h(got)) * max(got**p, 1.0) <= 1e-10 * A
+
+    @pytest.mark.parametrize("A, B, terms, p, pstar", [
+        (1.0, 1e-14, [(4.0, 1e-13)], 2.0, 6.0),
+        (1.0, 1e-9, [(3.0, 1e-9)], 1.2, 2.0),
+    ])
+    def test_large_roots_resolve_to_the_last_bit(self, A, B, terms, p, pstar):
+        # t^p is about 1e7 and 1e6 here: |phi| <= tol * t^p * A would need
+        # |h| below double precision relative to A, so the root is returned
+        # once t stops moving
+        def h(t):
+            return A - B * t**(pstar - p) - sum(c * t**(e - p) for e, c in terms)
+
+        got = fibering_root(A, B, terms, p, pstar)
+        oracle = brentq(h, got / 2, 2 * got, xtol=1e-300, rtol=1e-15)
+        assert abs(got - oracle) <= 4 * np.spacing(oracle)
+        assert abs(h(got)) / A <= 1e-12
 
 
 class TestScaleToManifold:
@@ -382,3 +399,78 @@ class TestTangentProject:
         v = np.ones(self.mesh.n_vertices)
         with pytest.raises(DegenerateConstraintError):
             tangent_project(self.mesh, NL2, P2, z, v, KIndex.K1)
+
+
+# (dim, p, q, r): p = 1.5 runs the eps-regularized p-stiffness weight
+STATE_CASES = [(2, 1.5, 3.0, 2.5), (3, 2.0, 4.0, 3.0), (3, 1.5, 2.5, 2.0)]
+
+
+def state_fields(mesh, k):
+    """An on-sign field of k and a sign-changing field, neither scaled."""
+    w_pos, w_neg = split_pair(mesh, seed=6)
+    rng = np.random.default_rng(6)
+    mixed = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
+    on_sign = {KIndex.K1: interior_bump(mesh, seed=6),
+               KIndex.K2: -interior_bump(mesh, seed=6),
+               KIndex.K3: w_pos + w_neg}[k]
+    return on_sign, mixed
+
+
+def assert_state_matches(state, mesh, nl, params, k, phi_atol=0.0):
+    """Every quantity of the state against the standalone reference."""
+    u = state.u
+
+    def close(got, want, atol=0.0):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale + atol
+
+    close(state.energy, energy(mesh, nl, params, u))
+    close(state.residual, energy_residual(mesh, nl, params, u))
+    for which in k.active_constraints:
+        scale = constraint_scale(mesh, params, u, which)
+        close(state.scales[which], scale)
+        close(state.phis[which], constraint_phi(mesh, nl, params, u, which),
+              phi_atol * scale)
+        close(state.constraint_gradient(which),
+              constraint_gradient(mesh, nl, params, u, which))
+
+
+class TestIterateState:
+    """The solver's per-iterate state against the reference functions."""
+
+    @pytest.mark.parametrize("family", ["signed", "pospart"])
+    @pytest.mark.parametrize("dim, p, q, r", STATE_CASES)
+    @pytest.mark.parametrize("k", list(KIndex))
+    def test_matches_reference_functions(self, k, dim, p, q, r, family):
+        mesh = build_mesh(dim, 8 if dim == 2 else 4)
+        params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-3)
+        nl = Nonlinearity(family=family, q=q, r=r)
+        for u in state_fields(mesh, k):
+            state = _Iterate.at(mesh, nl, params, u, k)
+            assert_state_matches(state, mesh, nl, params, k)
+            rng = np.random.default_rng(7)
+            v = rng.standard_normal(mesh.n_vertices)
+            want = tangent_project(mesh, nl, params, u, v, k)
+            got = state.tangent_project(v)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("family", ["signed", "pospart"])
+    @pytest.mark.parametrize("dim, p, q, r", STATE_CASES)
+    @pytest.mark.parametrize("k", list(KIndex))
+    def test_retracted_state_equals_fresh_state(self, k, dim, p, q, r,
+                                                family):
+        mesh = build_mesh(dim, 8 if dim == 2 else 4)
+        params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-3)
+        nl = Nonlinearity(family=family, q=q, r=r)
+        on_sign, _ = state_fields(mesh, k)
+        cand = _retract(mesh, nl, params, 0.8 * on_sign, k, 1e-10)
+        fresh = _Iterate.at(mesh, nl, params, cand.u, k)
+        # phi is a cancellation of O(scale) terms down to ~1e-10 * scale,
+        # so the two evaluations agree to rounding of the terms, not of phi
+        assert_state_matches(cand, mesh, nl, params, k, phi_atol=1e-13)
+        assert_state_matches(fresh, mesh, nl, params, k, phi_atol=1e-13)
+        assert np.array_equal(cand.u, retract(mesh, nl, params,
+                                              0.8 * on_sign, k))
+        for got, want in zip(cand.relative_residuals,
+                             fresh.relative_residuals):
+            assert got <= 1e-10 and want <= 1e-10

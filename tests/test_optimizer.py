@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from plap.errors import ConfigurationError, LostSignError
+import plap.functional
+import plap.nehari
+import plap.optimizer
+from plap.errors import ConfigurationError, LostSignError, NoRootError
 from plap.functional import (Nonlinearity, RunParameters, energy,
                              sobolev_threshold)
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
@@ -160,6 +163,39 @@ class TestDescend:
         A = fibering_coefficients(mesh, config.nonlin, config.params, u0).A
         assert E0 <= A / config.params.p
 
+    @pytest.mark.parametrize("k, scatters_per_pass",
+                             [(KIndex.K1, 1), (KIndex.K3, 3)])
+    def test_kernel_call_budget(self, monkeypatch, k, scatters_per_pass):
+        # one gradient table per active part per retract trial, plus the
+        # initial state; p-stiffness scatters per pass: u alone on K1,
+        # u, u_plus and u_minus on K3
+        config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=8,
+                              grad_tol=1e-6, max_iters=200)
+        mesh = build_mesh(2, config.cells_per_side)
+        u0 = initial_point(mesh, NL2, P2, k, config.seed)
+        counts = {"gradient_table": 0, "p_stiffness_vector": 0, "trials": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("gradient_table", "p_stiffness_vector"):
+            for mod in (plap.nehari, plap.functional, plap.optimizer):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name,
+                                        counted(name, getattr(mod, name)))
+        monkeypatch.setattr(plap.optimizer, "_retract",
+                            counted("trials", plap.optimizer._retract))
+        _, rep = descend(mesh, config, k, u0)
+        assert rep.error is None and rep.iterations > 0
+        parts = len(k.active_constraints)
+        passes = rep.iterations + 1
+        assert counts["trials"] >= rep.iterations
+        assert counts["gradient_table"] <= parts * (counts["trials"] + 1)
+        assert counts["p_stiffness_vector"] <= scatters_per_pass * passes
+
     def test_descend_rejects_off_constraint_start(self):
         config = coarse_config()
         mesh = build_mesh(2, config.cells_per_side)
@@ -181,6 +217,19 @@ class TestSolveThree:
     def test_odd_family_negation_symmetry(self, coarse_run):
         _, _, triple = coarse_run
         assert np.array_equal(triple.u2, -triple.u1)
+
+    def test_failed_initial_point_reports_every_constraint(self,
+                                                           monkeypatch):
+        def no_root(mesh, nl, params, k, seed, tol_rel=1e-10):
+            if k is KIndex.K3:
+                raise NoRootError("forced")
+            return initial_point(mesh, nl, params, k, seed, tol_rel)
+
+        monkeypatch.setattr(plap.optimizer, "initial_point", no_root)
+        rep = solve_three(coarse_config()).reports[2]
+        assert rep.error.startswith("initial point failed")
+        assert len(rep.constraint_residuals) == 2
+        assert all(np.isnan(x) for x in rep.constraint_residuals)
 
     def test_deterministic_rerun(self, coarse_run):
         config, mesh, triple = coarse_run
