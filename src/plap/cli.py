@@ -114,12 +114,19 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(path.read_text())
 
 
-def _write_field_csv(path: Path, mesh, values) -> None:
-    cols = "x,y,value" if mesh.dim == 2 else "x,y,z,value"
-    lines = [cols]
-    for vertex, value in zip(mesh.vertices, values):
-        lines.append(",".join([_fmt(c) for c in vertex] + [_fmt(value)]))
-    path.write_text("\n".join(lines) + "\n")
+def _coordinate_columns(mesh) -> tuple[str, list[str]]:
+    """Header and `x,y[,z],` prefix of every row of a field CSV on the mesh,
+    formatted once and shared by all fields written on it."""
+    header = "x,y,value" if mesh.dim == 2 else "x,y,z,value"
+    return header, ["".join(_fmt(c) + "," for c in vertex)
+                    for vertex in mesh.vertices.tolist()]
+
+
+def _write_field_csv(path: Path, columns: tuple[str, list[str]],
+                     values) -> None:
+    header, prefixes = columns
+    rows = [prefix + _fmt(value) for prefix, value in zip(prefixes, values)]
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def _read_field_csv(path: Path, mesh) -> np.ndarray:
@@ -157,8 +164,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
+    columns = _coordinate_columns(mesh)
     for name, values in zip(("u1.csv", "u2.csv", "u3.csv"), triple.fields()):
-        _write_field_csv(out / name, mesh, values)
+        _write_field_csv(out / name, columns, values)
 
     checks = verify_fields(
         mesh, cfg.solver.nonlin, cfg.solver.params, triple.fields(),

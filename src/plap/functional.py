@@ -240,11 +240,8 @@ def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float,
         w[mask] = g2[mask] ** expo
     else:
         w = (g2 + eps * eps) ** expo
-    coef = mesh.volumes * w
-    contrib = coef[:, None] * np.einsum("sd,sid->si", g, mesh.shape_gradients)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.simplices.ravel(), contrib.ravel())
-    return out
+    flux = (mesh.volumes * w)[:, None] * g
+    return mesh.grad_op_t @ flux.ravel()
 
 
 def energy_residual(mesh: Mesh, nl: Nonlinearity, params: RunParameters,

@@ -1,11 +1,16 @@
 """Uniform simplicial meshes of the unit square and cube with P1 plumbing.
 
 A mesh stores, besides vertices and simplices, everything the nonlinear
-solver needs repeatedly: per-simplex volumes, the (constant) gradients of
-the P1 hat functions on each simplex, a boundary mask and the lumped
+solver needs repeatedly: per-simplex volumes, a boundary mask, the lumped
 vertex weights used by the nodal quadrature rule
 
-    integral(u) ~ sum_T vol(T) * mean(u at vertices of T).
+    integral(u) ~ sum_T vol(T) * mean(u at vertices of T),
+
+and the P1 gradient as one sparse operator G (and its transpose), whose
+row (T, k) holds the k-th partial derivative of each hat function of T.
+Every P1 kernel is a sparse product with it: the gradient table of u is
+G u, a p-stiffness co-vector is G^T applied to volume-weighted gradients,
+and the Laplace stiffness is G^T diag(vol) G.
 
 The rule is exact for piecewise-linear integrands, so gradients of P1
 fields are integrated exactly and nodal nonlinearities at second order.
@@ -17,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DimensionMismatchError
@@ -48,10 +54,16 @@ class Mesh:
         Vertex indices; 2 triangles per square cell, 6 tetrahedra per cube.
     volumes : ndarray, shape (n_simplices,)
     shape_gradients : ndarray, shape (n_simplices, dim+1, dim)
-        Gradient of each vertex hat function restricted to the simplex.
+        Gradient of each vertex hat function restricted to the simplex; a
+        read-only view of `grad_op.data`.
     boundary : ndarray of bool, shape (n_vertices,)
     lumped_mass : ndarray, shape (n_vertices,)
         Vertex weights of the nodal quadrature rule; sums to 1.
+    grad_op : scipy.sparse.csr_array, shape (n_simplices*dim, n_vertices)
+        P1 gradient operator: row s*dim + k holds d(phi_i)/dx_k of simplex
+        s at column simplices[s, i], so `grad_op @ u` is the gradient table.
+    grad_op_t : scipy.sparse.csr_array, shape (n_vertices, n_simplices*dim)
+        The transpose of `grad_op`, stored once as CSR.
     """
 
     dim: int
@@ -62,6 +74,8 @@ class Mesh:
     shape_gradients: np.ndarray
     boundary: np.ndarray
     lumped_mass: np.ndarray
+    grad_op: sparse.csr_array
+    grad_op_t: sparse.csr_array
 
     @property
     def n_vertices(self) -> int:
@@ -81,6 +95,33 @@ def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _cell_simplices(dim: int, m: int) -> np.ndarray:
+    """Vertex indices of the simplices of the grid, cell by cell in
+    lexicographic order, from the corner offsets of one cell."""
+    side = m + 1
+    strides = side ** np.arange(dim - 1, -1, -1)
+    if dim == 2:
+        corners = np.array([[(0, 0), (1, 0), (1, 1)],
+                            [(0, 0), (1, 1), (0, 1)]])
+    else:
+        # one tetrahedron per axis permutation: the path from the cell's
+        # origin corner to its opposite corner, one axis step at a time
+        steps = np.eye(3, dtype=np.int64)[sorted(itertools.permutations(range(3)))]
+        corners = np.concatenate(
+            [np.zeros((len(steps), 1, 3), dtype=np.int64),
+             np.cumsum(steps, axis=1)], axis=1)
+    offsets = corners @ strides                       # (per cell, dim+1)
+    origin = np.stack(np.meshgrid(*[np.arange(m)] * dim, indexing="ij"),
+                      axis=-1).reshape(-1, dim) @ strides
+    return (origin[:, None, None] + offsets).reshape(-1, dim + 1)
+
+
+def _frozen_csr(mat: sparse.csr_array) -> sparse.csr_array:
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
 def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     """Triangulate (0,1)^dim with a uniform grid of `cells_per_side`^dim cells.
 
@@ -98,35 +139,8 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     axes = [np.linspace(0.0, 1.0, side)] * dim
     grids = np.meshgrid(*axes, indexing="ij")
     vertices = np.stack([g.ravel() for g in grids], axis=1)
-
-    strides = np.array([side ** (dim - 1 - k) for k in range(dim)])
-
-    def vid(idx):
-        return int(np.dot(idx, strides))
-
-    simplices = []
-    cells = itertools.product(range(m), repeat=dim)
-    if dim == 2:
-        for (i, j) in cells:
-            v00 = vid((i, j))
-            v10 = vid((i + 1, j))
-            v01 = vid((i, j + 1))
-            v11 = vid((i + 1, j + 1))
-            simplices.append((v00, v10, v11))
-            simplices.append((v00, v11, v01))
-    else:
-        perms = sorted(itertools.permutations(range(3)))
-        for cell in cells:
-            base = np.array(cell)
-            for perm in perms:
-                corner = base.copy()
-                tet = [vid(corner)]
-                for axis in perm:
-                    corner = corner.copy()
-                    corner[axis] += 1
-                    tet.append(vid(corner))
-                simplices.append(tuple(tet))
-    simplices = np.array(simplices, dtype=np.int64)
+    simplices = _cell_simplices(dim, m)
+    ns, nloc = simplices.shape
 
     # Per-simplex geometry: edge matrix E rows are x_i - x_0; the hat-function
     # gradients for vertices 1..dim are the columns of inv(E), and vertex 0
@@ -136,9 +150,19 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     dets = np.linalg.det(edges)
     volumes = np.abs(dets) / np.prod(range(1, dim + 1))
     inv_edges = np.linalg.inv(edges)                   # (ns, dim, dim)
-    grads = np.empty((simplices.shape[0], dim + 1, dim))
+    grads = np.empty((ns, nloc, dim))
     grads[:, 1:, :] = np.transpose(inv_edges, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+
+    # Row (s, k) of the gradient operator lists d(phi_i)/dx_k for i = 0..dim.
+    grad_op = _frozen_csr(sparse.csr_array(
+        (grads.transpose(0, 2, 1).ravel(),
+         np.repeat(simplices, dim, axis=0).ravel(),
+         np.arange(0, ns * dim * nloc + 1, nloc)),
+        shape=(ns * dim, vertices.shape[0]),
+    ))
+    grad_op_t = _frozen_csr(grad_op.T.tocsr())
+    shape_gradients = grad_op.data.reshape(ns, dim, nloc).transpose(0, 2, 1)
 
     boundary = np.zeros(vertices.shape[0], dtype=bool)
     for k in range(dim):
@@ -148,10 +172,11 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     np.add.at(lumped, simplices.ravel(),
               np.repeat(volumes / (dim + 1), dim + 1))
 
-    for arr in (vertices, simplices, volumes, grads, boundary, lumped):
+    for arr in (vertices, simplices, volumes, shape_gradients, boundary, lumped):
         arr.flags.writeable = False
 
-    return Mesh(dim, m, vertices, simplices, volumes, grads, boundary, lumped)
+    return Mesh(dim, m, vertices, simplices, volumes, shape_gradients,
+                boundary, lumped, grad_op, grad_op_t)
 
 
 def integrate(mesh: Mesh, values: np.ndarray) -> float:
@@ -163,7 +188,7 @@ def integrate(mesh: Mesh, values: np.ndarray) -> float:
 def gradient_table(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Per-simplex gradient of the P1 interpolant of u, shape (n_simplices, dim)."""
     u = _check_field(mesh, u)
-    return np.einsum("sid,si->sd", mesh.shape_gradients, u[mesh.simplices])
+    return (mesh.grad_op @ u).reshape(mesh.n_simplices, mesh.dim)
 
 
 def apply_dirichlet(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -173,20 +198,11 @@ def apply_dirichlet(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def laplace_stiffness(mesh: Mesh):
-    """Assemble the P1 stiffness matrix of -Laplace as CSR (no boundary handling)."""
-    from scipy import sparse
-
-    ns, nloc, dim = mesh.shape_gradients.shape
-    local = np.einsum("sid,sjd->sij", mesh.shape_gradients, mesh.shape_gradients)
-    local *= mesh.volumes[:, None, None]
-    rows = np.repeat(mesh.simplices, nloc, axis=1).ravel()
-    cols = np.tile(mesh.simplices, (1, nloc)).ravel()
-    mat = sparse.coo_matrix(
-        (local.ravel(), (rows, cols)),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    )
-    return mat.tocsr()
+def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
+    """P1 stiffness matrix of -Laplace, G^T diag(vol) G, as CSR (no boundary
+    handling). Entries that cancel to exact zeros are not stored."""
+    weights = sparse.diags_array(np.repeat(mesh.volumes, mesh.dim))
+    return mesh.grad_op_t @ (weights @ mesh.grad_op)
 
 
 class LaplacePreconditioner:

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plap.cli import SWEEP_HEADER, main, parse_config_text
+from plap.cli import (SWEEP_HEADER, _coordinate_columns, _write_field_csv, main,
+                      parse_config_text)
 from plap.errors import ConfigurationError
 from plap.mesh import build_mesh
 
@@ -112,6 +113,25 @@ class TestSolveCommand:
         rows = np.loadtxt(out / "u1.csv", delimiter=",", skiprows=1)
         assert rows.shape == (mesh.n_vertices, 4)
         assert np.allclose(rows[:, :3], mesh.vertices, rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("dim,m", [(2, 3), (3, 3)])
+    def test_field_csv_matches_per_row_writer(self, tmp_path, dim, m):
+        # oracle: each row formatted from scratch, coordinates included
+        def per_row(mesh, values):
+            lines = ["x,y,value" if mesh.dim == 2 else "x,y,z,value"]
+            for vertex, value in zip(mesh.vertices, values):
+                lines.append(",".join([format(float(c), ".17g") for c in vertex]
+                                      + [format(float(value), ".17g")]))
+            return ("\n".join(lines) + "\n").encode()
+
+        mesh = build_mesh(dim, m)
+        columns = _coordinate_columns(mesh)
+        rng = np.random.default_rng(2)
+        for k in range(3):
+            values = rng.standard_normal(mesh.n_vertices) * 10.0 ** (4 * k - 4)
+            values[:3] = (0.0, -0.0, 1e-300)
+            _write_field_csv(tmp_path / "u.csv", columns, values)
+            assert (tmp_path / "u.csv").read_bytes() == per_row(mesh, values)
 
     def test_invalid_exponent_exits_2_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -8,8 +8,9 @@ from scipy.integrate import quad
 
 from plap.errors import ConfigurationError
 from plap.functional import (Nonlinearity, RunParameters, energy, energy_parts,
-                             energy_residual, nonlin_eval, plus_minus_parts,
-                             sobolev_constant, sobolev_threshold)
+                             energy_residual, nonlin_eval, p_stiffness_vector,
+                             plus_minus_parts, sobolev_constant,
+                             sobolev_threshold)
 from plap.mesh import apply_dirichlet, build_mesh, gradient_table, integrate
 
 from conftest import interior_bump
@@ -307,3 +308,36 @@ class TestSobolevThreshold:
     def test_rejects_supercritical(self):
         with pytest.raises(ConfigurationError):
             sobolev_constant(3.0, 3)
+
+
+def _scatter_p_stiffness(mesh, g, p, eps):
+    """Per-simplex contributions scattered with np.add.at, kept as the oracle."""
+    g2 = np.einsum("sd,sd->s", g, g)
+    expo = (p - 2.0) / 2.0
+    if eps == 0.0 and expo < 0.0:
+        w = np.zeros_like(g2)
+        mask = g2 > 0.0
+        w[mask] = g2[mask] ** expo
+    else:
+        w = (g2 + eps * eps) ** expo
+    coef = mesh.volumes * w
+    contrib = coef[:, None] * np.einsum("sd,sid->si", g, mesh.shape_gradients)
+    out = np.zeros(mesh.n_vertices)
+    np.add.at(out, mesh.simplices.ravel(), contrib.ravel())
+    return out
+
+
+class TestPStiffnessVector:
+    @pytest.mark.parametrize("dim,m", [(2, 5), (3, 4)])
+    @pytest.mark.parametrize("p,eps", [(2.0, 0.0), (1.5, 1e-8), (1.5, 0.0)])
+    def test_matches_scatter(self, dim, m, p, eps):
+        # the clipped field is flat on whole simplices, so the eps = 0
+        # branch meets zero gradients
+        mesh = build_mesh(dim, m)
+        rng = np.random.default_rng(5)
+        u = np.maximum(rng.standard_normal(mesh.n_vertices), 0.0)
+        g = gradient_table(mesh, u)
+        assert np.any(np.all(g == 0.0, axis=1))
+        want = _scatter_p_stiffness(mesh, g, p, eps)
+        got = p_stiffness_vector(mesh, g, p, eps)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

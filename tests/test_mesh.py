@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,3 +151,130 @@ def test_mesh_arrays_are_frozen():
     mesh = build_mesh(2, 2)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        mesh.shape_gradients[0, 0, 0] = 5.0
+    for op in (mesh.grad_op, mesh.grad_op_t):
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+def _loop_mesh(dim, m):
+    """build_mesh as a Python loop over cells, kept as the oracle."""
+    side = m + 1
+    grids = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * dim, indexing="ij")
+    vertices = np.stack([g.ravel() for g in grids], axis=1)
+    strides = np.array([side ** (dim - 1 - k) for k in range(dim)])
+
+    def vid(idx):
+        return int(np.dot(idx, strides))
+
+    simplices = []
+    cells = itertools.product(range(m), repeat=dim)
+    if dim == 2:
+        for (i, j) in cells:
+            v00, v10 = vid((i, j)), vid((i + 1, j))
+            v01, v11 = vid((i, j + 1)), vid((i + 1, j + 1))
+            simplices.append((v00, v10, v11))
+            simplices.append((v00, v11, v01))
+    else:
+        perms = sorted(itertools.permutations(range(3)))
+        for cell in cells:
+            for perm in perms:
+                corner = np.array(cell)
+                tet = [vid(corner)]
+                for axis in perm:
+                    corner = corner.copy()
+                    corner[axis] += 1
+                    tet.append(vid(corner))
+                simplices.append(tuple(tet))
+    simplices = np.array(simplices, dtype=np.int64)
+
+    coords = vertices[simplices]
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    volumes = np.abs(np.linalg.det(edges)) / np.prod(range(1, dim + 1))
+    grads = np.empty((simplices.shape[0], dim + 1, dim))
+    grads[:, 1:, :] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    boundary = np.zeros(vertices.shape[0], dtype=bool)
+    for k in range(dim):
+        boundary |= np.isclose(vertices[:, k], 0.0) | np.isclose(vertices[:, k], 1.0)
+    lumped = np.zeros(vertices.shape[0])
+    np.add.at(lumped, simplices.ravel(), np.repeat(volumes / (dim + 1), dim + 1))
+    return {"vertices": vertices, "simplices": simplices, "volumes": volumes,
+            "shape_gradients": grads, "boundary": boundary,
+            "lumped_mass": lumped}
+
+
+@pytest.mark.parametrize("dim,m", [(2, m) for m in range(1, 6)]
+                         + [(3, m) for m in range(1, 5)])
+def test_build_matches_cell_loop(dim, m):
+    mesh = build_mesh(dim, m)
+    for name, want in _loop_mesh(dim, m).items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("dim,m", [(2, 5), (3, 4)])
+def test_gradient_operator_layout(dim, m):
+    mesh = build_mesh(dim, m)
+    G = mesh.grad_op
+    assert G.shape == (mesh.n_simplices * dim, mesh.n_vertices)
+    assert np.array_equal(G.indices.reshape(mesh.n_simplices, dim, dim + 1),
+                          np.repeat(mesh.simplices[:, None, :], dim, axis=1))
+    assert np.shares_memory(mesh.shape_gradients, G.data)
+    assert (mesh.grad_op_t != G.T).nnz == 0
+
+
+@pytest.mark.parametrize("dim,m", [(2, 5), (3, 4)])
+def test_gradient_table_matches_gather(dim, m):
+    # oracle: the per-simplex gather of nodal values
+    mesh = build_mesh(dim, m)
+    u = np.random.default_rng(3).standard_normal(mesh.n_vertices)
+    gather = np.einsum("sid,si->sd", mesh.shape_gradients, u[mesh.simplices])
+    assert np.array_equal(gradient_table(mesh, u), gather)
+
+
+def _coo_stiffness(mesh):
+    """Per-simplex local matrices summed through COO, kept as the oracle."""
+    ns, nloc, dim = mesh.shape_gradients.shape
+    local = np.einsum("sid,sjd->sij", mesh.shape_gradients, mesh.shape_gradients)
+    local *= mesh.volumes[:, None, None]
+    rows = np.repeat(mesh.simplices, nloc, axis=1).ravel()
+    cols = np.tile(mesh.simplices, (1, nloc)).ravel()
+    return sparse.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(mesh.n_vertices, mesh.n_vertices)).toarray()
+
+
+def _axis_stencil(dim, m):
+    """Dense 5-point (2D) or 7-point (3D) stencil of -Laplace * h^dim."""
+    side, h = m + 1, 1.0 / m
+    n = side ** dim
+    S = np.zeros((n, n))
+    idx = np.indices((side,) * dim).reshape(dim, -1).T
+    for a, point in enumerate(idx):
+        S[a, a] = 2 * dim * h ** (dim - 2)
+        for k, step in itertools.product(range(dim), (-1, 1)):
+            nb = point.copy()
+            nb[k] += step
+            if 0 <= nb[k] <= m:
+                S[a, np.ravel_multi_index(nb, (side,) * dim)] = -h ** (dim - 2)
+    return S
+
+
+@pytest.mark.parametrize("dim,m", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_stiffness_is_the_axis_stencil(dim, m):
+    mesh = build_mesh(dim, m)
+    K = laplace_stiffness(mesh)
+    assert np.all(K.data != 0.0)
+    dense = K.toarray()
+    old = _coo_stiffness(mesh)
+    assert np.max(np.abs(dense - old)) <= 1e-15 * np.max(np.abs(old))
+    S = _axis_stencil(dim, m)
+    interior = ~mesh.boundary
+    scale = 2 * dim * m ** (2 - dim)
+    assert np.max(np.abs(dense[interior] - S[interior])) <= 1e-14 * scale
+    if m == 4:
+        # h is a power of two: the off-stencil entries cancel exactly
+        assert np.array_equal(dense != 0.0, S != 0.0)

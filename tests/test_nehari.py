@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -147,7 +147,7 @@ class TestRootFinding:
         hi = got
         while g(2 * hi) >= 0:
             hi *= 2
-        oracle = brentq(g, got / 2, 2 * hi, xtol=1e-14, rtol=1e-14)
+        oracle = brentq(g, got / 2, 2 * hi, xtol=1e-300, rtol=1e-15)
         assert np.isclose(got, oracle, rtol=1e-9, atol=0)
 
     @settings(max_examples=60, deadline=None)
@@ -155,6 +155,8 @@ class TestRootFinding:
                                  (2.0, 6.0, 3.0, 5.0)]),
            A=st.floats(0.01, 100.0), B=st.floats(0.01, 100.0),
            c_r=st.floats(0.0, 100.0), c_q=st.floats(0.01, 100.0))
+    # a root near 1e-7: an absolute xtol in the oracle would miss it by 1e-8
+    @example(exps=(1.5, 6.0, 2.0, 3.0), A=0.01, B=1.0, c_r=33.0, c_q=1.0)
     def test_two_terms_against_library_solver(self, exps, A, B, c_r, c_q):
         # r - p < 1 in the first two cases: h is convex near 0 there
         p, pstar, r, q = exps
@@ -168,7 +170,7 @@ class TestRootFinding:
         hi = 1.0
         while h(hi) >= 0:
             hi *= 2
-        oracle = brentq(h, 0.0, hi, xtol=1e-15, rtol=1e-14)
+        oracle = brentq(h, 0.0, hi, xtol=1e-300, rtol=1e-15)
         assert np.isclose(got, oracle, rtol=1e-9, atol=0)
         assert abs(h(got)) * max(got**p, 1.0) <= 1e-10 * A
 
