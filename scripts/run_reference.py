@@ -1,7 +1,8 @@
 """Run the reference configuration end to end and print a digest.
 
-Writes u1.csv, u2.csv, u3.csv and triple.json under results/reference,
-then reruns the built-in checks on the stored fields.  Exits with the
+Writes u1.csv, u2.csv, u3.csv and triple.json under the config's
+out-dir (results/reference, relative to the working directory), then
+reruns the built-in checks on the stored fields.  Exits with the
 solver's code (0 ok, 1 a check failed, 2 bad configuration).
 """
 
@@ -9,7 +10,7 @@ import json
 import pathlib
 import sys
 
-from plap.cli import main
+from plap.cli import load_config, main
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -17,7 +18,9 @@ HERE = pathlib.Path(__file__).resolve().parent
 def run():
     cfg = HERE / "reference.cfg"
     code = main(["solve", "--config", str(cfg)])
-    out = HERE.parent / "results" / "reference"
+    if code == 2:
+        return code
+    out = load_config(cfg).out_dir
     payload = json.loads((out / "triple.json").read_text())
     print()
     print(f"threshold  {payload['threshold']:.12g}")

@@ -18,7 +18,6 @@ from .errors import (
     LostSignError,
     NoRootError,
     SignError,
-    StagnationError,
 )
 from .functional import (
     Nonlinearity,

@@ -28,13 +28,3 @@ class LostSignError(RuntimeError):
 class DegenerateConstraintError(RuntimeError):
     """Constraint-gradient pairing too close to zero to project on."""
 
-
-class StagnationError(RuntimeError):
-    """Line search could not produce an acceptable step.
-
-    Carries the partial solve report (if any) as ``.report``.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

@@ -294,24 +294,14 @@ def tangent_project(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return out
 
 
-def _field_table(mesh, u, k, tables):
-    """Gradient table of u from those of its active parts, and whether u
-    is +-(its one active part), as on K1 and K2 fields of the right sign."""
-    if k is KIndex.K3:
-        return tables[1] - tables[2], False
-    (which, g), = tables.items()
-    if np.any(u < 0.0 if which == 1 else u > 0.0):
-        return gradient_table(mesh, u), False
-    return (g if which == 1 else -g), True
-
-
 @dataclass(eq=False)
 class _Iterate:
-    """One field u of constraint set k with everything the descent reads.
+    """One retracted field u of constraint set k with everything the
+    descent reads.
 
     The energy, the constraint values phi_i and their scales
     int |grad u_part|^p are set on construction from one gradient table
-    per active part: the table of u itself is their sum, since
+    per active part: the table of u itself is their difference, since
     u = u_plus - u_minus.  The residual E'(u), the constraint gradients
     and the two projections follow on first use from one `nonlin_eval`
     and one p-stiffness scatter per distinct table: one on K1 and K2,
@@ -326,34 +316,9 @@ class _Iterate:
     u: np.ndarray
     tables: dict            # which -> gradient table of u_plus / u_minus
     table: np.ndarray       # gradient table of u
-    single: bool            # u is +-(its one active part)
     energy: float
     phis: dict              # which -> phi_which(u)
     scales: dict            # which -> int |grad u_part|^p
-    nonlin: tuple | None = None   # (f, f') at u, if already evaluated
-
-    @classmethod
-    def at(cls, mesh, nl, params, u, k):
-        """State of an arbitrary field."""
-        u = _check_field(mesh, u)
-        p, pstar, lam = params.p, params.pstar, params.lam
-        parts = dict(zip((1, 2), plus_minus_parts(u)))
-        tables = {which: gradient_table(mesh, parts[which])
-                  for which in k.active_constraints}
-        table, single = _field_table(mesh, u, k, tables)
-        f, F, fu = nonlin_eval(nl, u)
-        phis, scales = {}, {}
-        for which, g in tables.items():
-            part = parts[which]
-            source = lam * integrate(mesh, f * part)
-            scales[which] = _p_dirichlet(mesh, g, p)
-            phis[which] = (scales[which] - integrate(mesh, part ** pstar)
-                           - (source if which == 1 else -source))
-        energy = (_p_dirichlet(mesh, table, p) / p
-                  - integrate(mesh, np.abs(u) ** pstar) / pstar
-                  - lam * integrate(mesh, F))
-        return cls(mesh, nl, params, u, tables, table, single, energy, phis,
-                   scales, (f, fu))
 
     @classmethod
     def scaled(cls, mesh, nl, params, k, scaled):
@@ -378,11 +343,15 @@ class _Iterate:
                            - sum(c * t ** e for e, c in res.terms))
             nodal += (t ** pstar * B / pstar
                       + sum(c * t ** e / e for e, c in res.terms))
-        table, single = _field_table(mesh, u, k, tables)
-        grad = (sum(scales.values()) if single
-                else _p_dirichlet(mesh, table, p))
-        return cls(mesh, nl, params, u, tables, table, single,
-                   grad / p - nodal, phis, scales)
+        if k is KIndex.K3:
+            table = tables[1] - tables[2]
+            grad = _p_dirichlet(mesh, table, p)
+        else:
+            (which, g), = tables.items()
+            table = g if which == 1 else -g
+            grad = scales[which]
+        return cls(mesh, nl, params, u, tables, table, grad / p - nodal,
+                   phis, scales)
 
     @property
     def relative_residuals(self) -> tuple[float, ...]:
@@ -395,10 +364,7 @@ class _Iterate:
         """Residual E'(u), and per active constraint the part and grad phi."""
         mesh, params, u = self.mesh, self.params, self.u
         p, pstar, lam, eps = params.p, params.pstar, params.lam, params.eps
-        if self.nonlin is None:
-            f, _, fu = nonlin_eval(self.nl, u)
-        else:
-            f, fu = self.nonlin
+        f, _, fu = nonlin_eval(self.nl, u)
         M = mesh.lumped_mass
         stiff = p_stiffness_vector(mesh, self.table, p, eps)
         residual = stiff - M * (_odd_power(u, pstar - 1.0) + lam * f)
@@ -408,7 +374,7 @@ class _Iterate:
             s = 1.0 if which == 1 else -1.0
             part = np.maximum(s * u, 0.0)
             chi = (s * u > 0.0).astype(float)
-            part_stiff = (s * stiff if self.single
+            part_stiff = (s * stiff if len(self.tables) == 1
                           else p_stiffness_vector(mesh, g, p, eps))
             crit = pstar * M * part ** (pstar - 1.0)
             grad = (s * (p * chi * part_stiff - crit)

@@ -1,10 +1,11 @@
 """Projected descent on the sign-restricted constraint sets.
 
 The minimizing sequence for each constraint set is generated by a
-Sobolev-gradient loop.  Every iterate is carried as one evaluation state
-(`nehari._Iterate`) that holds E, E', phi_i, grad phi_i and the
-constraint scales of the field, all read from one gradient table per
-active part.  One pass:
+Sobolev-gradient loop.  It starts from the retraction of a given field,
+so every iterate, the first included, is the state of a retraction
+(`nehari._Iterate`): E, E', phi_i, grad phi_i and the constraint scales
+of the field, all read from one gradient table per active part.  One
+pass:
 
     1. take the energy gradient from the state and remove its
        constraint-normal components (the multipliers),
@@ -19,9 +20,11 @@ active part.  One pass:
        grad phi_i are evaluated when step 1 first reads them.
 
 The iteration stops when the preconditioned projected-residual norm drops
-below grad_tol.  Each accepted iterate is on its constraint set up to the
-retraction tolerance, so the recorded energies decrease monotonically
-along the constrained path.
+below grad_tol, at the iteration cap, or when it cannot go on; in every
+case it returns its last iterate with the report of that iterate.  Each
+accepted iterate is on its constraint set up to the retraction
+tolerance, so the recorded energies decrease monotonically along the
+constrained path.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .errors import (
     DegenerateConstraintError,
     LostSignError,
     NoRootError,
-    SignError,
-    StagnationError,
 )
 from .functional import Nonlinearity, RunParameters, sobolev_threshold
 from .mesh import LaplacePreconditioner, Mesh, apply_dirichlet, build_mesh
@@ -55,6 +56,12 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
+STEP_INIT = 1.0         # first trial step, and the cap on later ones
+ARMIJO_C = 1e-4         # sufficient-decrease fraction of the slope
+BACKTRACK = 0.5         # step factor per rejected trial
+
+# failures that end a descent at its last iterate
+_STOPS = (LostSignError, NoRootError, DegenerateConstraintError)
 
 
 @dataclass(frozen=True)
@@ -66,26 +73,18 @@ class SolverConfig:
     cells_per_side: int
     max_iters: int = 5000
     grad_tol: float = 1e-7
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     constraint_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         self.nonlin.validate(self.params)
-        if self.cells_per_side < 2:
-            raise ConfigurationError("cells_per_side must be >= 2 for a solve")
+        if self.cells_per_side < 4:
+            # the sign-changing start puts one bump in each half
+            raise ConfigurationError("cells_per_side must be >= 4 for a solve")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
         if not (self.grad_tol > 0.0):
             raise ConfigurationError("grad_tol must be positive")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ConfigurationError("backtrack_factor must lie in (0, 1)")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ConfigurationError("armijo_c must lie in (0, 1)")
-        if not (self.step_init > 0.0):
-            raise ConfigurationError("step_init must be positive")
         if not (self.constraint_tol > 0.0):
             raise ConfigurationError("constraint_tol must be positive")
 
@@ -163,10 +162,8 @@ def _jittered(mesh: Mesh, profile: np.ndarray, seed: int) -> np.ndarray:
     return apply_dirichlet(mesh, profile * jitter)
 
 
-def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                  k: KIndex, seed: int,
-                  tol_rel: float = 1e-10) -> np.ndarray:
-    """Seeded smooth bump(s), retracted onto the constraint set of k.
+def _initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
+    """Seeded smooth bump(s) for the constraint set of k, not yet retracted.
 
     K1 uses `reference_bump`, a positive product-of-sines bump with a mild
     multiplicative jitter; K2 is its exact negation drawn from the same
@@ -175,12 +172,9 @@ def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     side), the negative one being the mirrored negation of the positive
     one.
     """
-    if k in (KIndex.K1, KIndex.K2):
-        if mesh.cells_per_side < 2:
-            raise ConfigurationError("need at least 2 cells per side")
+    if k is not KIndex.K3:
         w = reference_bump(mesh, seed)
-        return retract(mesh, nl, params, w if k is KIndex.K1 else -w, k,
-                       tol_rel)
+        return w if k is KIndex.K1 else -w
 
     if mesh.cells_per_side < 4:
         raise ConfigurationError(
@@ -192,7 +186,16 @@ def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                        0.0)
     # exact mirrored negation keeps the pair antisymmetric to the last bit
     w_neg = -w_pos[_mirror_first_axis(mesh)]
-    return retract(mesh, nl, params, w_pos + w_neg, k, tol_rel)
+    return w_pos + w_neg
+
+
+def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                  k: KIndex, seed: int,
+                  tol_rel: float = 1e-10) -> np.ndarray:
+    """The seeded initial shape of k, retracted onto its constraint set:
+    the first iterate of the descents that `solve_three` runs."""
+    return retract(mesh, nl, params, _initial_shape(mesh, k, seed), k,
+                   tol_rel)
 
 
 def _retract(mesh, nl, params, u, k, tol_rel) -> _Iterate:
@@ -225,118 +228,97 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
 def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             initial: np.ndarray,
             precond: LaplacePreconditioner | None = None):
-    """Run the constrained descent from an on-constraint initial field.
+    """Run the constrained descent from the retraction of `initial`.
 
-    Returns (final field, SolveReport).  Raises StagnationError when the
-    line search cannot certify decrease, LostSignError when every trial
-    step clips away a required part.
+    Returns (final field, SolveReport).  A descent that cannot go on (no
+    acceptable step, a direction that does not descend, every trial step
+    clipping away a required part, a missing fibering root or a degenerate
+    constraint) stops at its last iterate, and the report of that iterate
+    says why in `error`.  If `initial` itself cannot be retracted, the
+    field is zero, the energy and residuals are nan and the error starts
+    with "initial point failed".
     """
     nl, params = config.nonlin, config.params
-    P = precond if precond is not None else LaplacePreconditioner(mesh)
     tol_rel = config.constraint_tol
+    try:
+        state = _retract(mesh, nl, params, initial, k, tol_rel)
+    except _STOPS as exc:
+        nan = float("nan")
+        return np.zeros(mesh.n_vertices), SolveReport(
+            kind=k.name, converged=False, iterations=0, energy=nan,
+            constraint_residuals=(nan,) * len(k.active_constraints),
+            max_constraint_residual=nan, projected_norm=nan,
+            below_threshold=False, energy_history=(),
+            error=f"initial point failed: {exc}")
+    P = precond if precond is not None else LaplacePreconditioner(mesh)
 
-    state = _Iterate.at(mesh, nl, params, initial, k)
     history = [state.energy]
     residuals = state.relative_residuals
     max_resid = max(residuals)
-    step = config.step_init
+    step = STEP_INIT
     converged = False
     pnorm = float("inf")
     iterations = 0
+    error = None
 
-    def report(error: str | None = None) -> SolveReport:
-        return SolveReport(
-            kind=k.name,
-            converged=converged,
-            iterations=iterations,
-            energy=state.energy,
-            constraint_residuals=residuals,
-            max_constraint_residual=max_resid,
-            projected_norm=pnorm,
-            below_threshold=state.energy < sobolev_threshold(params),
-            energy_history=tuple(history),
-            error=error,
-        )
-
-    for iterations in range(config.max_iters + 1):
-        r_proj = state.remove_multipliers(state.residual)
-        g = P.solve(r_proj)
-        gt = state.tangent_project(g)
-        # <r, gt> collapses to the positive form r_proj^T K^-1 r_proj: gt is
-        # tangent, and r_proj pairs to zero with the part directions.
-        slope = float(np.dot(r_proj, g))
-        pnorm = float(np.sqrt(max(slope, 0.0)))
-        if pnorm <= config.grad_tol:
-            converged = True
-            break
-        if iterations == config.max_iters:
-            break
-        if slope <= 0.0:
-            raise StagnationError(
-                "projected direction is not a descent direction", report()
-            )
-        t = step
-        accepted = False
-        lost = 0
-        for _ in range(MAX_BACKTRACKS):
-            try:
-                cand = _retract(mesh, nl, params, state.u - t * gt, k,
-                                tol_rel)
-            except LostSignError:
-                lost += 1
-                t *= config.backtrack_factor
-                continue
-            if cand.energy <= state.energy - config.armijo_c * t * slope:
-                accepted = True
+    try:
+        for iterations in range(config.max_iters + 1):
+            r_proj = state.remove_multipliers(state.residual)
+            g = P.solve(r_proj)
+            gt = state.tangent_project(g)
+            # <r, gt> collapses to the positive form r_proj^T K^-1 r_proj:
+            # gt is tangent, and r_proj pairs to zero with the part
+            # directions.
+            slope = float(np.dot(r_proj, g))
+            pnorm = float(np.sqrt(max(slope, 0.0)))
+            if pnorm <= config.grad_tol:
+                converged = True
                 break
-            t *= config.backtrack_factor
-        if not accepted:
-            if lost == MAX_BACKTRACKS:
-                raise LostSignError(
-                    "every trial step clipped away a required part"
-                )
-            raise StagnationError(
-                f"no acceptable step in {MAX_BACKTRACKS} backtracks", report()
-            )
-        state = cand
-        history.append(state.energy)
-        residuals = state.relative_residuals
-        max_resid = max(max_resid, max(residuals))
-        step = min(config.step_init, t / config.backtrack_factor)
+            if iterations == config.max_iters:
+                break
+            if slope <= 0.0:
+                error = "projected direction is not a descent direction"
+                break
+            t = step
+            accepted = False
+            lost = 0
+            for _ in range(MAX_BACKTRACKS):
+                try:
+                    cand = _retract(mesh, nl, params, state.u - t * gt, k,
+                                    tol_rel)
+                except LostSignError:
+                    lost += 1
+                    t *= BACKTRACK
+                    continue
+                if cand.energy <= state.energy - ARMIJO_C * t * slope:
+                    accepted = True
+                    break
+                t *= BACKTRACK
+            if not accepted:
+                error = ("every trial step clipped away a required part"
+                         if lost == MAX_BACKTRACKS else
+                         f"no acceptable step in {MAX_BACKTRACKS} backtracks")
+                break
+            state = cand
+            history.append(state.energy)
+            residuals = state.relative_residuals
+            max_resid = max(max_resid, max(residuals))
+            step = min(STEP_INIT, t / BACKTRACK)
+    except _STOPS as exc:
+        error = str(exc)
 
-    return state.u, report()
-
-
-def _descend_or_annotate(mesh, config, k, P):
-    """One constraint set end to end; failures become annotated reports."""
-    nl, params = config.nonlin, config.params
-    try:
-        u0 = initial_point(mesh, nl, params, k, config.seed,
-                           config.constraint_tol)
-    except (NoRootError, SignError, DegenerateConstraintError) as exc:
-        empty = np.zeros(mesh.n_vertices)
-        return empty, SolveReport(
-            kind=k.name, converged=False, iterations=0,
-            energy=float("nan"),
-            constraint_residuals=(float("nan"),) * len(k.active_constraints),
-            max_constraint_residual=float("nan"),
-            projected_norm=float("nan"), below_threshold=False,
-            energy_history=(), error=f"initial point failed: {exc}")
-    try:
-        return descend(mesh, config, k, u0, P)
-    except StagnationError as exc:
-        if exc.report is not None:
-            return u0, replace(exc.report, error=str(exc))
-        raise
-    except (LostSignError, NoRootError, DegenerateConstraintError) as exc:
-        state = _Iterate.at(mesh, nl, params, u0, k)
-        return u0, SolveReport(
-            kind=k.name, converged=False, iterations=0,
-            energy=state.energy,
-            constraint_residuals=state.relative_residuals,
-            max_constraint_residual=float("nan"),
-            projected_norm=float("nan"), below_threshold=False,
-            energy_history=(), error=str(exc))
+    return state.u, SolveReport(
+        kind=k.name,
+        converged=converged,
+        iterations=iterations,
+        energy=state.energy,
+        constraint_residuals=residuals,
+        max_constraint_residual=max_resid,
+        projected_norm=pnorm,
+        below_threshold=state.energy < sobolev_threshold(params),
+        energy_history=tuple(history),
+        error=error,
+    )
 
 
 def solve_three(config: SolverConfig, mesh: Mesh | None = None) -> SolutionTriple:
@@ -347,7 +329,8 @@ def solve_three(config: SolverConfig, mesh: Mesh | None = None) -> SolutionTripl
     fields = []
     reports = []
     for k in (KIndex.K1, KIndex.K2, KIndex.K3):
-        u, rep = _descend_or_annotate(mesh, config, k, P)
+        u, rep = descend(mesh, config, k,
+                         _initial_shape(mesh, k, config.seed), P)
         fields.append(u)
         reports.append(rep)
     triple = SolutionTriple(fields[0], fields[1], fields[2], tuple(reports))
@@ -376,6 +359,7 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
     mesh = build_mesh(config.params.dim, config.cells_per_side)
     P = LaplacePreconditioner(mesh)
     w_ref = reference_bump(mesh, config.seed)
+    shapes = {k: _initial_shape(mesh, k, config.seed) for k in KIndex}
     nl = config.nonlin
     rows = []
     for lam in lams:
@@ -389,7 +373,7 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
         energies = []
         flags = []
         for k in (KIndex.K1, KIndex.K2, KIndex.K3):
-            _, rep = _descend_or_annotate(mesh, cfg, k, P)
+            _, rep = descend(mesh, cfg, k, shapes[k], P)
             if rep.error is None:
                 energies.append(rep.energy)
                 flags.append(rep.below_threshold)

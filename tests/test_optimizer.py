@@ -26,10 +26,8 @@ class TestSolverConfig:
         coarse_config()
 
     @pytest.mark.parametrize("kwargs", [
-        dict(armijo_c=0.0), dict(armijo_c=1.0),
-        dict(backtrack_factor=0.0), dict(backtrack_factor=1.0),
         dict(grad_tol=0.0), dict(constraint_tol=-1e-9),
-        dict(max_iters=0), dict(cells_per_side=1), dict(step_init=0.0),
+        dict(max_iters=0), dict(cells_per_side=1), dict(cells_per_side=3),
     ])
     def test_invalid(self, kwargs):
         base = dict(params=P2, nonlin=NL2, cells_per_side=6)
@@ -166,9 +164,9 @@ class TestDescend:
     @pytest.mark.parametrize("k, scatters_per_pass",
                              [(KIndex.K1, 1), (KIndex.K3, 3)])
     def test_kernel_call_budget(self, monkeypatch, k, scatters_per_pass):
-        # one gradient table per active part per retract trial, plus the
-        # initial state; p-stiffness scatters per pass: u alone on K1,
-        # u, u_plus and u_minus on K3
+        # one gradient table per active part per retract trial, the
+        # retraction of the start included; p-stiffness scatters per pass:
+        # u alone on K1, u, u_plus and u_minus on K3
         config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=8,
                               grad_tol=1e-6, max_iters=200)
         mesh = build_mesh(2, config.cells_per_side)
@@ -193,16 +191,64 @@ class TestDescend:
         parts = len(k.active_constraints)
         passes = rep.iterations + 1
         assert counts["trials"] >= rep.iterations
-        assert counts["gradient_table"] <= parts * (counts["trials"] + 1)
+        assert counts["gradient_table"] <= parts * counts["trials"]
         assert counts["p_stiffness_vector"] <= scatters_per_pass * passes
 
-    def test_descend_rejects_off_constraint_start(self):
+    def test_descend_retracts_its_start(self):
         config = coarse_config()
+        nl, params = config.nonlin, config.params
         mesh = build_mesh(2, config.cells_per_side)
-        u0 = initial_point(mesh, config.nonlin, config.params, KIndex.K1, 0)
-        u, rep = descend(mesh, config, KIndex.K1, u0)
+        u0 = initial_point(mesh, nl, params, KIndex.K1, 0)
+        u, rep = descend(mesh, config, KIndex.K1, 1.3 * u0)
         assert rep.converged
         assert np.all(u >= 0.0)
+        E0 = energy(mesh, nl, params, retract(mesh, nl, params, 1.3 * u0,
+                                              KIndex.K1))
+        assert abs(rep.energy_history[0] - E0) <= 1e-12 * abs(E0)
+
+    def test_stalled_descent_returns_its_last_iterate(self):
+        # p < 2 on a coarse mesh: the K3 line search stalls before the cap
+        config = SolverConfig(
+            params=RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8),
+            nonlin=Nonlinearity(family="signed", q=2.5, r=2.5),
+            cells_per_side=5, grad_tol=1e-6, max_iters=300)
+        mesh = build_mesh(2, config.cells_per_side)
+        triple = solve_three(config, mesh)
+        rep = triple.reports[2]
+        assert rep.error is not None and not rep.converged
+        assert 0 < rep.iterations < config.max_iters
+        assert rep.energy_history[-1] == rep.energy
+        assert np.isfinite(rep.max_constraint_residual)
+        E3 = energy(mesh, config.nonlin, config.params, triple.u3)
+        assert abs(E3 - rep.energy) <= 1e-12 * abs(rep.energy)
+
+    @pytest.mark.parametrize("exc, error", [
+        (NoRootError("forced"), "forced"),
+        (LostSignError("forced"),
+         "every trial step clipped away a required part"),
+    ])
+    def test_failed_trial_returns_last_iterate(self, monkeypatch, exc, error):
+        config = coarse_config()
+        nl, params = config.nonlin, config.params
+        mesh = build_mesh(2, config.cells_per_side)
+        u0 = initial_point(mesh, nl, params, KIndex.K1, 0)
+        retract_state = plap.optimizer._retract
+        calls = []
+
+        def failing(*args):
+            # the start and three trials retract, every later trial fails
+            calls.append(args)
+            if len(calls) > 4:
+                raise exc
+            return retract_state(*args)
+
+        monkeypatch.setattr(plap.optimizer, "_retract", failing)
+        u, rep = descend(mesh, config, KIndex.K1, u0)
+        assert rep.error == error and not rep.converged
+        assert rep.iterations == len(rep.energy_history) - 1 > 0
+        assert rep.energy_history[-1] == rep.energy
+        assert abs(energy(mesh, nl, params, u) - rep.energy) <= (
+            1e-12 * abs(rep.energy))
 
 
 class TestSolveThree:
@@ -220,12 +266,15 @@ class TestSolveThree:
 
     def test_failed_initial_point_reports_every_constraint(self,
                                                            monkeypatch):
-        def no_root(mesh, nl, params, k, seed, tol_rel=1e-10):
-            if k is KIndex.K3:
-                raise NoRootError("forced")
-            return initial_point(mesh, nl, params, k, seed, tol_rel)
+        shape = plap.optimizer._initial_shape
 
-        monkeypatch.setattr(plap.optimizer, "initial_point", no_root)
+        def one_signed(mesh, k, seed):
+            # retracting onto K3 clips away the missing negative part
+            if k is KIndex.K3:
+                return np.abs(shape(mesh, k, seed))
+            return shape(mesh, k, seed)
+
+        monkeypatch.setattr(plap.optimizer, "_initial_shape", one_signed)
         rep = solve_three(coarse_config()).reports[2]
         assert rep.error.startswith("initial point failed")
         assert len(rep.constraint_residuals) == 2
