@@ -203,9 +203,13 @@ def plus_minus_parts(u: np.ndarray):
     return np.maximum(u, 0.0), np.maximum(-u, 0.0)
 
 
-def _p_dirichlet(mesh: Mesh, g: np.ndarray, p: float) -> float:
-    """int |grad u|^p of the field u whose gradient table is g."""
-    g2 = np.einsum("sd,sd->s", g, g)
+def _squared_norms(g: np.ndarray) -> np.ndarray:
+    """|grad u|^2 per simplex of the field u whose gradient table is g."""
+    return np.einsum("sd,sd->s", g, g)
+
+
+def _p_dirichlet(mesh: Mesh, g2: np.ndarray, p: float) -> float:
+    """int |grad u|^p of the field u whose squared gradient norms are g2."""
     return float(np.dot(mesh.volumes, g2 ** (p / 2.0)))
 
 
@@ -214,7 +218,8 @@ def energy_parts(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     """The three quadrature terms of the energy:
     (1/p) int |grad u|^p,  (1/p*) int |u|^p*,  lam int F(u)."""
     u = _check_field(mesh, u)
-    grad_term = _p_dirichlet(mesh, gradient_table(mesh, u), params.p) / params.p
+    g2 = _squared_norms(gradient_table(mesh, u))
+    grad_term = _p_dirichlet(mesh, g2, params.p) / params.p
     crit_term = integrate(mesh, np.abs(u) ** params.pstar) / params.pstar
     _, F, _ = nonlin_eval(nl, u)
     source_term = params.lam * integrate(mesh, F)
@@ -227,12 +232,16 @@ def energy(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return grad_term - crit_term - source_term
 
 
-def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float,
-                       eps: float) -> np.ndarray:
+def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float, eps: float,
+                       *, sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Nodal co-vector of the regularized p-Dirichlet term of the field u
     whose gradient table is g: entry i pairs a variation v to
-    int (|grad u|^2 + eps^2)^((p-2)/2) grad u . grad v."""
-    g2 = np.einsum("sd,sd->s", g, g)
+    int (|grad u|^2 + eps^2)^((p-2)/2) grad u . grad v.
+
+    A caller that already holds the squared norms |grad u|^2 per simplex
+    passes them as `sq_norms`, so they are not taken again.
+    """
+    g2 = _squared_norms(g) if sq_norms is None else sq_norms
     expo = (p - 2.0) / 2.0
     if eps == 0.0 and expo < 0.0:
         w = np.zeros_like(g2)

@@ -12,6 +12,14 @@ Every P1 kernel is a sparse product with it: the gradient table of u is
 G u, a p-stiffness co-vector is G^T applied to volume-weighted gradients,
 and the Laplace stiffness is G^T diag(vol) G.
 
+On the uniform grid that stiffness, restricted to the interior vertices,
+is the 5-point (2D) or 7-point (3D) stencil, a sum over axes of the
+tridiagonal matrix tridiag(-1, 2, -1) acting along one axis.  The
+discrete sine transform diagonalizes it exactly, so the Dirichlet Laplace
+solve of the descent metric is two transforms and a division by the
+eigenvalues: the classical fast Poisson solver (Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7, 1970), with no assembly and no factor.
+
 The rule is exact for piecewise-linear integrands, so gradients of P1
 fields are integrated exactly and nodal nonlinearities at second order.
 """
@@ -23,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DimensionMismatchError
 
@@ -206,30 +213,59 @@ def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
 
 
 class LaplacePreconditioner:
-    """Dirichlet Laplace solver on the interior vertices, factored once."""
+    """Dirichlet Laplace solver on the interior vertices, diagonalized by
+    the discrete sine transform.
+
+    With n = m - 1 interior vertices per axis and h = 1/m, the interior
+    stiffness is K = h^(dim-2) sum_axes I x .. x T x .. x I with
+    T = tridiag(-1, 2, -1) of order n.  The orthonormal DST-I matrix
+    S_jk = sqrt(2/m) sin(pi j k / m) is symmetric with S^2 = I and
+    diagonalizes T with eigenvalues 4 sin^2(pi j / 2m), so K = S^d L S^d,
+    where S^d applies S along every axis and L holds the sums
+    h^(dim-2) sum_axes 4 sin^2(pi j_axis / 2m).  `laplace_stiffness` is
+    the assembled operator this solve inverts.
+    """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        K = laplace_stiffness(mesh)
         self.interior = np.where(~mesh.boundary)[0]
-        self._K_int = K[self.interior][:, self.interior].tocsc()
-        self._lu = splu(self._K_int)
+        m = mesh.cells_per_side
+        j = np.arange(1, m)
+        self._sine_matrix = np.sqrt(2.0 / m) * np.sin(
+            np.pi * np.outer(j, j) / m)
+        axis = 4.0 * np.sin(np.pi * j / (2 * m)) ** 2
+        eigenvalues = axis
+        for _ in range(mesh.dim - 1):
+            eigenvalues = np.add.outer(eigenvalues, axis)
+        self._eigenvalues = (m ** (2.0 - mesh.dim) * eigenvalues).ravel()
+
+    def _sine(self, x: np.ndarray) -> np.ndarray:
+        """S^d x for an interior field x in C order.  Each pass transforms
+        the leading axis and rotates it to the end, so after dim passes
+        the axes are back in order."""
+        n = self._sine_matrix.shape[0]
+        # an explicit shape: reshape(0, -1) fails on the empty interior
+        # of a one-cell mesh
+        for _ in range(self.mesh.dim):
+            x = x.reshape(n, n ** (self.mesh.dim - 1)).T @ self._sine_matrix
+        return x.ravel()
 
     def solve(self, covector: np.ndarray) -> np.ndarray:
         """K^-1 r on the interior, zero on the boundary."""
         out = np.zeros(self.mesh.n_vertices)
-        out[self.interior] = self._lu.solve(covector[self.interior])
+        out[self.interior] = self._sine(
+            self._sine(covector[self.interior]) / self._eigenvalues)
         return out
 
     def norm(self, v: np.ndarray) -> float:
         """Dirichlet energy norm sqrt(v^T K v) of an interior field."""
-        vi = v[self.interior]
-        return float(np.sqrt(max(vi @ (self._K_int @ vi), 0.0)))
+        sv = self._sine(v[self.interior])
+        return float(np.sqrt(np.dot(self._eigenvalues * sv, sv)))
 
     def dual_norm(self, covector: np.ndarray) -> float:
         """Preconditioned norm sqrt(r^T K^-1 r) of a nodal co-vector."""
-        ri = covector[self.interior]
-        return float(np.sqrt(max(ri @ self._lu.solve(ri), 0.0)))
+        sr = self._sine(covector[self.interior])
+        return float(np.sqrt(np.dot(sr / self._eigenvalues, sr)))
 
 
 def dump_mesh(mesh: Mesh) -> str:

@@ -42,6 +42,7 @@ from .functional import (
     RunParameters,
     _odd_power,
     _p_dirichlet,
+    _squared_norms,
     nonlin_eval,
     p_stiffness_vector,
     plus_minus_parts,
@@ -93,6 +94,7 @@ class ScaleResult(NamedTuple):
     bracket: float                  # closed-form upper bound t1
     coefficients: FiberingCoefficients
     gradients: np.ndarray           # gradient table of the shape w
+    sq_norms: np.ndarray            # |grad w|^2 per simplex
     terms: tuple[tuple[float, float], ...]  # (e, lam int g_e(w)) source pairs
 
 
@@ -104,7 +106,8 @@ def constraint_phi(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         raise ValueError(f"which must be 1 or 2, got {which}")
     plus, minus = plus_minus_parts(u)
     part = plus if which == 1 else minus
-    grad_term = _p_dirichlet(mesh, gradient_table(mesh, part), params.p)
+    grad_term = _p_dirichlet(
+        mesh, _squared_norms(gradient_table(mesh, part)), params.p)
     crit_term = integrate(mesh, part ** params.pstar)
     f, _, _ = nonlin_eval(nl, u)
     source = params.lam * integrate(mesh, f * part)
@@ -119,19 +122,22 @@ def constraint_scale(mesh: Mesh, params: RunParameters, u: np.ndarray,
     int |grad u_part|^p.  Used to make constraint tolerances relative."""
     plus, minus = plus_minus_parts(_check_field(mesh, u))
     part = plus if which == 1 else minus
-    return _p_dirichlet(mesh, gradient_table(mesh, part), params.p)
+    return _p_dirichlet(
+        mesh, _squared_norms(gradient_table(mesh, part)), params.p)
 
 
 def _coefficients_and_table(mesh, nl, params, w):
-    """FiberingCoefficients of w and the gradient table they were read from."""
+    """FiberingCoefficients of w, the gradient table they were read from
+    and its squared norms per simplex."""
     w = _check_field(mesh, w)
     if not np.any(w != 0.0):
         raise DegenerateInputError("fibering coefficients of the zero field")
     g = gradient_table(mesh, w)
+    g2 = _squared_norms(g)
     aw = np.abs(w)
     B = integrate(mesh, aw ** params.pstar)
     C = integrate(mesh, aw ** nl.q)
-    return FiberingCoefficients(_p_dirichlet(mesh, g, params.p), B, C), g
+    return FiberingCoefficients(_p_dirichlet(mesh, g2, params.p), B, C), g, g2
 
 
 def fibering_coefficients(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -212,19 +218,20 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     a sum of powers of t whose coefficients are nodal moments of w.  The
     root satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A, or is
     resolved to the last bit where t^p is too large for that.  The
-    gradient table of w and the source pairs come along, so a caller can
-    evaluate the scaled field t w without touching the mesh again.
+    gradient table of w, its squared norms and the source pairs come
+    along, so a caller can evaluate the scaled field t w without touching
+    the mesh again.
     """
     w = _check_field(mesh, w)
     _check_sign(w, which)
     # raises on w == 0
-    coeffs, table = _coefficients_and_table(mesh, nl, params, w)
+    coeffs, table, sq_norms = _coefficients_and_table(mesh, nl, params, w)
     lam, p = params.lam, params.p
     terms = tuple((e, lam * integrate(mesh, g))
                   for e, g in source_power_terms(nl, w))
     t = fibering_root(coeffs.A, coeffs.B, terms, p, params.pstar, tol_rel)
     t1 = fibering_upper_bound(coeffs.A, nl.c3, lam, coeffs.C, nl.q, p)
-    return ScaleResult(t, t1, coeffs, table, terms)
+    return ScaleResult(t, t1, coeffs, table, sq_norms, terms)
 
 
 def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -306,6 +313,8 @@ class _Iterate:
     and the two projections follow on first use from one `nonlin_eval`
     and one p-stiffness scatter per distinct table: one on K1 and K2,
     where the active part is +-u itself, three on K3 (u, u_plus, u_minus).
+    Each table's squared norms per simplex are taken once, when the
+    scales are, and the scatters reuse them.
     The standalone functions of this module and `functional` are the
     reference for every quantity.
     """
@@ -316,6 +325,8 @@ class _Iterate:
     u: np.ndarray
     tables: dict            # which -> gradient table of u_plus / u_minus
     table: np.ndarray       # gradient table of u
+    sq_norms: dict          # which -> squared norms of tables[which]
+    sq_norm: np.ndarray     # squared norms of table
     energy: float
     phis: dict              # which -> phi_which(u)
     scales: dict            # which -> int |grad u_part|^p
@@ -327,17 +338,18 @@ class _Iterate:
         `scaled` maps each active constraint to its sign-definite shape w_i
         and the ScaleResult of w_i.  The parts have disjoint supports, so
         every nodal integral splits into t_i^e times a moment of w_i that
-        the scaling already holds; only int |grad u|^p on K3 reads the
-        summed gradient table.
+        the scaling already holds, and so do the squared gradient norms of
+        t_i w_i; only int |grad u|^p on K3 reads the summed gradient table.
         """
         p, pstar = params.p, params.pstar
         u = np.zeros(mesh.n_vertices)
-        tables, phis, scales = {}, {}, {}
+        tables, sq_norms, phis, scales = {}, {}, {}, {}
         nodal = 0.0                 # (1/p*) int |u|^p* + lam int F(u)
         for which, (w, res) in scaled.items():
             t, A, B = res.t, res.coefficients.A, res.coefficients.B
             u += t * w
             tables[which] = (t if which == 1 else -t) * res.gradients
+            sq_norms[which] = t * t * res.sq_norms
             scales[which] = t ** p * A
             phis[which] = (scales[which] - t ** pstar * B
                            - sum(c * t ** e for e, c in res.terms))
@@ -345,13 +357,15 @@ class _Iterate:
                       + sum(c * t ** e / e for e, c in res.terms))
         if k is KIndex.K3:
             table = tables[1] - tables[2]
-            grad = _p_dirichlet(mesh, table, p)
+            sq_norm = _squared_norms(table)
+            grad = _p_dirichlet(mesh, sq_norm, p)
         else:
             (which, g), = tables.items()
             table = g if which == 1 else -g
+            sq_norm = sq_norms[which]
             grad = scales[which]
-        return cls(mesh, nl, params, u, tables, table, grad / p - nodal,
-                   phis, scales)
+        return cls(mesh, nl, params, u, tables, table, sq_norms, sq_norm,
+                   grad / p - nodal, phis, scales)
 
     @property
     def relative_residuals(self) -> tuple[float, ...]:
@@ -366,7 +380,8 @@ class _Iterate:
         p, pstar, lam, eps = params.p, params.pstar, params.lam, params.eps
         f, _, fu = nonlin_eval(self.nl, u)
         M = mesh.lumped_mass
-        stiff = p_stiffness_vector(mesh, self.table, p, eps)
+        stiff = p_stiffness_vector(mesh, self.table, p, eps,
+                                   sq_norms=self.sq_norm)
         residual = stiff - M * (_odd_power(u, pstar - 1.0) + lam * f)
         residual[mesh.boundary] = 0.0
         parts, grads = {}, {}
@@ -375,7 +390,8 @@ class _Iterate:
             part = np.maximum(s * u, 0.0)
             chi = (s * u > 0.0).astype(float)
             part_stiff = (s * stiff if len(self.tables) == 1
-                          else p_stiffness_vector(mesh, g, p, eps))
+                          else p_stiffness_vector(
+                              mesh, g, p, eps, sq_norms=self.sq_norms[which]))
             crit = pstar * M * part ** (pstar - 1.0)
             grad = (s * (p * chi * part_stiff - crit)
                     - lam * M * (f * chi + s * fu * part))

@@ -346,8 +346,10 @@ def reference_bump(mesh: Mesh, seed: int) -> np.ndarray:
 
 def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
     """Scale a fixed reference bump and minimize on all three sets for each
-    coupling value.  Couplings must be positive and strictly increasing;
-    per-row failures are recorded as nan entries."""
+    coupling value.  Couplings must be positive and strictly increasing.
+    Only a converged descent gives a critical level: one that stops
+    without converging (at the iteration cap or on an error) is recorded
+    as a nan level and a None threshold flag."""
     lams = [float(x) for x in lambdas]
     if not lams:
         raise ConfigurationError("lambda sweep needs at least one value")
@@ -374,7 +376,7 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
         flags = []
         for k in (KIndex.K1, KIndex.K2, KIndex.K3):
             _, rep = descend(mesh, cfg, k, shapes[k], P)
-            if rep.error is None:
+            if rep.converged:
                 energies.append(rep.energy)
                 flags.append(rep.below_threshold)
             else:

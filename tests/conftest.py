@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from plap.functional import Nonlinearity, RunParameters
-from plap.mesh import build_mesh
+from plap.mesh import build_mesh, laplace_stiffness
 from plap.optimizer import SolverConfig, solve_three
 
 
@@ -52,3 +53,29 @@ def interior_bump(mesh, seed=None):
         bump = bump * (1.0 + 0.1 * rng.random(mesh.n_vertices))
     bump[mesh.boundary] = 0.0
     return bump
+
+
+class _LUPreconditioner:
+    """The Dirichlet Laplace solve from a sparse LU factor of the assembled
+    interior stiffness, kept as the oracle for the sine-transform solve of
+    `plap.mesh.LaplacePreconditioner`."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.interior = np.where(~mesh.boundary)[0]
+        K = laplace_stiffness(mesh)
+        self._K_int = K[self.interior][:, self.interior].tocsc()
+        self._lu = splu(self._K_int)
+
+    def solve(self, covector):
+        out = np.zeros(self.mesh.n_vertices)
+        out[self.interior] = self._lu.solve(covector[self.interior])
+        return out
+
+    def norm(self, v):
+        vi = v[self.interior]
+        return float(np.sqrt(max(vi @ (self._K_int @ vi), 0.0)))
+
+    def dual_norm(self, covector):
+        ri = covector[self.interior]
+        return float(np.sqrt(max(ri @ self._lu.solve(ri), 0.0)))

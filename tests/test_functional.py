@@ -341,3 +341,6 @@ class TestPStiffnessVector:
         want = _scatter_p_stiffness(mesh, g, p, eps)
         got = p_stiffness_vector(mesh, g, p, eps)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        g2 = np.einsum("sd,sd->s", g, g)
+        assert np.array_equal(
+            p_stiffness_vector(mesh, g, p, eps, sq_norms=g2), got)

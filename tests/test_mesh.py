@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap.errors import ConfigurationError, DimensionMismatchError
-from plap.mesh import (apply_dirichlet, build_mesh, dump_mesh, gradient_table,
-                       integrate, laplace_stiffness)
+from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
+                       dump_mesh, gradient_table, integrate, laplace_stiffness)
+
+from conftest import _LUPreconditioner
 
 
 def test_counts_2d():
@@ -278,3 +280,27 @@ def test_stiffness_is_the_axis_stencil(dim, m):
     if m == 4:
         # h is a power of two: the off-stencil entries cancel exactly
         assert np.array_equal(dense != 0.0, S != 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
+def test_sine_preconditioner_matches_lu(dim, m):
+    # m not a power of two: the stiffness carries ~1e-17 off-stencil
+    # entries that the sine transform does not see; m = 1 has no interior
+    mesh = build_mesh(dim, m)
+    P, lu = LaplacePreconditioner(mesh), _LUPreconditioner(mesh)
+    assert np.array_equal(P.interior, lu.interior)
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal(mesh.n_vertices)
+    v = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
+    want = lu.solve(r)
+    got = P.solve(r)
+    assert got.shape == (mesh.n_vertices,)
+    assert np.all(got[mesh.boundary] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for ours, theirs in ((P.dual_norm(r), lu.dual_norm(r)),
+                         (P.norm(v), lu.norm(v))):
+        assert abs(ours - theirs) <= 1e-12 * theirs
+    if m == 1:
+        assert not np.any(got)
+        assert P.dual_norm(r) == 0.0 and P.norm(v) == 0.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from plap.optimizer import (SolverConfig, descend, initial_point,
                             solve_three)
 from plap.verify import check_membership
 
-from conftest import coarse_config
+from conftest import _LUPreconditioner, coarse_config
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -122,8 +124,9 @@ class TestRetract:
 
 
 class TestPreconditioner:
-    def test_norm_identities(self):
-        mesh = build_mesh(2, 6)
+    @pytest.mark.parametrize("dim, m", [(2, 6), (3, 5)])
+    def test_norm_identities(self, dim, m):
+        mesh = build_mesh(dim, m)
         P = LaplacePreconditioner(mesh)
         rng = np.random.default_rng(1)
         r = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
@@ -193,6 +196,28 @@ class TestDescend:
         assert counts["trials"] >= rep.iterations
         assert counts["gradient_table"] <= parts * counts["trials"]
         assert counts["p_stiffness_vector"] <= scatters_per_pass * passes
+
+    @pytest.mark.parametrize("params, nl, m, k", [
+        (P2, NL2, 8, KIndex.K1),
+        (P2, NL2, 8, KIndex.K3),
+        (RunParameters(p=2.0, dim=3, lam=50.0, eps=1e-8),
+         Nonlinearity(family="signed", q=4.0, r=4.0), 4, KIndex.K1),
+    ])
+    def test_descent_does_not_depend_on_the_metric_solve(self, params, nl,
+                                                         m, k):
+        # the sine-transform solve against the LU factor of the stiffness
+        config = SolverConfig(params=params, nonlin=nl, cells_per_side=m,
+                              grad_tol=1e-6, max_iters=200)
+        mesh = build_mesh(params.dim, m)
+        u0 = initial_point(mesh, nl, params, k, config.seed)
+        u_lu, lu = descend(mesh, config, k, u0, _LUPreconditioner(mesh))
+        u, rep = descend(mesh, config, k, u0, LaplacePreconditioner(mesh))
+        assert rep.error is None and lu.error is None
+        assert rep.iterations == lu.iterations > 0
+        assert len(rep.energy_history) == len(lu.energy_history)
+        for got, want in zip(rep.energy_history, lu.energy_history):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert np.max(np.abs(u - u_lu)) <= 1e-10 * np.max(np.abs(u_lu))
 
     def test_descend_retracts_its_start(self):
         config = coarse_config()
@@ -306,6 +331,17 @@ class TestLambdaSweep:
             assert row.t_lambda <= bound * (1 + 1e-12)
             for e in (row.c1, row.c2, row.c3):
                 assert np.isfinite(e)
+
+    def test_unconverged_descents_give_no_level(self):
+        # three iterations reach no critical point on any constraint set
+        config = replace(coarse_config(), max_iters=3)
+        rows = lambda_sweep(config, [1.0, 2.0])
+        for row in rows:
+            assert np.isfinite(row.t_lambda)
+            for c in (row.c1, row.c2, row.c3):
+                assert np.isnan(c)
+            assert (row.threshold1, row.threshold2,
+                    row.threshold3) == (None, None, None)
 
     @pytest.mark.parametrize("lams", [[], [2.0, 1.0], [-1.0], [1.0, 1.0]])
     def test_bad_lists(self, lams):
