@@ -35,7 +35,6 @@ from .mesh import (
     Mesh,
     apply_dirichlet,
     build_mesh,
-    dump_mesh,
     gradient_table,
     integrate,
     laplace_stiffness,

@@ -19,7 +19,7 @@ the compactness threshold (1/N) S_p^(N/p) work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,8 @@ FAMILIES = ("signed", "pospart")
 @dataclass(frozen=True)
 class RunParameters:
     """Problem parameters: exponent p, dimension, coupling lam, gradient
-    regularization eps (used in residuals only, never in the energy)."""
+    regularization eps (used in residuals only, never in the energy).
+    lam and eps must be finite."""
 
     p: float
     dim: int
@@ -60,65 +61,64 @@ class RunParameters:
             raise ConfigurationError(
                 f"p must lie in (1, dim)=(1, {self.dim}), got {self.p}"
             )
-        if not (self.lam > 0.0):
-            raise ConfigurationError(f"lam must be positive, got {self.lam}")
-        if self.eps < 0.0:
-            raise ConfigurationError(f"eps must be >= 0, got {self.eps}")
+        if not (0.0 < self.lam < math.inf):
+            raise ConfigurationError(
+                f"lam must be positive and finite, got {self.lam}")
+        if not (0.0 <= self.eps < math.inf):
+            raise ConfigurationError(
+                f"eps must be >= 0 and finite, got {self.eps}")
 
     @property
     def pstar(self) -> float:
         return self.dim * self.p / (self.dim - self.p)
 
 
-def _default_constants(q: float, r: float) -> dict:
-    # Tightest pointwise constants for the two-term families:
-    #   growth           k2 * F(u) <= f(u) u            -> k2 = r
-    #   lower norm bound c3 |u|^q <= k2 F(u)             -> c3 = r/q
-    #   derivative bound f(u) u <= c1 * f'(u) u^2        -> c1 = 1/(r-1)
-    #   upper norm bound c1 f'(u) u^2 <= c4 |u|^q (q=r)  -> c4 = 1 + (q-1)/(r-1)
-    return {
-        "k2": r,
-        "c3": r / q,
-        "c1": 1.0 / (r - 1.0),
-        "c4": 1.0 + (q - 1.0) / (r - 1.0),
-    }
-
-
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Lower-order term f(u) with its growth exponents and constants.
+    """Lower-order term f(u) of a family with exponents r <= q.
 
-    q and r are the two power exponents (r <= q).  The constants k2, c3,
-    c1, c4 witness the superlinear growth sandwich
+    The growth constants k2, c3, c1, c4 follow from q and r: they are
+    the tightest values for which the superlinear growth sandwich
 
         c3 |u|_q^q <= k2 int F(u) <= int f(u) u
                    <= c1 int f'(u) u^2 <= c4 |u|_q^q   (for q = r)
 
-    and default to the tightest values valid for the chosen family.
-    They are stored rather than hard-coded so that the fibering bracket
-    t1 = (A / (c3 lam C))^(1/(q-p)) uses the instance's own c3.
+    holds pointwise for both families.  Given p < r <= q < p*, which
+    `validate` checks, they satisfy p < k2 < p* and 0 < c3 < c4.
     """
 
     family: str
     q: float
     r: float
-    k2: float = field(default=float("nan"))
-    c3: float = field(default=float("nan"))
-    c1: float = field(default=float("nan"))
-    c4: float = field(default=float("nan"))
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(
                 f"family must be one of {FAMILIES}, got {self.family!r}"
             )
-        defaults = _default_constants(self.q, self.r)
-        for name in ("k2", "c3", "c1", "c4"):
-            if math.isnan(getattr(self, name)):
-                object.__setattr__(self, name, defaults[name])
+
+    @property
+    def k2(self) -> float:
+        """Growth: k2 F(u) <= f(u) u."""
+        return self.r
+
+    @property
+    def c3(self) -> float:
+        """Lower norm bound: c3 |u|^q <= k2 F(u)."""
+        return self.r / self.q
+
+    @property
+    def c1(self) -> float:
+        """Derivative bound: f(u) u <= c1 f'(u) u^2."""
+        return 1.0 / (self.r - 1.0)
+
+    @property
+    def c4(self) -> float:
+        """Upper norm bound (q = r): c1 f'(u) u^2 <= c4 |u|^q."""
+        return 1.0 + (self.q - 1.0) / (self.r - 1.0)
 
     def validate(self, params: RunParameters) -> None:
-        """Check exponents and constants against p and p*."""
+        """Check the exponents against p and p*."""
         p, pstar = params.p, params.pstar
         if not (p < self.q < pstar):
             raise ConfigurationError(
@@ -127,22 +127,6 @@ class Nonlinearity:
         if not (p < self.r <= self.q):
             raise ConfigurationError(
                 f"r must lie in (p, q]=({p}, {self.q}], got {self.r}"
-            )
-        if not (p < self.k2 < pstar):
-            raise ConfigurationError(
-                f"k2 must lie in (p, p*)=({p}, {pstar}), got {self.k2}"
-            )
-        if not (0.0 < self.c3 < self.c4):
-            raise ConfigurationError(
-                f"need 0 < c3 < c4, got c3={self.c3}, c4={self.c4}"
-            )
-        if not (self.c1 > 0.0):
-            raise ConfigurationError(f"c1 must be positive, got {self.c1}")
-        # The sandwich needs c1 (r-1) >= 1, otherwise f u <= c1 f' u^2 fails
-        # already for a single power.
-        if self.c1 * (self.r - 1.0) < 1.0 - 1e-12:
-            raise ConfigurationError(
-                f"c1={self.c1} too small for r={self.r}: need c1 >= 1/(r-1)"
             )
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "apply_dirichlet",
     "laplace_stiffness",
     "LaplacePreconditioner",
-    "dump_mesh",
 ]
 
 
@@ -266,15 +265,3 @@ class LaplacePreconditioner:
         """Preconditioned norm sqrt(r^T K^-1 r) of a nodal co-vector."""
         sr = self._sine(covector[self.interior])
         return float(np.sqrt(np.dot(sr / self._eigenvalues, sr)))
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Debug dump: one `v x y [z] flag` line per vertex, one `s i0 i1 i2 [i3]`
-    line per simplex."""
-    lines = []
-    for x, flag in zip(mesh.vertices, mesh.boundary):
-        coords = " ".join(format(c, ".17g") for c in x)
-        lines.append(f"v {coords} {int(flag)}")
-    for simplex in mesh.simplices:
-        lines.append("s " + " ".join(str(int(i)) for i in simplex))
-    return "\n".join(lines) + "\n"

@@ -16,9 +16,12 @@ constraint itself is zero.
 
 Scaling a fixed shape w onto the constraint set leads to the scalar
 fibering map t -> phi(t w).  For sign-definite w it is a sum of powers,
-A t^p - B t^p* - lam sum_e C_e t^e with A, B and the source moments C_e
-the integrals below, and has exactly one positive root, bounded above by
-t1 = (A / (c3 lam C))^(1/(q-p)) with C = int |w|^q.
+A t^p - sum_e c_e t^e with A = int |grad w|^p, the critical pair
+(p*, int |w|^p*) and the source pairs (e, lam int g_e(w)), and has
+exactly one positive root.  When the source term dominates c3 |u|^q, the
+root is bounded above by t1 = (A / (c3 lam C))^(1/(q-p)) with
+C = int |w|^q; `fibering_coefficients` and `fibering_upper_bound` give
+that bound as a standalone formula.
 """
 
 from __future__ import annotations
@@ -90,12 +93,15 @@ class FiberingCoefficients:
 
 
 class ScaleResult(NamedTuple):
+    """A shape w scaled onto its constraint: phi(t w) = A t^p - sum of
+    c_e t^e over `terms`, whose first pair is the critical one
+    (p*, int |w|^p*) and the rest the source pairs (e, lam int g_e(w))."""
+
     t: float                        # positive root of the fibering map
-    bracket: float                  # closed-form upper bound t1
-    coefficients: FiberingCoefficients
+    A: float                        # int |grad w|^p
+    terms: tuple[tuple[float, float], ...]  # (e, c_e), critical pair first
     gradients: np.ndarray           # gradient table of the shape w
     sq_norms: np.ndarray            # |grad w|^2 per simplex
-    terms: tuple[tuple[float, float], ...]  # (e, lam int g_e(w)) source pairs
 
 
 def constraint_phi(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -126,24 +132,21 @@ def constraint_scale(mesh: Mesh, params: RunParameters, u: np.ndarray,
         mesh, _squared_norms(gradient_table(mesh, part)), params.p)
 
 
-def _coefficients_and_table(mesh, nl, params, w):
-    """FiberingCoefficients of w, the gradient table they were read from
-    and its squared norms per simplex."""
+def _nonzero_field(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     w = _check_field(mesh, w)
     if not np.any(w != 0.0):
         raise DegenerateInputError("fibering coefficients of the zero field")
-    g = gradient_table(mesh, w)
-    g2 = _squared_norms(g)
-    aw = np.abs(w)
-    B = integrate(mesh, aw ** params.pstar)
-    C = integrate(mesh, aw ** nl.q)
-    return FiberingCoefficients(_p_dirichlet(mesh, g2, params.p), B, C), g, g2
+    return w
 
 
 def fibering_coefficients(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                           w: np.ndarray) -> FiberingCoefficients:
     """A, B, C for the shape w.  Homogeneous of degree p, p*, q in w."""
-    return _coefficients_and_table(mesh, nl, params, w)[0]
+    w = _nonzero_field(mesh, w)
+    aw = np.abs(w)
+    A = _p_dirichlet(mesh, _squared_norms(gradient_table(mesh, w)), params.p)
+    return FiberingCoefficients(A, integrate(mesh, aw ** params.pstar),
+                                integrate(mesh, aw ** nl.q))
 
 
 def fibering_upper_bound(A: float, c3: float, lam: float, C: float,
@@ -153,15 +156,16 @@ def fibering_upper_bound(A: float, c3: float, lam: float, C: float,
     return (A / (c3 * lam * C)) ** (1.0 / (q - p))
 
 
-def fibering_root(A: float, B: float, terms: list[tuple[float, float]],
-                  p: float, pstar: float, tol_rel: float = 1e-10) -> float:
-    """Unique positive root of phi(t) = A t^p - B t^p* - sum_e c_e t^e.
+def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
+                  tol_rel: float = 1e-10) -> float:
+    """Unique positive root of phi(t) = A t^p - sum_e c_e t^e.
 
-    `terms` holds the source pairs (e, c_e).  Every exponent must exceed p
-    and every coefficient, B included, must be nonnegative.  Divided by
-    t^p the map becomes h(t) = A - B t^(p*-p) - sum_e c_e t^(e-p), which
-    strictly decreases from h(0) = A > 0.  Any single term drives h below
-    zero by (A / c)^(1/(e-p)), so the smallest of these bounds the root.
+    `terms` holds the pairs (e, c_e), the critical one (p*, B) included.
+    Every exponent must exceed p and every coefficient must be
+    nonnegative.  Divided by t^p the map becomes
+    h(t) = A - sum_e c_e t^(e-p), which strictly decreases from
+    h(0) = A > 0.  Any single term drives h below zero by
+    (A / c)^(1/(e-p)), so the smallest of these bounds the root.
     Safeguarded Newton on h (bisection whenever a step leaves the bracket)
     stops once |phi(t)| <= tol_rel * A and |phi(t)| <= tol_rel * t^p * A,
     or once t is resolved to the last bit: the bracket holds no double
@@ -172,7 +176,7 @@ def fibering_root(A: float, B: float, terms: list[tuple[float, float]],
     """
     if A <= 0.0:
         raise DegenerateInputError(f"need A > 0, got {A}")
-    powers = [(e - p, c) for e, c in ((pstar, B), *terms) if c != 0.0]
+    powers = [(e - p, c) for e, c in terms if c != 0.0]
     if not powers or any(a <= 0.0 or c < 0.0 for a, c in powers):
         raise NoRootError("fibering map needs nonnegative coefficients, "
                           "not all zero, on exponents above p")
@@ -212,26 +216,25 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                       tol_rel: float = 1e-10) -> ScaleResult:
     """Scale a sign-definite shape w onto {phi_which = 0}.
 
-    Returns the unique positive root t of t -> phi_which(t w) together
-    with the closed-form bracket t1 and the fibering coefficients of w.
     On sign-definite fields both constraints coincide with <E'(tw), tw>,
-    a sum of powers of t whose coefficients are nodal moments of w.  The
-    root satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A, or is
+    the sum of powers A t^p - sum_e c_e t^e whose coefficients are
+    nodal moments of w.  Returns A, the term list (the critical pair
+    (p*, int |w|^p*) first) and the unique positive root t, which
+    satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A or is
     resolved to the last bit where t^p is too large for that.  The
-    gradient table of w, its squared norms and the source pairs come
-    along, so a caller can evaluate the scaled field t w without touching
-    the mesh again.
+    gradient table of w and its squared norms come along, so a caller
+    can evaluate the scaled field t w without touching the mesh again.
     """
-    w = _check_field(mesh, w)
+    w = _nonzero_field(mesh, w)
     _check_sign(w, which)
-    # raises on w == 0
-    coeffs, table, sq_norms = _coefficients_and_table(mesh, nl, params, w)
-    lam, p = params.lam, params.p
-    terms = tuple((e, lam * integrate(mesh, g))
-                  for e, g in source_power_terms(nl, w))
-    t = fibering_root(coeffs.A, coeffs.B, terms, p, params.pstar, tol_rel)
-    t1 = fibering_upper_bound(coeffs.A, nl.c3, lam, coeffs.C, nl.q, p)
-    return ScaleResult(t, t1, coeffs, table, sq_norms, terms)
+    table = gradient_table(mesh, w)
+    sq_norms = _squared_norms(table)
+    A = _p_dirichlet(mesh, sq_norms, params.p)
+    terms = ((params.pstar, integrate(mesh, np.abs(w) ** params.pstar)),
+             *((e, params.lam * integrate(mesh, g))
+               for e, g in source_power_terms(nl, w)))
+    t = fibering_root(A, terms, params.p, tol_rel)
+    return ScaleResult(t, A, terms, table, sq_norms)
 
 
 def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -341,20 +344,19 @@ class _Iterate:
         the scaling already holds, and so do the squared gradient norms of
         t_i w_i; only int |grad u|^p on K3 reads the summed gradient table.
         """
-        p, pstar = params.p, params.pstar
+        p = params.p
         u = np.zeros(mesh.n_vertices)
         tables, sq_norms, phis, scales = {}, {}, {}, {}
         nodal = 0.0                 # (1/p*) int |u|^p* + lam int F(u)
         for which, (w, res) in scaled.items():
-            t, A, B = res.t, res.coefficients.A, res.coefficients.B
+            t = res.t
             u += t * w
             tables[which] = (t if which == 1 else -t) * res.gradients
             sq_norms[which] = t * t * res.sq_norms
-            scales[which] = t ** p * A
-            phis[which] = (scales[which] - t ** pstar * B
-                           - sum(c * t ** e for e, c in res.terms))
-            nodal += (t ** pstar * B / pstar
-                      + sum(c * t ** e / e for e, c in res.terms))
+            scales[which] = t ** p * res.A
+            phis[which] = scales[which] - sum(c * t ** e
+                                              for e, c in res.terms)
+            nodal += sum(c * t ** e / e for e, c in res.terms)
         if k is KIndex.K3:
             table = tables[1] - tables[2]
             sq_norm = _squared_norms(table)

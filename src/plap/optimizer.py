@@ -12,10 +12,11 @@ pass:
     2. precondition it with one discrete Dirichlet-Laplace solve,
     3. project the preconditioned direction onto the constraint tangent,
        with the state's constraint gradients,
-    4. retract trial steps (clip each part to its sign, scale it once
-       onto its constraint) and backtrack until the Armijo test holds;
-       each retraction returns the state of its field, whose energy
-       comes from the scaling's moments without a new gradient table,
+    4. retract trial steps with `retract` (clip each part to its sign,
+       scale it once onto its constraint) and backtrack until the Armijo
+       test holds; each retraction returns the state of its field, whose
+       energy comes from the scaling's term list without a new gradient
+       table,
     5. keep the accepted trial's state as the next iterate; its E' and
        grad phi_i are evaluated when step 1 first reads them.
 
@@ -29,6 +30,7 @@ constrained path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,10 +85,13 @@ class SolverConfig:
             raise ConfigurationError("cells_per_side must be >= 4 for a solve")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
-        if not (self.grad_tol > 0.0):
-            raise ConfigurationError("grad_tol must be positive")
-        if not (self.constraint_tol > 0.0):
-            raise ConfigurationError("constraint_tol must be positive")
+        if not (0.0 < self.grad_tol < math.inf):
+            raise ConfigurationError("grad_tol must be positive and finite")
+        if not (0.0 < self.constraint_tol < math.inf):
+            raise ConfigurationError(
+                "constraint_tol must be positive and finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,13 +120,15 @@ class SolutionTriple:
     def fields(self):
         return (self.u1, self.u2, self.u3)
 
-    def validate_distinct(self, tol: float = 1e-6) -> None:
+    def validate_distinct(self) -> None:
+        """Raise unless every two of the fields differ somewhere by at
+        least 1e-6 times the larger of their maximum moduli."""
         fields = self.fields()
         for i in range(3):
             for j in range(i + 1, 3):
                 a, b = fields[i], fields[j]
                 scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-                if scale == 0.0 or np.max(np.abs(a - b)) < tol * scale:
+                if scale == 0.0 or np.max(np.abs(a - b)) < 1e-6 * scale:
                     raise DegenerateConstraintError(
                         f"solutions {i + 1} and {j + 1} are not distinct"
                     )
@@ -195,11 +202,21 @@ def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     """The seeded initial shape of k, retracted onto its constraint set:
     the first iterate of the descents that `solve_three` runs."""
     return retract(mesh, nl, params, _initial_shape(mesh, k, seed), k,
-                   tol_rel)
+                   tol_rel).u
 
 
-def _retract(mesh, nl, params, u, k, tol_rel) -> _Iterate:
-    """`retract`, returning the state of the retracted field."""
+def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+            u: np.ndarray, k: KIndex, tol_rel: float = 1e-10) -> _Iterate:
+    """Map an arbitrary field back onto the constraint set of k.
+
+    Each active part is clipped to its sign, zeroed on the boundary and
+    scaled once onto its own constraint.  phi1 reads only the nodes where
+    u > 0 and phi2 only those where u < 0, so on K3 the two scalings do
+    not interact and one pass leaves both residuals within tol_rel.
+    Returns the state of the retracted field (`nehari._Iterate`); its
+    `.u` is the field.  Raises LostSignError when clipping removes a
+    whole active part.
+    """
     scaled = {}
     for which in k.active_constraints:
         clipped = np.maximum(u, 0.0) if which == 1 else np.minimum(u, 0.0)
@@ -210,19 +227,6 @@ def _retract(mesh, nl, params, u, k, tol_rel) -> _Iterate:
         scaled[which] = (part, scale_to_manifold(mesh, nl, params, part,
                                                  which, tol_rel))
     return _Iterate.scaled(mesh, nl, params, k, scaled)
-
-
-def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-            u: np.ndarray, k: KIndex,
-            tol_rel: float = 1e-10) -> np.ndarray:
-    """Map an arbitrary field back onto the constraint set of k.
-
-    Each active part is clipped to its sign, zeroed on the boundary and
-    scaled once onto its own constraint.  phi1 reads only the nodes where
-    u > 0 and phi2 only those where u < 0, so on K3 the two scalings do
-    not interact and one pass leaves both residuals within tol_rel.
-    """
-    return _retract(mesh, nl, params, u, k, tol_rel).u
 
 
 def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
@@ -241,7 +245,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     nl, params = config.nonlin, config.params
     tol_rel = config.constraint_tol
     try:
-        state = _retract(mesh, nl, params, initial, k, tol_rel)
+        state = retract(mesh, nl, params, initial, k, tol_rel)
     except _STOPS as exc:
         nan = float("nan")
         return np.zeros(mesh.n_vertices), SolveReport(
@@ -284,8 +288,8 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             lost = 0
             for _ in range(MAX_BACKTRACKS):
                 try:
-                    cand = _retract(mesh, nl, params, state.u - t * gt, k,
-                                    tol_rel)
+                    cand = retract(mesh, nl, params, state.u - t * gt, k,
+                                   tol_rel)
                 except LostSignError:
                     lost += 1
                     t *= BACKTRACK
@@ -353,8 +357,8 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
     lams = [float(x) for x in lambdas]
     if not lams:
         raise ConfigurationError("lambda sweep needs at least one value")
-    if any(x <= 0.0 for x in lams):
-        raise ConfigurationError("sweep couplings must be positive")
+    if not all(0.0 < x < math.inf for x in lams):
+        raise ConfigurationError("sweep couplings must be positive and finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ConfigurationError("sweep couplings must be strictly increasing")
 

@@ -78,8 +78,7 @@ def check_membership(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     measured["min"] = float(np.min(u))
     measured["max"] = float(np.max(u))
 
-    need_parts = {KIndex.K1: (1,), KIndex.K2: (2,), KIndex.K3: (1, 2)}[k]
-    for which in need_parts:
+    for which in k.active_constraints:
         part = plus if which == 1 else minus
         mass = integrate(mesh, part)
         measured[f"mass{which}"] = mass
@@ -168,26 +167,23 @@ def check_euler_lagrange(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
 
 
 def verify_fields(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                  fields, kinds=None, membership_tol: float = 1e-9,
-                  residual_tol: float = 1e-6) -> list[CheckReport]:
+                  fields, residual_tol: float = 1e-6) -> list[CheckReport]:
     """Run the full suite on one or more fields.
 
-    kinds may assign a KIndex per field; by default the first three
-    fields of a triple get K1, K2, K3 and anything else is classified by
-    sign.  With exactly three fields the triple-level sign-structure
-    check runs as well.
+    Exactly three fields are checked as K1, K2, K3 in that order, and
+    the triple-level sign-structure check runs as well; any other number
+    of fields is classified by sign.
     """
     fields = [np.asarray(u, dtype=float) for u in fields]
-    if kinds is None:
-        if len(fields) == 3:
-            kinds = [KIndex.K1, KIndex.K2, KIndex.K3]
-        else:
-            kinds = [infer_kind(u) for u in fields]
+    if len(fields) == 3:
+        kinds = [KIndex.K1, KIndex.K2, KIndex.K3]
+    else:
+        kinds = [infer_kind(u) for u in fields]
     P = LaplacePreconditioner(mesh)
     reports = []
     for idx, (u, k) in enumerate(zip(fields, kinds), start=1):
-        mem = check_membership(mesh, nl, params, u, k, membership_tol)
-        chain = check_energy_chain(mesh, nl, params, u, k, membership_tol)
+        mem = check_membership(mesh, nl, params, u, k)
+        chain = check_energy_chain(mesh, nl, params, u, k)
         euler = check_euler_lagrange(mesh, nl, params, u, residual_tol, P)
         for rep in (mem, chain, euler):
             reports.append(CheckReport(f"u{idx}_{rep.name}", rep.passed,

@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plap.cli import (SWEEP_HEADER, _coordinate_columns, _write_field_csv, main,
-                      parse_config_text)
+from plap.cli import (_KEYS, _REQUIRED, SWEEP_HEADER, _coordinate_columns,
+                      _write_field_csv, main, parse_config_text)
 from plap.errors import ConfigurationError
 from plap.mesh import build_mesh
 
@@ -35,6 +36,19 @@ lambda = 50
 grad-tol = 1e-7
 seed = 0
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_table() -> dict:
+    """key -> default column of the README's configuration table."""
+    rows = {}
+    for line in README.read_text().splitlines():
+        m = re.fullmatch(r"\|\s*`([^`]+)`\s*\|.*\|\s*(\S+)\s*\|", line)
+        if m:
+            rows[m.group(1)] = m.group(2).strip("`")
+    return rows
 
 
 def write_config(tmp_path, base=BASE_3D, extra="", name="run.cfg"):
@@ -68,10 +82,44 @@ class TestConfigParsing:
         "dim=2\nres=4\np=1.5\nq=7\nlambda=5\n",
         "dim=5\nres=4\np=1.5\nq=3\nlambda=5\n",
         "dim=2\nres=4\np=abc\nq=3\nlambda=5\n",
+        "dim=2\nres=4\np=1.5\nq=3\nlambda=5\nseed=-1\n",
+        "dim=2\nres=4\np=1.5\nq=3\nlambda=inf\n",
+        "dim=2\nres=4\np=1.5\nq=3\nlambda=5\neps=nan\n",
+        "dim=2\nres=4\np=1.5\nq=3\nlambda=5\ngrad-tol=inf\n",
+        "dim=2\nres=4\np=1.5\nq=3\nlambda=5\nconstraint-tol=inf\n",
     ])
     def test_rejected_configs(self, text):
         with pytest.raises(ConfigurationError):
             parse_config_text(text)
+
+    def test_readme_table_matches_parser(self):
+        # the keys, the required rows and every other default that the
+        # README documents are the parser's
+        table = readme_config_table()
+        assert set(table) == _KEYS
+        assert [k for k, v in table.items() if v == "required"] == list(
+            _REQUIRED)
+        cfg = parse_config_text("dim=2\nres=4\np=1.5\nq=3\nlambda=5\n")
+        s = cfg.solver
+        parsed = {
+            "dim": s.params.dim, "res": s.cells_per_side, "p": s.params.p,
+            "q": s.nonlin.q, "r": s.nonlin.r, "family": s.nonlin.family,
+            "lambda": s.params.lam, "lambda-list": cfg.lambda_list,
+            "eps": s.params.eps, "grad-tol": s.grad_tol,
+            "constraint-tol": s.constraint_tol, "max-iters": s.max_iters,
+            "seed": s.seed, "out-dir": cfg.out_dir,
+        }
+        assert set(parsed) == _KEYS
+        for key, text in table.items():
+            if text == "required":
+                continue
+            if text == "unset":
+                want = ()
+            elif text in _KEYS:         # defaults to another key's value
+                want = parsed[text]
+            else:
+                want = type(parsed[key])(text)
+            assert parsed[key] == want, key
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text(
@@ -137,6 +185,15 @@ class TestSolveCommand:
         out = tmp_path / "artifacts"
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_3D.replace("q = 4", "q = 7")
+                        + f"out-dir = {out}\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_without_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_3D.replace("seed = 0", "seed = -1")
                         + f"out-dir = {out}\n")
         assert main(["solve", "--config", str(path)]) == 2
         assert not out.exists()

@@ -117,6 +117,12 @@ class TestValidation:
             RunParameters(p=1.5, dim=2, lam=1.0, eps=-1e-3)
         with pytest.raises(ConfigurationError):
             RunParameters(p=1.5, dim=4, lam=1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                RunParameters(p=1.5, dim=2, lam=lam)
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                RunParameters(p=1.5, dim=2, lam=1.0, eps=eps)
 
     def test_critical_exponent_values(self):
         assert np.isclose(RunParameters(p=2.0, dim=3, lam=1.0).pstar, 6.0,
@@ -135,16 +141,6 @@ class TestValidation:
             Nonlinearity(family="signed", q=4.0, r=2.0).validate(params)
         with pytest.raises(ConfigurationError):
             Nonlinearity(family="bogus", q=4.0, r=3.0).validate(params)
-
-    def test_recorded_constants_window(self):
-        params = params_3d()
-        with pytest.raises(ConfigurationError):
-            Nonlinearity(family="signed", q=4.0, r=3.0, k2=6.5).validate(params)
-        with pytest.raises(ConfigurationError):
-            Nonlinearity(family="signed", q=4.0, r=3.0, c3=2.0,
-                         c4=1.0).validate(params)
-        with pytest.raises(ConfigurationError):
-            Nonlinearity(family="signed", q=4.0, r=3.0, c1=0.1).validate(params)
 
     def test_default_constants(self):
         nl = Nonlinearity(family="signed", q=4.0, r=3.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plap.errors import ConfigurationError, DimensionMismatchError
 from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
-                       dump_mesh, gradient_table, integrate, laplace_stiffness)
+                       gradient_table, integrate, laplace_stiffness)
 
 from conftest import _LUPreconditioner
 
@@ -129,17 +129,6 @@ def test_field_size_mismatch():
         integrate(mesh, np.ones(5))
     with pytest.raises(DimensionMismatchError):
         gradient_table(mesh, np.ones(mesh.n_vertices + 1))
-
-
-def test_dump_format():
-    mesh = build_mesh(3, 2)
-    lines = dump_mesh(mesh).splitlines()
-    vlines = [l for l in lines if l.startswith("v ")]
-    slines = [l for l in lines if l.startswith("s ")]
-    assert len(vlines) == mesh.n_vertices
-    assert len(slines) == mesh.n_simplices
-    assert all(len(l.split()) == 5 for l in vlines)
-    assert all(len(l.split()) == 5 for l in slines)
 
 
 def test_stiffness_is_symmetric_with_zero_row_sums():

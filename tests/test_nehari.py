@@ -14,7 +14,7 @@ from plap.nehari import (KIndex, constraint_gradient,
                          fibering_coefficients, fibering_root,
                          fibering_upper_bound, scale_to_manifold,
                          tangent_project)
-from plap.optimizer import _retract, retract
+from plap.optimizer import retract
 
 from conftest import interior_bump
 
@@ -37,6 +37,12 @@ def split_pair(mesh, seed=0):
     mirror = np.arange(mesh.n_vertices).reshape((side,) * mesh.dim)[::-1]
     w_neg = -w_pos[mirror.reshape(-1)]
     return w_pos, w_neg
+
+
+def bracket(mesh, nl, params, w):
+    """The closed-form upper bound t1 of the scaling root of w."""
+    c = fibering_coefficients(mesh, nl, params, w)
+    return fibering_upper_bound(c.A, nl.c3, params.lam, c.C, nl.q, params.p)
 
 
 def test_active_constraints():
@@ -128,10 +134,18 @@ class TestRootFinding:
         assert np.isclose(fibering_upper_bound(1.0, 1.0, 16.0, 1.0, 4.0, 2.0),
                           0.25, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("A, B, p, pstar", [
+        (1.0, 1.0, 2.0, 6.0), (3.7, 0.02, 1.5, 6.0), (1e-3, 50.0, 2.0, 6.0),
+    ])
+    def test_critical_term_alone(self, A, B, p, pstar):
+        got = fibering_root(A, [(pstar, B)], p)
+        want = (A / B) ** (1.0 / (pstar - p))
+        assert abs(got - want) <= 1e-14 * want
+
     def test_synthetic_roots(self):
-        got = fibering_root(1.0, 1.0, [(4.0, 1.0)], 2.0, 6.0)
+        got = fibering_root(1.0, [(6.0, 1.0), (4.0, 1.0)], 2.0)
         assert abs(got - np.sqrt((np.sqrt(5.0) - 1.0) / 2.0)) <= 1e-12
-        got4 = fibering_root(1.0, 1.0, [(4.0, 4.0)], 2.0, 6.0)
+        got4 = fibering_root(1.0, [(6.0, 1.0), (4.0, 4.0)], 2.0)
         assert abs(got4 - np.sqrt(np.sqrt(5.0) - 2.0)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -143,7 +157,7 @@ class TestRootFinding:
         def g(t):
             return A * t**p - B * t**pstar - lamC * t**q
 
-        got = fibering_root(A, B, [(q, lamC)], p, pstar)
+        got = fibering_root(A, [(pstar, B), (q, lamC)], p)
         hi = got
         while g(2 * hi) >= 0:
             hi *= 2
@@ -166,7 +180,7 @@ class TestRootFinding:
             return (A - B * t**(pstar - p) - c_q * t**(q - p)
                     - c_r * t**(r - p))
 
-        got = fibering_root(A, B, terms, p, pstar)
+        got = fibering_root(A, [(pstar, B), *terms], p)
         hi = 1.0
         while h(hi) >= 0:
             hi *= 2
@@ -185,7 +199,7 @@ class TestRootFinding:
         def h(t):
             return A - B * t**(pstar - p) - sum(c * t**(e - p) for e, c in terms)
 
-        got = fibering_root(A, B, terms, p, pstar)
+        got = fibering_root(A, [(pstar, B), *terms], p)
         oracle = brentq(h, got / 2, 2 * got, xtol=1e-300, rtol=1e-15)
         assert abs(got - oracle) <= 4 * np.spacing(oracle)
         assert abs(h(got)) / A <= 1e-12
@@ -197,9 +211,9 @@ class TestScaleToManifold:
         w = interior_bump(mesh, seed=3)
         res = scale_to_manifold(mesh, NL2, P2, w, 1)
         assert res.t > 0.0
-        assert res.t <= res.bracket
+        assert res.t <= bracket(mesh, NL2, P2, w)
         phi = constraint_phi(mesh, NL2, P2, res.t * w, 1)
-        assert abs(phi) <= 1e-10 * res.coefficients.A
+        assert abs(phi) <= 1e-10 * res.A
 
     def test_member_identity(self):
         # on the constraint set the gradient mass balances the source terms
@@ -219,7 +233,7 @@ class TestScaleToManifold:
             w = interior_bump(mesh, seed=seed)
             res = scale_to_manifold(mesh, NL2, P2, w, 1)
             lo = res.t / 10.0
-            hi = 10.0 * max(res.t, res.bracket)
+            hi = 10.0 * max(res.t, bracket(mesh, NL2, P2, w))
             assert constraint_phi(mesh, NL2, P2, lo * w, 1) > 0.0
             assert constraint_phi(mesh, NL2, P2, hi * w, 1) < 0.0
 
@@ -254,13 +268,34 @@ class TestScaleToManifold:
         def phi(t):
             return constraint_phi(mesh, nl, P2, t * w, which)
 
-        lo, hi = 1e-8 * res.bracket, 2.0 * res.bracket
+        t1 = bracket(mesh, nl, P2, w)
+        lo, hi = 1e-8 * t1, 2.0 * t1
         assert phi(lo) > 0.0 > phi(hi)
         oracle = brentq(phi, lo, hi, xtol=1e-15, rtol=1e-14)
         assert np.isclose(res.t, oracle, rtol=1e-9, atol=0)
-        assert abs(phi(res.t)) <= 1e-10 * res.coefficients.A
+        assert abs(phi(res.t)) <= 1e-10 * res.A
         other = scale_to_manifold(mesh, nl, P2, -w, 3 - which).t
         assert (res.t < other) == (which == 1)
+
+    @pytest.mark.parametrize("family", ["signed", "pospart"])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_terms_match_reference(self, family, which):
+        # A and the term list against fibering_coefficients: the critical
+        # pair (p*, B) first, then (q, lam C) and the r-term of the family
+        nl = Nonlinearity(family=family, q=3.0, r=2.5)
+        mesh = build_mesh(2, 6)
+        w = interior_bump(mesh, seed=3) * (1.0 if which == 1 else -1.0)
+        res = scale_to_manifold(mesh, nl, P2, w, which)
+        c = fibering_coefficients(mesh, nl, P2, w)
+        second = np.abs(w) if family == "signed" else np.maximum(w, 0.0)
+        want = [(P2.pstar, c.B), (nl.q, P2.lam * c.C),
+                (nl.r, P2.lam * integrate(mesh, second ** nl.r))]
+        assert np.isclose(res.A, c.A, rtol=1e-14, atol=0)
+        assert [e for e, _ in res.terms] == [e for e, _ in want]
+        for (_, got), (_, ref) in zip(res.terms, want):
+            assert np.isclose(got, ref, rtol=1e-14, atol=0)
+        assert (res.terms[2][1] == 0.0) == (family == "pospart"
+                                            and which == 2)
 
     def test_negative_side_mirrors_positive_side(self):
         mesh = build_mesh(2, 6)
@@ -283,7 +318,7 @@ class TestPairProjection:
                                   np.sin(2.0 * np.pi * s), 0.0)
         w_pos = prof(x) * np.sin(np.pi * y)
         w_neg = -prof(x - 0.5) * np.sin(np.pi * y)
-        out = retract(mesh, NL2, P2, w_pos + w_neg, KIndex.K3)
+        out = retract(mesh, NL2, P2, w_pos + w_neg, KIndex.K3).u
         t_pos = np.max(out) / np.max(w_pos)
         t_neg = np.min(out) / np.min(w_neg)
         assert np.isclose(t_pos, t_neg, rtol=1e-12, atol=0)
@@ -294,7 +329,7 @@ class TestPairProjection:
     def test_decoupling_matches_single_scaling(self):
         mesh = build_mesh(2, 8)
         w_pos, w_neg = split_pair(mesh, seed=5)
-        out = retract(mesh, NL2, P2, w_pos + w_neg, KIndex.K3)
+        out = retract(mesh, NL2, P2, w_pos + w_neg, KIndex.K3).u
         alone = scale_to_manifold(mesh, NL2, P2, w_pos, 1).t * w_pos
         assert np.allclose(np.maximum(out, 0.0), alone, rtol=1e-12, atol=0)
 
@@ -357,7 +392,7 @@ class TestTangentProject:
     def setup_method(self):
         self.mesh = build_mesh(2, 8)
         w_pos, w_neg = split_pair(self.mesh, seed=1)
-        self.u3 = retract(self.mesh, NL2, P2, w_pos + w_neg, KIndex.K3)
+        self.u3 = retract(self.mesh, NL2, P2, w_pos + w_neg, KIndex.K3).u
         w = interior_bump(self.mesh, seed=1)
         self.u1 = scale_to_manifold(self.mesh, NL2, P2, w, 1).t * w
 
@@ -448,7 +483,7 @@ class TestIterateState:
         params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-3)
         nl = Nonlinearity(family=family, q=q, r=r)
         for u in state_fields(mesh, k):
-            state = _retract(mesh, nl, params, u, k, 1e-10)
+            state = retract(mesh, nl, params, u, k, 1e-10)
             # phi of a retracted field is a cancellation of O(scale) terms
             # down to ~1e-10 * scale: it agrees to rounding of the terms
             assert_state_matches(state, mesh, nl, params, k, phi_atol=1e-13)
@@ -467,14 +502,14 @@ class TestIterateState:
         params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-3)
         nl = Nonlinearity(family=family, q=q, r=r)
         on_sign, _ = state_fields(mesh, k)
-        cand = _retract(mesh, nl, params, 0.8 * on_sign, k, 1e-10)
-        fresh = _retract(mesh, nl, params, cand.u, k, 1e-10)
+        cand = retract(mesh, nl, params, 0.8 * on_sign, k, 1e-10)
+        fresh = retract(mesh, nl, params, cand.u, k, 1e-10)
         # phi is a cancellation of O(scale) terms down to ~1e-10 * scale,
         # so the two evaluations agree to rounding of the terms, not of phi
         assert_state_matches(cand, mesh, nl, params, k, phi_atol=1e-13)
         assert_state_matches(fresh, mesh, nl, params, k, phi_atol=1e-13)
         assert np.array_equal(cand.u, retract(mesh, nl, params,
-                                              0.8 * on_sign, k))
+                                              0.8 * on_sign, k).u)
         for got, want in zip(cand.relative_residuals,
                              fresh.relative_residuals):
             assert got <= 1e-10 and want <= 1e-10

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,9 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(grad_tol=0.0), dict(constraint_tol=-1e-9),
         dict(max_iters=0), dict(cells_per_side=1), dict(cells_per_side=3),
+        dict(grad_tol=math.inf), dict(grad_tol=math.nan),
+        dict(constraint_tol=math.inf), dict(constraint_tol=math.nan),
+        dict(seed=-1),
     ])
     def test_invalid(self, kwargs):
         base = dict(params=P2, nonlin=NL2, cells_per_side=6)
@@ -81,13 +85,13 @@ class TestRetract:
     def test_fixed_point(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        out = retract(mesh, NL2, P2, u, KIndex.K1)
+        out = retract(mesh, NL2, P2, u, KIndex.K1).u
         assert np.max(np.abs(out - u)) <= 1e-9 * np.max(np.abs(u))
 
     def test_recovers_scaled_member(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        out = retract(mesh, NL2, P2, 1.3 * u, KIndex.K1)
+        out = retract(mesh, NL2, P2, 1.3 * u, KIndex.K1).u
         assert np.allclose(out, u, rtol=1e-8, atol=0)
 
     def test_clips_and_rescales(self):
@@ -96,7 +100,7 @@ class TestRetract:
         rng = np.random.default_rng(0)
         bent = u - 0.1 * np.max(u) * rng.random(mesh.n_vertices)
         bent = apply_dirichlet(mesh, bent)
-        out = retract(mesh, NL2, P2, bent, KIndex.K1)
+        out = retract(mesh, NL2, P2, bent, KIndex.K1).u
         assert np.all(out >= 0.0)
         A = constraint_scale(mesh, P2, out, 1)
         assert abs(constraint_phi(mesh, NL2, P2, out, 1)) <= 1e-9 * A
@@ -105,18 +109,18 @@ class TestRetract:
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
         with pytest.raises(LostSignError):
-            retract(mesh, NL2, P2, -u, KIndex.K1)
+            retract(mesh, NL2, P2, -u, KIndex.K1).u
 
     def test_sign_changing_fixed_point(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K3, seed=0)
-        out = retract(mesh, NL2, P2, u, KIndex.K3)
+        out = retract(mesh, NL2, P2, u, KIndex.K3).u
         assert np.max(np.abs(out - u)) <= 1e-8 * np.max(np.abs(u))
 
     def test_sign_changing_scaled_recovery(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K3, seed=0)
-        out = retract(mesh, NL2, P2, 0.7 * u, KIndex.K3)
+        out = retract(mesh, NL2, P2, 0.7 * u, KIndex.K3).u
         A = (constraint_scale(mesh, P2, out, 1)
              + constraint_scale(mesh, P2, out, 2))
         assert abs(constraint_phi(mesh, NL2, P2, out, 1)) <= 1e-9 * A
@@ -187,8 +191,8 @@ class TestDescend:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name,
                                         counted(name, getattr(mod, name)))
-        monkeypatch.setattr(plap.optimizer, "_retract",
-                            counted("trials", plap.optimizer._retract))
+        monkeypatch.setattr(plap.optimizer, "retract",
+                            counted("trials", plap.optimizer.retract))
         _, rep = descend(mesh, config, k, u0)
         assert rep.error is None and rep.iterations > 0
         parts = len(k.active_constraints)
@@ -228,8 +232,36 @@ class TestDescend:
         assert rep.converged
         assert np.all(u >= 0.0)
         E0 = energy(mesh, nl, params, retract(mesh, nl, params, 1.3 * u0,
-                                              KIndex.K1))
+                                              KIndex.K1).u)
         assert abs(rep.energy_history[0] - E0) <= 1e-12 * abs(E0)
+
+    def test_every_retraction_goes_through_retract(self, monkeypatch):
+        # the start and every trial step are retracted by the public
+        # `retract`; a trial that loses its sign raises out of it and is
+        # backtracked
+        config = coarse_config()
+        nl, params = config.nonlin, config.params
+        mesh = build_mesh(2, config.cells_per_side)
+        u0 = initial_point(mesh, nl, params, KIndex.K1, 0)
+        retract_state = plap.optimizer.retract
+        calls, lost = [], []
+
+        def counted(mesh, nl, params, u, k, tol_rel):
+            calls.append(k)
+            if len(calls) == 2:
+                # the first trial step, moved off the sign of K1
+                u = -np.abs(u)
+            try:
+                return retract_state(mesh, nl, params, u, k, tol_rel)
+            except LostSignError as exc:
+                lost.append(exc)
+                raise
+
+        monkeypatch.setattr(plap.optimizer, "retract", counted)
+        _, rep = descend(mesh, config, KIndex.K1, u0)
+        assert rep.converged and rep.error is None
+        assert len(calls) >= len(rep.energy_history) > 1
+        assert len(lost) == 1
 
     def test_stalled_descent_returns_its_last_iterate(self):
         # p < 2 on a coarse mesh: the K3 line search stalls before the cap
@@ -257,7 +289,7 @@ class TestDescend:
         nl, params = config.nonlin, config.params
         mesh = build_mesh(2, config.cells_per_side)
         u0 = initial_point(mesh, nl, params, KIndex.K1, 0)
-        retract_state = plap.optimizer._retract
+        retract_state = plap.optimizer.retract
         calls = []
 
         def failing(*args):
@@ -267,7 +299,7 @@ class TestDescend:
                 raise exc
             return retract_state(*args)
 
-        monkeypatch.setattr(plap.optimizer, "_retract", failing)
+        monkeypatch.setattr(plap.optimizer, "retract", failing)
         u, rep = descend(mesh, config, KIndex.K1, u0)
         assert rep.error == error and not rep.converged
         assert rep.iterations == len(rep.energy_history) - 1 > 0
@@ -343,7 +375,8 @@ class TestLambdaSweep:
             assert (row.threshold1, row.threshold2,
                     row.threshold3) == (None, None, None)
 
-    @pytest.mark.parametrize("lams", [[], [2.0, 1.0], [-1.0], [1.0, 1.0]])
+    @pytest.mark.parametrize("lams", [[], [2.0, 1.0], [-1.0], [1.0, 1.0],
+                                      [1.0, math.inf], [math.nan]])
     def test_bad_lists(self, lams):
         with pytest.raises(ConfigurationError):
             lambda_sweep(coarse_config(), lams)
