@@ -151,13 +151,6 @@ def _read_field_csv(path: Path, mesh) -> np.ndarray:
     return rows[:, mesh.dim]
 
 
-def _report_to_json(rep) -> dict:
-    data = dataclasses.asdict(rep)
-    data["constraint_residuals"] = list(rep.constraint_residuals)
-    data["energy_history"] = list(rep.energy_history)
-    return data
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     mesh = build_mesh(cfg.solver.params.dim, cfg.solver.cells_per_side)
     triple = solve_three(cfg.solver, mesh)
@@ -183,7 +176,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "lambda": cfg.solver.params.lam,
         "seed": cfg.solver.seed,
         "threshold": threshold,
-        "reports": {f"u{i + 1}": _report_to_json(rep)
+        "reports": {f"u{i + 1}": dataclasses.asdict(rep)
                     for i, rep in enumerate(triple.reports)},
         "checks": [dataclasses.asdict(rep) for rep in checks],
     }

@@ -1,10 +1,12 @@
 """Sign-restricted Nehari-type constraint sets and their calculus.
 
 For a nodal field u with parts u = u_plus - u_minus the two constraint
-functionals are the pairings of the energy gradient with the parts:
+functionals are the pairings of the energy gradient with the parts.  With
+s = +1 for phi1 and s = -1 for phi2, and u_s = max(s u, 0) the part of u
+of sign s (u_+1 = u_plus, u_-1 = u_minus), both are one map:
 
-    phi1(u) = <E'(u), u_plus>  = int |grad u+|^p - int u+^p* - lam int f(u) u+
-    phi2(u) = <E'(u), -u_minus> = int |grad u-|^p - int u-^p* + lam int f(u) u-
+    phi_s(u) = <E'(u), s u_s>
+             = int |grad u_s|^p - int u_s^p* - s lam int f(u) u_s
 
 The constraint sets are K1 = {u >= 0, phi1 = 0}, K2 = {u <= 0, phi2 = 0}
 and K3 = {phi1 = 0, phi2 = 0} with both parts nontrivial.  On a
@@ -48,7 +50,6 @@ from .functional import (
     _squared_norms,
     nonlin_eval,
     p_stiffness_vector,
-    plus_minus_parts,
     source_power_terms,
 )
 from .mesh import Mesh, _check_field, gradient_table, integrate
@@ -104,30 +105,31 @@ class ScaleResult(NamedTuple):
     sq_norms: np.ndarray            # |grad w|^2 per simplex
 
 
+def _sign(which: int) -> float:
+    """s = +1 for phi1 and -1 for phi2; the only check of `which`."""
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which}")
+    return 1.0 if which == 1 else -1.0
+
+
 def constraint_phi(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                    u: np.ndarray, which: int) -> float:
     """Evaluate phi1 (which=1) or phi2 (which=2) at u."""
     u = _check_field(mesh, u)
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    plus, minus = plus_minus_parts(u)
-    part = plus if which == 1 else minus
-    grad_term = _p_dirichlet(
-        mesh, _squared_norms(gradient_table(mesh, part)), params.p)
-    crit_term = integrate(mesh, part ** params.pstar)
+    s = _sign(which)
+    part = np.maximum(s * u, 0.0)
     f, _, _ = nonlin_eval(nl, u)
-    source = params.lam * integrate(mesh, f * part)
-    if which == 1:
-        return grad_term - crit_term - source
-    return grad_term - crit_term + source
+    return (_p_dirichlet(mesh, _squared_norms(gradient_table(mesh, part)),
+                         params.p)
+            - integrate(mesh, part ** params.pstar)
+            - s * params.lam * integrate(mesh, f * part))
 
 
 def constraint_scale(mesh: Mesh, params: RunParameters, u: np.ndarray,
                      which: int) -> float:
     """Natural scale of phi_which at u: the part's gradient integral
-    int |grad u_part|^p.  Used to make constraint tolerances relative."""
-    plus, minus = plus_minus_parts(_check_field(mesh, u))
-    part = plus if which == 1 else minus
+    int |grad u_s|^p.  Used to make constraint tolerances relative."""
+    part = np.maximum(_sign(which) * _check_field(mesh, u), 0.0)
     return _p_dirichlet(
         mesh, _squared_norms(gradient_table(mesh, part)), params.p)
 
@@ -204,13 +206,6 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
                       f"{MAX_NEWTON} Newton steps")
 
 
-def _check_sign(w: np.ndarray, which: int) -> None:
-    if which == 1 and np.any(w < 0.0):
-        raise SignError("expected a nonnegative field for constraint 1")
-    if which == 2 and np.any(w > 0.0):
-        raise SignError("expected a nonpositive field for constraint 2")
-
-
 def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                       w: np.ndarray, which: int,
                       tol_rel: float = 1e-10) -> ScaleResult:
@@ -226,7 +221,11 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     can evaluate the scaled field t w without touching the mesh again.
     """
     w = _nonzero_field(mesh, w)
-    _check_sign(w, which)
+    s = _sign(which)
+    # s w >= 0 everywhere iff both extremes of s w are: two reductions
+    # and no temporary field, since this runs on every line-search trial
+    if min(s * w.min(), s * w.max()) < 0.0:
+        raise SignError(f"constraint {which} needs a field of sign {s:+g}")
     table = gradient_table(mesh, w)
     sq_norms = _squared_norms(table)
     A = _p_dirichlet(mesh, sq_norms, params.p)
@@ -247,24 +246,16 @@ def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     identically, making the K3 cross-pairings exact zeros.
     """
     u = _check_field(mesh, u)
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    plus, minus = plus_minus_parts(u)
+    s = _sign(which)
+    part = np.maximum(s * u, 0.0)
+    chi = (s * u > 0.0).astype(float)
     p, pstar, lam = params.p, params.pstar, params.lam
     f, _, fu = nonlin_eval(nl, u)
     M = mesh.lumped_mass
-    if which == 1:
-        chi = (u > 0.0).astype(float)
-        out = p * chi * p_stiffness_vector(
-            mesh, gradient_table(mesh, plus), p, params.eps)
-        out -= pstar * M * plus ** (pstar - 1.0)
-        out -= lam * M * (f * chi + fu * plus)
-    else:
-        chi = (u < 0.0).astype(float)
-        out = -p * chi * p_stiffness_vector(
-            mesh, gradient_table(mesh, minus), p, params.eps)
-        out += pstar * M * minus ** (pstar - 1.0)
-        out += lam * M * (fu * minus - f * chi)
+    part_stiff = p_stiffness_vector(mesh, gradient_table(mesh, part), p,
+                                    params.eps)
+    out = (s * (p * chi * part_stiff - pstar * M * part ** (pstar - 1.0))
+           - lam * M * (f * chi + s * fu * part))
     out[mesh.boundary] = 0.0
     return out
 
@@ -292,15 +283,10 @@ def tangent_project(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     """Project a direction v onto the tangent space of the active
     constraints at u, by removing multiples of u_plus and/or u_minus."""
     u = _check_field(mesh, u)
-    v = _check_field(mesh, v)
-    plus, minus = plus_minus_parts(u)
-    out = v
-    if 1 in k.active_constraints:
-        g1 = constraint_gradient(mesh, nl, params, u, 1)
-        out = _remove_normal(out, plus, g1)
-    if 2 in k.active_constraints:
-        g2 = constraint_gradient(mesh, nl, params, u, 2)
-        out = _remove_normal(out, minus, g2)
+    out = _check_field(mesh, v)
+    for which in k.active_constraints:
+        out = _remove_normal(out, np.maximum(_sign(which) * u, 0.0),
+                             constraint_gradient(mesh, nl, params, u, which))
     return out
 
 
@@ -310,12 +296,12 @@ class _Iterate:
     descent reads.
 
     The energy, the constraint values phi_i and their scales
-    int |grad u_part|^p are set on construction from one gradient table
-    per active part: the table of u itself is their difference, since
-    u = u_plus - u_minus.  The residual E'(u), the constraint gradients
+    int |grad u_s|^p are set on construction from one gradient table
+    per active part, that of s u_s: the table of u itself is their sum,
+    since u = u_plus - u_minus.  The residual E'(u), the constraint gradients
     and the two projections follow on first use from one `nonlin_eval`
     and one p-stiffness scatter per distinct table: one on K1 and K2,
-    where the active part is +-u itself, three on K3 (u, u_plus, u_minus).
+    where s u_s is u itself, three on K3 (u, u_plus, -u_minus).
     Each table's squared norms per simplex are taken once, when the
     scales are, and the scatters reuse them.
     The standalone functions of this module and `functional` are the
@@ -326,13 +312,13 @@ class _Iterate:
     nl: Nonlinearity
     params: RunParameters
     u: np.ndarray
-    tables: dict            # which -> gradient table of u_plus / u_minus
+    tables: dict            # which -> gradient table of s u_s
     table: np.ndarray       # gradient table of u
     sq_norms: dict          # which -> squared norms of tables[which]
     sq_norm: np.ndarray     # squared norms of table
     energy: float
     phis: dict              # which -> phi_which(u)
-    scales: dict            # which -> int |grad u_part|^p
+    scales: dict            # which -> int |grad u_s|^p
 
     @classmethod
     def scaled(cls, mesh, nl, params, k, scaled):
@@ -351,19 +337,18 @@ class _Iterate:
         for which, (w, res) in scaled.items():
             t = res.t
             u += t * w
-            tables[which] = (t if which == 1 else -t) * res.gradients
+            tables[which] = t * res.gradients
             sq_norms[which] = t * t * res.sq_norms
             scales[which] = t ** p * res.A
             phis[which] = scales[which] - sum(c * t ** e
                                               for e, c in res.terms)
             nodal += sum(c * t ** e / e for e, c in res.terms)
         if k is KIndex.K3:
-            table = tables[1] - tables[2]
+            table = tables[1] + tables[2]
             sq_norm = _squared_norms(table)
             grad = _p_dirichlet(mesh, sq_norm, p)
         else:
-            (which, g), = tables.items()
-            table = g if which == 1 else -g
+            (which, table), = tables.items()
             sq_norm = sq_norms[which]
             grad = scales[which]
         return cls(mesh, nl, params, u, tables, table, sq_norms, sq_norm,
@@ -371,7 +356,7 @@ class _Iterate:
 
     @property
     def relative_residuals(self) -> tuple[float, ...]:
-        """|phi_i| / int |grad u_part|^p per active constraint."""
+        """|phi_i| / int |grad u_s|^p per active constraint."""
         return tuple(abs(self.phis[w]) / s if s > 0.0 else float("inf")
                      for w, s in self.scales.items())
 
@@ -388,12 +373,14 @@ class _Iterate:
         residual[mesh.boundary] = 0.0
         parts, grads = {}, {}
         for which, g in self.tables.items():
-            s = 1.0 if which == 1 else -1.0
+            s = _sign(which)
             part = np.maximum(s * u, 0.0)
             chi = (s * u > 0.0).astype(float)
-            part_stiff = (s * stiff if len(self.tables) == 1
-                          else p_stiffness_vector(
-                              mesh, g, p, eps, sq_norms=self.sq_norms[which]))
+            # the scatter of g, the table of s u_s, is s times that of u_s
+            part_stiff = s * (stiff if len(self.tables) == 1
+                              else p_stiffness_vector(
+                                  mesh, g, p, eps,
+                                  sq_norms=self.sq_norms[which]))
             crit = pstar * M * part ** (pstar - 1.0)
             grad = (s * (p * chi * part_stiff - crit)
                     - lam * M * (f * chi + s * fu * part))

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .functional import Nonlinearity, RunParameters, sobolev_threshold
 from .mesh import LaplacePreconditioner, Mesh, apply_dirichlet, build_mesh
-from .nehari import KIndex, _Iterate, scale_to_manifold
+from .nehari import KIndex, _Iterate, _sign, scale_to_manifold
 
 __all__ = [
     "SolverConfig",
@@ -219,11 +219,13 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     """
     scaled = {}
     for which in k.active_constraints:
-        clipped = np.maximum(u, 0.0) if which == 1 else np.minimum(u, 0.0)
-        part = apply_dirichlet(mesh, clipped)
+        s = _sign(which)
+        # s u_s = max(u, 0) or min(u, 0), clipped in one pass
+        clip = np.maximum if s > 0.0 else np.minimum
+        part = apply_dirichlet(mesh, clip(u, 0.0))
         if not np.any(part):
-            side = "positive" if which == 1 else "negative"
-            raise LostSignError(f"clipping removed the whole {side} part")
+            raise LostSignError(
+                f"clipping removed the whole part of sign {s:+g}")
         scaled[which] = (part, scale_to_manifold(mesh, nl, params, part,
                                                  which, tol_rel))
     return _Iterate.scaled(mesh, nl, params, k, scaled)

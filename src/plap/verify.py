@@ -17,10 +17,9 @@ from .functional import (
     energy,
     energy_residual,
     nonlin_eval,
-    plus_minus_parts,
 )
 from .mesh import LaplacePreconditioner, Mesh, integrate
-from .nehari import KIndex, constraint_phi, constraint_scale
+from .nehari import KIndex, _sign, constraint_phi, constraint_scale
 
 __all__ = [
     "CheckReport",
@@ -52,6 +51,11 @@ class CheckReport:
         return "  ".join(parts)
 
 
+def _part_mass(mesh: Mesh, u: np.ndarray, which: int) -> float:
+    """int u_s, the mass of the part of u of the sign s of phi_which."""
+    return integrate(mesh, np.maximum(_sign(which) * u, 0.0))
+
+
 def infer_kind(u: np.ndarray) -> KIndex:
     """Classify a field by nodal sign: nonnegative -> K1, nonpositive -> K2,
     mixed -> K3.  The zero field lands in K1 and fails nontriviality."""
@@ -65,22 +69,14 @@ def infer_kind(u: np.ndarray) -> KIndex:
 def check_membership(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                      u: np.ndarray, k: KIndex,
                      tol_rel: float = 1e-9) -> CheckReport:
-    """Sign condition, nontrivial part mass, and constraint residual(s)."""
+    """Sign condition (u has the sign structure of k), nontrivial part
+    mass, and constraint residual(s)."""
     u = np.asarray(u, dtype=float)
-    plus, minus = plus_minus_parts(u)
-    measured: dict = {}
-    ok = True
-
-    if k is KIndex.K1 and np.min(u) < 0.0:
-        ok = False
-    if k is KIndex.K2 and np.max(u) > 0.0:
-        ok = False
-    measured["min"] = float(np.min(u))
-    measured["max"] = float(np.max(u))
+    measured = {"min": float(np.min(u)), "max": float(np.max(u))}
+    ok = infer_kind(u) is k
 
     for which in k.active_constraints:
-        part = plus if which == 1 else minus
-        mass = integrate(mesh, part)
+        mass = _part_mass(mesh, u, which)
         measured[f"mass{which}"] = mass
         if not (mass > 0.0):
             ok = False
@@ -128,22 +124,16 @@ def check_energy_chain(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
 
 
 def check_sign_structure(mesh: Mesh, triple_fields) -> CheckReport:
-    """First field nonnegative, second nonpositive, third genuinely
-    sign-changing; all with nontrivial mass in the required parts."""
-    u1, u2, u3 = [np.asarray(u, dtype=float) for u in triple_fields]
-    p1, _ = plus_minus_parts(u1)
-    _, m2 = plus_minus_parts(u2)
-    p3, m3 = plus_minus_parts(u3)
-    measured = {
-        "u1_min": float(np.min(u1)),
-        "u2_max": float(np.max(u2)),
-        "u3_mass_plus": integrate(mesh, p3),
-        "u3_mass_minus": integrate(mesh, m3),
-    }
-    ok = (np.min(u1) >= 0.0 and integrate(mesh, p1) > 0.0
-          and np.max(u2) <= 0.0 and integrate(mesh, m2) > 0.0
-          and measured["u3_mass_plus"] > 0.0
-          and measured["u3_mass_minus"] > 0.0)
+    """One field of each kind, in any order: a nonnegative, a nonpositive
+    and a sign-changing one (`infer_kind`), each with nontrivial mass in
+    every part its set requires."""
+    fields = [np.asarray(u, dtype=float) for u in triple_fields]
+    kinds = [infer_kind(u) for u in fields]
+    measured = {f"u{i}_mass{which}": _part_mass(mesh, u, which)
+                for i, (u, k) in enumerate(zip(fields, kinds), start=1)
+                for which in k.active_constraints}
+    ok = (sorted(k.value for k in kinds) == [1, 2, 3]
+          and all(mass > 0.0 for mass in measured.values()))
     return CheckReport("sign_structure", ok, 0.0, measured)
 
 
@@ -168,20 +158,17 @@ def check_euler_lagrange(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
 
 def verify_fields(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                   fields, residual_tol: float = 1e-6) -> list[CheckReport]:
-    """Run the full suite on one or more fields.
+    """Run the full suite on one or more fields, in any order.
 
-    Exactly three fields are checked as K1, K2, K3 in that order, and
-    the triple-level sign-structure check runs as well; any other number
-    of fields is classified by sign.
+    Each field is checked on the set its sign gives (`infer_kind`).  Three
+    fields also get the triple-level sign-structure check, which asks for
+    one field of each kind.
     """
     fields = [np.asarray(u, dtype=float) for u in fields]
-    if len(fields) == 3:
-        kinds = [KIndex.K1, KIndex.K2, KIndex.K3]
-    else:
-        kinds = [infer_kind(u) for u in fields]
     P = LaplacePreconditioner(mesh)
     reports = []
-    for idx, (u, k) in enumerate(zip(fields, kinds), start=1):
+    for idx, u in enumerate(fields, start=1):
+        k = infer_kind(u)
         mem = check_membership(mesh, nl, params, u, k)
         chain = check_energy_chain(mesh, nl, params, u, k)
         euler = check_euler_lagrange(mesh, nl, params, u, residual_tol, P)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from pathlib import Path
@@ -261,6 +262,14 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg] + fields) == 0
         lines = capsys.readouterr().out.splitlines()
         assert any("PASS" in line for line in lines)
+
+    @pytest.mark.parametrize("names", list(itertools.permutations(
+        ("u1.csv", "u2.csv", "u3.csv"))))
+    def test_round_trip_in_any_order(self, solved, capsys, names):
+        _, cfg, out = solved
+        fields = [str(out / name) for name in names]
+        assert main(["verify", "--config", cfg] + fields) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_zeroed_field_fails(self, solved, tmp_path):
         _, cfg, out = solved

@@ -82,6 +82,19 @@ class TestConstraintPhi:
         b = constraint_phi(mesh, NL2, P2, -u, 2)
         assert np.isclose(a, b, rtol=1e-13, atol=1e-300)
 
+    @pytest.mark.parametrize("which", [0, 3])
+    def test_unknown_constraint_rejected(self, which):
+        mesh = build_mesh(2, 4)
+        w = interior_bump(mesh)
+        with pytest.raises(ValueError):
+            constraint_phi(mesh, NL2, P2, w, which)
+        with pytest.raises(ValueError):
+            constraint_scale(mesh, P2, w, which)
+        with pytest.raises(ValueError):
+            constraint_gradient(mesh, NL2, P2, w, which)
+        with pytest.raises(ValueError):
+            scale_to_manifold(mesh, NL2, P2, w, which)
+
 
 class TestFiberingCoefficients:
     def test_hat_oracle(self):

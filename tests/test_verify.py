@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,20 @@ class TestSignStructure:
         _, mesh, triple = coarse_run
         assert check_sign_structure(mesh, triple.fields()).passed
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_valid_triple_in_any_order(self, coarse_run, order):
+        _, mesh, triple = coarse_run
+        fields = triple.fields()
+        rep = check_sign_structure(mesh, [fields[i] for i in order])
+        assert rep.passed
+
+    @pytest.mark.parametrize("order", [(2, 0, 2), (1, 2, 3)])
+    def test_permuted_degenerate_triple(self, coarse_run, order):
+        _, mesh, triple = coarse_run
+        fields = (*triple.fields(), np.zeros(mesh.n_vertices))
+        rep = check_sign_structure(mesh, [fields[i] for i in order])
+        assert not rep.passed
+
     def test_missing_negative_part(self, coarse_run):
         _, mesh, triple = coarse_run
         rep = check_sign_structure(mesh, (triple.u1, triple.u2, triple.u1))
@@ -117,6 +133,17 @@ class TestSuite:
                                triple.fields(), residual_tol=1e-6)
         assert len(checks) >= 10
         assert all(c.passed for c in checks)
+
+    def test_fields_classified_by_sign(self, reference_run):
+        config, mesh, triple = reference_run
+        checks = verify_fields(mesh, config.nonlin, config.params,
+                               (triple.u3, triple.u1, triple.u2),
+                               residual_tol=1e-6)
+        assert all(c.passed for c in checks)
+        details = {c.name: c.detail for c in checks}
+        assert details["u1_membership"] == "K3"
+        assert details["u2_membership"] == "K1"
+        assert details["u3_membership"] == "K2"
 
     def test_zero_field_reported_not_raised(self):
         mesh = build_mesh(2, 8)
