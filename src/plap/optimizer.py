@@ -14,7 +14,9 @@ pass:
        with the state's constraint gradients,
     4. retract trial steps with `retract` (clip each part to its sign,
        scale it once onto its constraint) and backtrack until the Armijo
-       test holds; each retraction returns the state of its field, whose
+       test holds; the first trial is a Barzilai-Borwein step in the
+       Laplace metric (`_bb_step`) from the last two iterates and their
+       residuals, and each retraction returns the state of its field, whose
        energy comes from the scaling's term list without a new gradient
        table,
     5. keep the accepted trial's state as the next iterate; its E' and
@@ -58,7 +60,8 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
-STEP_INIT = 1.0         # first trial step, and the cap on later ones
+STEP_INIT = 1.0         # first trial step when no spectral step is defined
+STEP_MIN, STEP_MAX = 1e-3, 1e3      # clip of the spectral first trial
 ARMIJO_C = 1e-4         # sufficient-decrease fraction of the slope
 BACKTRACK = 0.5         # step factor per rejected trial
 
@@ -107,6 +110,8 @@ class SolveReport:
     projected_norm: float
     below_threshold: bool
     energy_history: tuple[float, ...]
+    step_history: tuple[float, ...] = ()      # accepted step per iteration
+    backtracks: tuple[int, ...] = ()          # rejected trials per iteration
     error: str | None = None
 
 
@@ -231,6 +236,24 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return _Iterate.scaled(mesh, nl, params, k, scaled)
 
 
+def _bb_step(s: np.ndarray, y: np.ndarray, s_norm: float, dg: np.ndarray,
+             long: bool) -> float:
+    """First trial step from the Barzilai-Borwein quotients in the metric K.
+
+    s is the change of the iterate, y that of the multiplier-free residual
+    co-vector, s_norm = ||s||_K and dg = K^-1 y the change of the
+    preconditioned residual.  `long` selects BB1 = ||s||_K^2 / <s, y>,
+    otherwise BB2 = <s, y> / ||y||_{K^-1}^2.  Without positive curvature
+    <s, y> the step is STEP_INIT; otherwise it is clipped to
+    [STEP_MIN, STEP_MAX].
+    """
+    sy = float(np.dot(s, y))
+    if not sy > 0.0:
+        return STEP_INIT
+    step = s_norm * s_norm / sy if long else sy / float(np.dot(y, dg))
+    return min(max(step, STEP_MIN), STEP_MAX)
+
+
 def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             initial: np.ndarray,
             precond: LaplacePreconditioner | None = None):
@@ -259,9 +282,10 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     P = precond if precond is not None else LaplacePreconditioner(mesh)
 
     history = [state.energy]
+    steps, backtracks = [], []
     residuals = state.relative_residuals
     max_resid = max(residuals)
-    step = STEP_INIT
+    prev = None             # (u, r_proj, g) of the previous iterate
     converged = False
     pnorm = float("inf")
     iterations = 0
@@ -285,10 +309,16 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             if slope <= 0.0:
                 error = "projected direction is not a descent direction"
                 break
-            t = step
+            if prev is None:
+                t = STEP_INIT
+            else:
+                s = state.u - prev[0]
+                t = _bb_step(s, r_proj - prev[1], P.norm(s), g - prev[2],
+                             iterations % 2 == 1)
+            prev = (state.u, r_proj, g)
             accepted = False
             lost = 0
-            for _ in range(MAX_BACKTRACKS):
+            for rejected in range(MAX_BACKTRACKS):
                 try:
                     cand = retract(mesh, nl, params, state.u - t * gt, k,
                                    tol_rel)
@@ -307,9 +337,10 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
                 break
             state = cand
             history.append(state.energy)
+            steps.append(t)
+            backtracks.append(rejected)
             residuals = state.relative_residuals
             max_resid = max(max_resid, max(residuals))
-            step = min(STEP_INIT, t / BACKTRACK)
     except _STOPS as exc:
         error = str(exc)
 
@@ -323,6 +354,8 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
         projected_norm=pnorm,
         below_threshold=state.energy < sobolev_threshold(params),
         energy_history=tuple(history),
+        step_history=tuple(steps),
+        backtracks=tuple(backtracks),
         error=error,
     )
 

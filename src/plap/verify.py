@@ -66,12 +66,27 @@ def infer_kind(u: np.ndarray) -> KIndex:
     return KIndex.K3
 
 
+def _part_scales(mesh: Mesh, params: RunParameters, u: np.ndarray,
+                 scales: dict | None) -> dict:
+    """int |grad u_s|^p of both parts, from `scales` when given."""
+    if scales is not None:
+        return scales
+    return {which: constraint_scale(mesh, params, u, which)
+            for which in (1, 2)}
+
+
 def check_membership(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                     u: np.ndarray, k: KIndex,
-                     tol_rel: float = 1e-9) -> CheckReport:
+                     u: np.ndarray, k: KIndex, tol_rel: float = 1e-9,
+                     scales: dict | None = None) -> CheckReport:
     """Sign condition (u has the sign structure of k), nontrivial part
-    mass, and constraint residual(s)."""
+    mass, and constraint residual(s).
+
+    Like the other field checks, it takes the part gradient integrals
+    {1: int |grad u_plus|^p, 2: int |grad u_minus|^p} of u as `scales`
+    when a caller has them, and measures them otherwise.
+    """
     u = np.asarray(u, dtype=float)
+    scales = _part_scales(mesh, params, u, scales)
     measured = {"min": float(np.min(u)), "max": float(np.max(u))}
     ok = infer_kind(u) is k
 
@@ -82,7 +97,7 @@ def check_membership(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
             ok = False
             continue
         resid = abs(constraint_phi(mesh, nl, params, u, which))
-        scale = constraint_scale(mesh, params, u, which)
+        scale = scales[which]
         rel = resid / scale if scale > 0.0 else float("inf")
         measured[f"phi{which}_rel"] = rel
         if not (rel <= tol_rel):
@@ -92,8 +107,8 @@ def check_membership(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
 
 
 def check_energy_chain(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                       u: np.ndarray, k: KIndex,
-                       tol_rel: float = 1e-9) -> CheckReport:
+                       u: np.ndarray, k: KIndex, tol_rel: float = 1e-9,
+                       scales: dict | None = None) -> CheckReport:
     """Three facts tied together by the active constraints:
 
     (a) sum of part gradient integrals = int |u|^p* + lam int f(u) u,
@@ -101,8 +116,8 @@ def check_energy_chain(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     (c) the energy is at most (1/k2 + 1/p) int |grad u|^p.
     """
     u = np.asarray(u, dtype=float)
-    grad_parts = sum(constraint_scale(mesh, params, u, which)
-                     for which in k.active_constraints)
+    scales = _part_scales(mesh, params, u, scales)
+    grad_parts = sum(scales[which] for which in k.active_constraints)
     f, _, _ = nonlin_eval(nl, u)
     rhs = integrate(mesh, np.abs(u) ** params.pstar) \
         + params.lam * integrate(mesh, f * u)
@@ -110,8 +125,7 @@ def check_energy_chain(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         else float("inf")
 
     E = energy(mesh, nl, params, u)
-    grad_full = sum(constraint_scale(mesh, params, u, which)
-                    for which in (1, 2))
+    grad_full = sum(scales[which] for which in (1, 2))
     bound = (1.0 / nl.k2 + 1.0 / params.p) * grad_full
 
     ok = identity_rel <= tol_rel and E > 0.0 and E <= bound
@@ -139,8 +153,8 @@ def check_sign_structure(mesh: Mesh, triple_fields) -> CheckReport:
 
 def check_euler_lagrange(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                          u: np.ndarray, tol: float,
-                         precond: LaplacePreconditioner | None = None
-                         ) -> CheckReport:
+                         precond: LaplacePreconditioner | None = None,
+                         scales: dict | None = None) -> CheckReport:
     """Preconditioned dual norm of the full energy gradient at u.
 
     The zero field passes on the residual but is flagged trivial in the
@@ -150,7 +164,8 @@ def check_euler_lagrange(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     u = np.asarray(u, dtype=float)
     P = precond if precond is not None else LaplacePreconditioner(mesh)
     norm = P.dual_norm(energy_residual(mesh, nl, params, u))
-    grad = sum(constraint_scale(mesh, params, u, which) for which in (1, 2))
+    scales = _part_scales(mesh, params, u, scales)
+    grad = sum(scales[which] for which in (1, 2))
     measured = {"residual_norm": norm, "gradient_integral": grad,
                 "trivial": float(grad == 0.0)}
     return CheckReport("euler_lagrange", norm <= tol, tol, measured)
@@ -160,18 +175,21 @@ def verify_fields(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                   fields, residual_tol: float = 1e-6) -> list[CheckReport]:
     """Run the full suite on one or more fields, in any order.
 
-    Each field is checked on the set its sign gives (`infer_kind`).  Three
-    fields also get the triple-level sign-structure check, which asks for
-    one field of each kind.
+    Each field is checked on the set its sign gives (`infer_kind`), with
+    its two part gradient integrals measured once and shared by the
+    checks.  Three fields also get the triple-level sign-structure check,
+    which asks for one field of each kind.
     """
     fields = [np.asarray(u, dtype=float) for u in fields]
     P = LaplacePreconditioner(mesh)
     reports = []
     for idx, u in enumerate(fields, start=1):
         k = infer_kind(u)
-        mem = check_membership(mesh, nl, params, u, k)
-        chain = check_energy_chain(mesh, nl, params, u, k)
-        euler = check_euler_lagrange(mesh, nl, params, u, residual_tol, P)
+        scales = _part_scales(mesh, params, u, None)
+        mem = check_membership(mesh, nl, params, u, k, scales=scales)
+        chain = check_energy_chain(mesh, nl, params, u, k, scales=scales)
+        euler = check_euler_lagrange(mesh, nl, params, u, residual_tol, P,
+                                     scales)
         for rep in (mem, chain, euler):
             reports.append(CheckReport(f"u{idx}_{rep.name}", rep.passed,
                                        rep.tolerance, rep.measured,

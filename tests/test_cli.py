@@ -153,6 +153,9 @@ class TestSolveCommand:
         assert payload["family"] == "signed"
         assert set(payload["reports"]) == {"u1", "u2", "u3"}
         assert all(rep["converged"] for rep in payload["reports"].values())
+        for rep in payload["reports"].values():
+            assert len(rep["step_history"]) == rep["iterations"] > 0
+            assert len(rep["backtracks"]) == rep["iterations"]
         assert all(c["passed"] for c in payload["checks"])
         assert payload["threshold"] > 0
 

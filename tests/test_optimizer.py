@@ -13,15 +13,44 @@ from plap.functional import (Nonlinearity, RunParameters, energy,
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import (KIndex, constraint_phi, constraint_scale,
                          fibering_coefficients)
-from plap.optimizer import (SolverConfig, descend, initial_point,
-                            lambda_sweep, reference_bump, retract,
-                            solve_three)
+from plap.optimizer import (ARMIJO_C, BACKTRACK, STEP_INIT, STEP_MAX,
+                            STEP_MIN, SolverConfig, _bb_step, descend,
+                            initial_point, lambda_sweep, reference_bump,
+                            retract, solve_three)
 from plap.verify import check_membership
 
 from conftest import _LUPreconditioner, coarse_config
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
+P3 = RunParameters(p=2.0, dim=3, lam=50.0, eps=1e-8)
+NL3 = Nonlinearity(family="signed", q=4.0, r=4.0)
+
+
+def _fixed_step_descent(mesh, config, k, initial, P):
+    """The descent with a fixed first trial t = STEP_INIT on every
+    iteration and the same Armijo backtracking, kept as the oracle for
+    the critical level the spectral step of `descend` reaches.  Returns
+    (final energy, iterations)."""
+    nl, params, tol = config.nonlin, config.params, config.constraint_tol
+    state = retract(mesh, nl, params, initial, k, tol)
+    for iterations in range(config.max_iters):
+        r = state.remove_multipliers(state.residual)
+        g = P.solve(r)
+        slope = float(np.dot(r, g))
+        if math.sqrt(max(slope, 0.0)) <= config.grad_tol:
+            return state.energy, iterations
+        gt = state.tangent_project(g)
+        t = STEP_INIT
+        for _ in range(plap.optimizer.MAX_BACKTRACKS):
+            cand = retract(mesh, nl, params, state.u - t * gt, k, tol)
+            if cand.energy <= state.energy - ARMIJO_C * t * slope:
+                break
+            t *= BACKTRACK
+        else:
+            raise AssertionError("the fixed-step line search gave up")
+        state = cand
+    raise AssertionError("the fixed-step descent reached its cap")
 
 
 class TestSolverConfig:
@@ -141,6 +170,104 @@ class TestPreconditioner:
         assert np.isclose(P.norm(v) ** 2, quad, rtol=1e-10, atol=0)
 
 
+class TestSpectralStep:
+    """`_bb_step` on the 2D res-4 mesh, whose interior stiffness is the
+    five-point stencil: the sine modes e_jk = sin(j pi x) sin(k pi y) have
+    K e_jk = (4 sin^2(j pi/8) + 4 sin^2(k pi/8)) e_jk and, on the 3 x 3
+    interior, |e_11|^2 = |e_21|^2 = 4."""
+
+    LAM11 = 4.0 - 2.0 * math.sqrt(2.0)     # 8 sin^2(pi/8)
+    LAM21 = 4.0 - math.sqrt(2.0)           # 4 sin^2(pi/4) + 4 sin^2(pi/8)
+
+    @pytest.fixture(scope="class")
+    def modes(self):
+        mesh = build_mesh(2, 4)
+        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        e11 = apply_dirichlet(mesh, np.sin(np.pi * x) * np.sin(np.pi * y))
+        e21 = apply_dirichlet(mesh,
+                              np.sin(2 * np.pi * x) * np.sin(np.pi * y))
+        return LaplacePreconditioner(mesh), e11, e21
+
+    def step(self, P, s, y, long):
+        return _bb_step(s, y, P.norm(s), P.solve(y), long)
+
+    def test_quotients_alternate(self, modes):
+        P, e11, e21 = modes
+        s, y = e11 + e21, e11 + 4.0 * e21
+        sy = 4.0 + 16.0
+        bb1 = (4.0 * self.LAM11 + 4.0 * self.LAM21) / sy
+        bb2 = sy / (4.0 / self.LAM11 + 64.0 / self.LAM21)
+        assert self.step(P, s, y, True) == pytest.approx(bb1, rel=1e-12)
+        assert self.step(P, s, y, False) == pytest.approx(bb2, rel=1e-12)
+        assert bb1 > 1.01 * bb2
+
+    def test_eigenmode_gives_its_inverse_eigenvalue(self, modes):
+        # along one mode, y = c s, both quotients are LAM / c
+        P, e11, _ = modes
+        for long in (True, False):
+            assert self.step(P, e11, 2.0 * e11, long) == pytest.approx(
+                self.LAM11 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("long", [True, False])
+    def test_no_positive_curvature_falls_back(self, modes, long):
+        P, e11, _ = modes
+        assert self.step(P, e11, -e11, long) == STEP_INIT
+        assert self.step(P, e11, np.zeros_like(e11), long) == STEP_INIT
+
+    @pytest.mark.parametrize("long", [True, False])
+    def test_clipped_at_both_ends(self, modes, long):
+        P, e11, _ = modes
+        assert self.step(P, e11, 1e-8 * e11, long) == STEP_MAX
+        assert self.step(P, e11, 1e8 * e11, long) == STEP_MIN
+
+    @pytest.mark.parametrize("k", [KIndex.K1, KIndex.K3])
+    def test_first_trial_has_no_previous_iterate(self, monkeypatch, k):
+        # the first iteration tries STEP_INIT; every later one asks the
+        # quotients, BB1 on odd iterations and BB2 on even ones, and the
+        # record holds each first trial halved once per rejection
+        config = SolverConfig(params=P3, nonlin=NL3, cells_per_side=4)
+        mesh = build_mesh(3, 4)
+        longs, trials = [], [STEP_INIT]
+
+        def recorded(s, y, s_norm, dg, long):
+            longs.append(long)
+            trials.append(_bb_step(s, y, s_norm, dg, long))
+            return trials[-1]
+
+        monkeypatch.setattr(plap.optimizer, "_bb_step", recorded)
+        _, rep = descend(mesh, config, k, initial_point(mesh, NL3, P3, k, 0))
+        assert rep.converged and any(rep.backtracks)
+        assert longs == [i % 2 == 1 for i in range(1, rep.iterations)]
+        assert rep.step_history == tuple(
+            t * BACKTRACK ** b for t, b in zip(trials, rep.backtracks))
+
+    @pytest.mark.parametrize("k, share", [(KIndex.K1, 0.5),
+                                          (KIndex.K3, 0.8)])
+    def test_same_level_in_fewer_iterations(self, k, share):
+        # q = r = 3 gives the fixed step a slow mode even at res 4: K1 takes
+        # 35 iterations and K3 20 with it, 12 and 15 with the spectral step
+        params = replace(P3, lam=20.0)
+        nl = Nonlinearity(family="signed", q=3.0, r=3.0)
+        config = SolverConfig(params=params, nonlin=nl, cells_per_side=4,
+                              max_iters=500)
+        mesh = build_mesh(3, 4)
+        P = LaplacePreconditioner(mesh)
+        u0 = initial_point(mesh, nl, params, k, config.seed)
+        want, fixed_iterations = _fixed_step_descent(mesh, config, k, u0, P)
+        _, rep = descend(mesh, config, k, u0, P)
+        assert rep.converged and rep.error is None
+        assert abs(rep.energy - want) <= 1e-10 * abs(want)
+        assert 0 < rep.iterations <= share * fixed_iterations
+
+    def test_step_record(self, reference_run):
+        _, _, triple = reference_run
+        for rep in triple.reports:
+            assert len(rep.step_history) == rep.iterations > 0
+            assert len(rep.backtracks) == rep.iterations
+            assert all(STEP_MIN <= t <= STEP_MAX for t in rep.step_history)
+            assert all(b >= 0 for b in rep.backtracks)
+
+
 class TestDescend:
     def test_monotone_convergent_run(self, coarse_run):
         config, mesh, triple = coarse_run
@@ -178,7 +305,8 @@ class TestDescend:
                               grad_tol=1e-6, max_iters=200)
         mesh = build_mesh(2, config.cells_per_side)
         u0 = initial_point(mesh, NL2, P2, k, config.seed)
-        counts = {"gradient_table": 0, "p_stiffness_vector": 0, "trials": 0}
+        counts = {"gradient_table": 0, "p_stiffness_vector": 0, "trials": 0,
+                  "solve": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -193,6 +321,8 @@ class TestDescend:
                                         counted(name, getattr(mod, name)))
         monkeypatch.setattr(plap.optimizer, "retract",
                             counted("trials", plap.optimizer.retract))
+        monkeypatch.setattr(LaplacePreconditioner, "solve",
+                            counted("solve", LaplacePreconditioner.solve))
         _, rep = descend(mesh, config, k, u0)
         assert rep.error is None and rep.iterations > 0
         parts = len(k.active_constraints)
@@ -200,6 +330,8 @@ class TestDescend:
         assert counts["trials"] >= rep.iterations
         assert counts["gradient_table"] <= parts * counts["trials"]
         assert counts["p_stiffness_vector"] <= scatters_per_pass * passes
+        # the spectral step reads the solve each pass already makes
+        assert counts["solve"] <= passes
 
     @pytest.mark.parametrize("params, nl, m, k", [
         (P2, NL2, 8, KIndex.K1),
@@ -263,8 +395,12 @@ class TestDescend:
         assert len(calls) >= len(rep.energy_history) > 1
         assert len(lost) == 1
 
-    def test_stalled_descent_returns_its_last_iterate(self):
-        # p < 2 on a coarse mesh: the K3 line search stalls before the cap
+    def test_stalled_descent_returns_its_last_iterate(self, monkeypatch):
+        # p < 2 on a coarse mesh the K3 descent chatters at the sign
+        # interface, and some of its iterations accept only the sixth trial
+        # or a later one; a line search of 5 trials gives up at the first
+        # of them, before the cap
+        monkeypatch.setattr(plap.optimizer, "MAX_BACKTRACKS", 5)
         config = SolverConfig(
             params=RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8),
             nonlin=Nonlinearity(family="signed", q=2.5, r=2.5),
@@ -273,7 +409,9 @@ class TestDescend:
         triple = solve_three(config, mesh)
         rep = triple.reports[2]
         assert rep.error is not None and not rep.converged
+        assert rep.error == "no acceptable step in 5 backtracks"
         assert 0 < rep.iterations < config.max_iters
+        assert len(rep.step_history) == len(rep.backtracks) == rep.iterations
         assert rep.energy_history[-1] == rep.energy
         assert np.isfinite(rep.max_constraint_residual)
         E3 = energy(mesh, config.nonlin, config.params, triple.u3)
@@ -303,6 +441,7 @@ class TestDescend:
         u, rep = descend(mesh, config, KIndex.K1, u0)
         assert rep.error == error and not rep.converged
         assert rep.iterations == len(rep.energy_history) - 1 > 0
+        assert len(rep.step_history) == len(rep.backtracks) == rep.iterations
         assert rep.energy_history[-1] == rep.energy
         assert abs(energy(mesh, nl, params, u) - rep.energy) <= (
             1e-12 * abs(rep.energy))

@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import plap.verify
 from plap.functional import Nonlinearity, RunParameters
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import KIndex
 from plap.optimizer import initial_point
-from plap.verify import (check_energy_chain, check_euler_lagrange,
-                         check_membership, check_sign_structure, infer_kind,
-                         verify_fields)
+from plap.verify import (CheckReport, check_energy_chain,
+                         check_euler_lagrange, check_membership,
+                         check_sign_structure, infer_kind, verify_fields)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -144,6 +145,37 @@ class TestSuite:
         assert details["u1_membership"] == "K3"
         assert details["u2_membership"] == "K1"
         assert details["u3_membership"] == "K2"
+
+    def test_part_scales_measured_once_per_field(self, reference_run,
+                                                  monkeypatch):
+        # the checks share each field's two part gradient integrals and
+        # report what the standalone checks report
+        config, mesh, triple = reference_run
+        nl, params = config.nonlin, config.params
+        fields = (triple.u3, triple.u1, triple.u2)
+        P = LaplacePreconditioner(mesh)
+        want = []
+        for idx, u in enumerate(fields, start=1):
+            k = infer_kind(u)
+            for rep in (check_membership(mesh, nl, params, u, k),
+                        check_energy_chain(mesh, nl, params, u, k),
+                        check_euler_lagrange(mesh, nl, params, u, 1e-6, P)):
+                want.append(CheckReport(f"u{idx}_{rep.name}", rep.passed,
+                                        rep.tolerance, rep.measured,
+                                        rep.detail))
+        want.append(check_sign_structure(mesh, fields))
+
+        scale = plap.verify.constraint_scale
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return scale(*args)
+
+        monkeypatch.setattr(plap.verify, "constraint_scale", counted)
+        got = verify_fields(mesh, nl, params, fields, residual_tol=1e-6)
+        assert len(calls) <= 2 * len(fields)
+        assert got == want
 
     def test_zero_field_reported_not_raised(self):
         mesh = build_mesh(2, 8)
