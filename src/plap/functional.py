@@ -98,6 +98,11 @@ class Nonlinearity:
             )
 
     @property
+    def odd(self) -> bool:
+        """f(-u) = -f(u), so E(-u) = E(u) and K2 = -K1."""
+        return self.family == "signed"
+
+    @property
     def k2(self) -> float:
         """Growth: k2 F(u) <= f(u) u."""
         return self.r

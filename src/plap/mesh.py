@@ -8,9 +8,11 @@ vertex weights used by the nodal quadrature rule
 
 and the P1 gradient as one sparse operator G (and its transpose), whose
 row (T, k) holds the k-th partial derivative of each hat function of T.
-Every P1 kernel is a sparse product with it: the gradient table of u is
-G u, a p-stiffness co-vector is G^T applied to volume-weighted gradients,
-and the Laplace stiffness is G^T diag(vol) G.
+Only two hat functions of a grid simplex vary along each axis, so a row
+of G has two nonzero entries, and G stores no zeros.  Every P1 kernel is
+a sparse product with it: the gradient table of u is G u, a p-stiffness
+co-vector is G^T applied to volume-weighted gradients, and the Laplace
+stiffness is G^T diag(vol) G.
 
 On the uniform grid that stiffness, restricted to the interior vertices,
 is the 5-point (2D) or 7-point (3D) stencil, a sum over axes of the
@@ -60,14 +62,18 @@ class Mesh:
         Vertex indices; 2 triangles per square cell, 6 tetrahedra per cube.
     volumes : ndarray, shape (n_simplices,)
     shape_gradients : ndarray, shape (n_simplices, dim+1, dim)
-        Gradient of each vertex hat function restricted to the simplex; a
-        read-only view of `grad_op.data`.
+        Gradient of each vertex hat function restricted to the simplex,
+        zeros included; its nonzero entries are those `grad_op` stores.
     boundary : ndarray of bool, shape (n_vertices,)
     lumped_mass : ndarray, shape (n_vertices,)
         Vertex weights of the nodal quadrature rule; sums to 1.
     grad_op : scipy.sparse.csr_array, shape (n_simplices*dim, n_vertices)
         P1 gradient operator: row s*dim + k holds d(phi_i)/dx_k of simplex
         s at column simplices[s, i], so `grad_op @ u` is the gradient table.
+        Zeros are not stored, which leaves two entries per row.  On some
+        grids whose spacing is not a power of two (3D res 6, for one), the
+        edge-matrix inversion leaves round-off residues of a few 1e-16 in
+        place of some zeros, and those rows store them too.
     grad_op_t : scipy.sparse.csr_array, shape (n_vertices, n_simplices*dim)
         The transpose of `grad_op`, stored once as CSR.
     """
@@ -161,14 +167,21 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
 
     # Row (s, k) of the gradient operator lists d(phi_i)/dx_k for i = 0..dim.
-    grad_op = _frozen_csr(sparse.csr_array(
+    # A grid simplex steps along each axis once, so only the two hat
+    # functions at the ends of the step along x_k vary in x_k: the other
+    # dim - 1 entries of the row vanish and are not stored.  (Inversion
+    # round-off can leave a residue in their place on some grids whose
+    # spacing is not a power of two; it is kept, so the products are those
+    # of the full table.)
+    grad_op = sparse.csr_array(
         (grads.transpose(0, 2, 1).ravel(),
          np.repeat(simplices, dim, axis=0).ravel(),
          np.arange(0, ns * dim * nloc + 1, nloc)),
         shape=(ns * dim, vertices.shape[0]),
-    ))
+    )
+    grad_op.eliminate_zeros()
+    grad_op = _frozen_csr(grad_op)
     grad_op_t = _frozen_csr(grad_op.T.tocsr())
-    shape_gradients = grad_op.data.reshape(ns, dim, nloc).transpose(0, 2, 1)
 
     boundary = np.zeros(vertices.shape[0], dtype=bool)
     for k in range(dim):
@@ -178,10 +191,10 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     np.add.at(lumped, simplices.ravel(),
               np.repeat(volumes / (dim + 1), dim + 1))
 
-    for arr in (vertices, simplices, volumes, shape_gradients, boundary, lumped):
+    for arr in (vertices, simplices, volumes, grads, boundary, lumped):
         arr.flags.writeable = False
 
-    return Mesh(dim, m, vertices, simplices, volumes, shape_gradients,
+    return Mesh(dim, m, vertices, simplices, volumes, grads,
                 boundary, lumped, grad_op, grad_op_t)
 
 

@@ -28,6 +28,12 @@ case it returns its last iterate with the report of that iterate.  Each
 accepted iterate is on its constraint set up to the retraction
 tolerance, so the recorded energies decrease monotonically along the
 constrained path.
+
+`solve_three` and `lambda_sweep` descend on K1, K2 and K3 in turn.  When
+f is odd, E(-u) = E(u) and K2 = -K1, and the K2 start is the negated K1
+start, so the K2 descent is the K1 descent negated to the last bit: it
+is not run, and u2 is the negation of u1 with a report marked
+`mirror_of="K1"`, unless the K1 descent stopped on an error.
 """
 
 from __future__ import annotations
@@ -113,6 +119,7 @@ class SolveReport:
     step_history: tuple[float, ...] = ()      # accepted step per iteration
     backtracks: tuple[int, ...] = ()          # rejected trials per iteration
     error: str | None = None
+    mirror_of: str | None = None    # kind whose descent this one negates
 
 
 @dataclass(frozen=True)
@@ -360,19 +367,41 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     )
 
 
+def _descend_three(mesh: Mesh, config: SolverConfig, shapes,
+                   P: LaplacePreconditioner):
+    """Descend on K1, K2 and K3 from `shapes[k]`; returns the three
+    (field, report) pairs.
+
+    For odd f, E(-u) = E(u), and the K2 shape is the exact negation of
+    the K1 shape, so the K2 descent would retrace K1's, negated, bit for
+    bit.  It is not run: u2 is 0 - u1 (which, unlike -u1, writes +0 where
+    u1 vanishes, as the descent does) and its report is K1's with kind K2
+    and `mirror_of="K1"`.  A K1 descent that stopped on an error is not
+    mirrored: error texts name the sign of a part ("part of sign +1"),
+    so K2 runs its own descent and reports its own error.
+    """
+    u1, rep1 = descend(mesh, config, KIndex.K1, shapes[KIndex.K1], P)
+    if config.nonlin.odd and rep1.error is None:
+        second = (0.0 - u1, replace(rep1, kind=KIndex.K2.name,
+                                    mirror_of=KIndex.K1.name))
+    else:
+        second = descend(mesh, config, KIndex.K2, shapes[KIndex.K2], P)
+    return ((u1, rep1), second,
+            descend(mesh, config, KIndex.K3, shapes[KIndex.K3], P))
+
+
 def solve_three(config: SolverConfig, mesh: Mesh | None = None) -> SolutionTriple:
-    """Minimize on K1, K2 and K3 and return the three fields with reports."""
+    """Minimize on K1, K2 and K3 and return the three fields with reports.
+
+    When f is odd and the K1 descent ends without an error, u2 is the
+    negation of u1 and no K2 descent runs (see `_descend_three`).
+    """
     if mesh is None:
         mesh = build_mesh(config.params.dim, config.cells_per_side)
-    P = LaplacePreconditioner(mesh)
-    fields = []
-    reports = []
-    for k in (KIndex.K1, KIndex.K2, KIndex.K3):
-        u, rep = descend(mesh, config, k,
-                         _initial_shape(mesh, k, config.seed), P)
-        fields.append(u)
-        reports.append(rep)
-    triple = SolutionTriple(fields[0], fields[1], fields[2], tuple(reports))
+    shapes = {k: _initial_shape(mesh, k, config.seed) for k in KIndex}
+    fields, reports = zip(*_descend_three(mesh, config, shapes,
+                                          LaplacePreconditioner(mesh)))
+    triple = SolutionTriple(*fields, reports)
     if all(rep.error is None for rep in reports):
         triple.validate_distinct()
     return triple
@@ -388,7 +417,9 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
     coupling value.  Couplings must be positive and strictly increasing.
     Only a converged descent gives a critical level: one that stops
     without converging (at the iteration cap or on an error) is recorded
-    as a nan level and a None threshold flag."""
+    as a nan level and a None threshold flag.  As in `solve_three`, the
+    K2 level of an odd f is K1's, with no K2 descent, unless K1 stopped
+    on an error."""
     lams = [float(x) for x in lambdas]
     if not lams:
         raise ConfigurationError("lambda sweep needs at least one value")
@@ -413,8 +444,7 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
             t_lam = float("nan")
         energies = []
         flags = []
-        for k in (KIndex.K1, KIndex.K2, KIndex.K3):
-            _, rep = descend(mesh, cfg, k, shapes[k], P)
+        for _, rep in _descend_three(mesh, cfg, shapes, P):
             if rep.converged:
                 energies.append(rep.energy)
                 flags.append(rep.below_threshold)

@@ -159,6 +159,17 @@ class TestSolveCommand:
         assert all(c["passed"] for c in payload["checks"])
         assert payload["threshold"] > 0
 
+    def test_nonpositive_field_is_the_k1_mirror(self, solved):
+        _, _, out = solved
+        # a negated zero would be written as -0
+        lines = (out / "u2.csv").read_text().splitlines()
+        assert not any(line.endswith(",-0") for line in lines)
+        assert sum(line.endswith(",0") for line in lines) > 0
+        reports = json.loads((out / "triple.json").read_text())["reports"]
+        assert reports["u2"]["mirror_of"] == "K1"
+        assert reports["u1"]["mirror_of"] is None
+        assert reports["u3"]["mirror_of"] is None
+
     def test_field_csv_parses_back(self, solved):
         _, _, out = solved
         mesh = build_mesh(3, 8)

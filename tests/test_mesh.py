@@ -209,12 +209,21 @@ def test_build_matches_cell_loop(dim, m):
 
 @pytest.mark.parametrize("dim,m", [(2, 5), (3, 4)])
 def test_gradient_operator_layout(dim, m):
+    # G stores no zeros: along each axis only the two hat functions at the
+    # ends of a simplex's step in that axis vary
     mesh = build_mesh(dim, m)
     G = mesh.grad_op
     assert G.shape == (mesh.n_simplices * dim, mesh.n_vertices)
-    assert np.array_equal(G.indices.reshape(mesh.n_simplices, dim, dim + 1),
-                          np.repeat(mesh.simplices[:, None, :], dim, axis=1))
-    assert np.shares_memory(mesh.shape_gradients, G.data)
+    assert np.all(G.data != 0.0)
+    assert np.all(np.diff(G.indptr) == 2)
+    # oracle: the full table, zeros included, assembled through COO
+    ns, nloc, _ = mesh.shape_gradients.shape
+    coo = sparse.coo_array(
+        (mesh.shape_gradients.transpose(0, 2, 1).ravel(),
+         (np.repeat(np.arange(ns * dim), nloc),
+          np.repeat(mesh.simplices, dim, axis=0).ravel())),
+        shape=G.shape)
+    assert np.array_equal(G.toarray(), coo.toarray())
     assert (mesh.grad_op_t != G.T).nnz == 0
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import plap.functional
 import plap.nehari
 import plap.optimizer
+from plap.cli import load_config
 from plap.errors import ConfigurationError, LostSignError, NoRootError
 from plap.functional import (Nonlinearity, RunParameters, energy,
                              sobolev_threshold)
@@ -14,9 +16,9 @@ from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import (KIndex, constraint_phi, constraint_scale,
                          fibering_coefficients)
 from plap.optimizer import (ARMIJO_C, BACKTRACK, STEP_INIT, STEP_MAX,
-                            STEP_MIN, SolverConfig, _bb_step, descend,
-                            initial_point, lambda_sweep, reference_bump,
-                            retract, solve_three)
+                            STEP_MIN, SolverConfig, _bb_step, _initial_shape,
+                            descend, initial_point, lambda_sweep,
+                            reference_bump, retract, solve_three)
 from plap.verify import check_membership
 
 from conftest import _LUPreconditioner, coarse_config
@@ -484,6 +486,64 @@ class TestSolveThree:
         assert triple.reports == again.reports
 
 
+def _spy_descend(monkeypatch):
+    """Record the kind of every descent `plap.optimizer` runs."""
+    kinds = []
+    real = plap.optimizer.descend
+
+    def spy(mesh, config, k, *args):
+        kinds.append(k.name)
+        return real(mesh, config, k, *args)
+
+    monkeypatch.setattr(plap.optimizer, "descend", spy)
+    return kinds
+
+
+class TestK2Mirror:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("params, nl, m", [(P2, NL2, 6), (P3, NL3, 4)])
+    def test_mirror_is_the_k2_descent(self, monkeypatch, params, nl, m,
+                                      seed):
+        # oracle: the K2 descent itself, from its own start
+        config = SolverConfig(params=params, nonlin=nl, cells_per_side=m,
+                              seed=seed)
+        mesh = build_mesh(params.dim, m)
+        P = LaplacePreconditioner(mesh)
+        u2, rep2 = descend(mesh, config, KIndex.K2,
+                           _initial_shape(mesh, KIndex.K2, seed), P)
+        kinds = _spy_descend(monkeypatch)
+        triple = solve_three(config, mesh)
+        assert kinds == ["K1", "K3"]
+        assert np.array_equal(triple.u2, u2)
+        assert np.array_equal(np.signbit(triple.u2), np.signbit(u2))
+        assert triple.reports[1] == replace(rep2, mirror_of="K1")
+        assert triple.reports[0].mirror_of is None
+        assert triple.reports[2].mirror_of is None
+
+    def test_pospart_runs_its_own_k2_descent(self, monkeypatch):
+        config = replace(coarse_config(), nonlin=Nonlinearity(
+            family="pospart", q=3.0, r=3.0))
+        kinds = _spy_descend(monkeypatch)
+        triple = solve_three(config)
+        assert kinds == ["K1", "K2", "K3"]
+        assert all(rep.mirror_of is None for rep in triple.reports)
+
+    def test_k1_error_runs_its_own_k2_descent(self, monkeypatch):
+        # no line-search trial at all: every descent stops on its first
+        # iteration with an error
+        monkeypatch.setattr(plap.optimizer, "MAX_BACKTRACKS", 0)
+        config = coarse_config()
+        mesh = build_mesh(2, config.cells_per_side)
+        u2, rep2 = descend(mesh, config, KIndex.K2,
+                           _initial_shape(mesh, KIndex.K2, config.seed))
+        kinds = _spy_descend(monkeypatch)
+        triple = solve_three(config, mesh)
+        assert kinds == ["K1", "K2", "K3"]
+        assert triple.reports[0].error is not None
+        assert triple.reports[1] == rep2 and rep2.mirror_of is None
+        assert np.array_equal(triple.u2, u2)
+
+
 class TestLambdaSweep:
     def test_rows_and_monotone_scaling(self):
         config = coarse_config()
@@ -513,6 +573,34 @@ class TestLambdaSweep:
                 assert np.isnan(c)
             assert (row.threshold1, row.threshold2,
                     row.threshold3) == (None, None, None)
+
+    def test_sweep_script_rows(self, monkeypatch):
+        # rows of scripts/sweep.cfg recorded with a K2 descent of its own
+        # at every coupling; the sweep now runs K1 and K3 only
+        recorded = [
+            (1.0, 1.8979829976925324, 2.216122522406975, 4.593440376281563,
+             True, True, False),
+            (2.0, 1.7286697412758265, 2.044281176634273, 4.254022318137791,
+             True, True, False),
+            (4.0, 1.4155530625002701, 1.9155995366503982, 3.653033844229766,
+             True, True, False),
+            (8.0, 0.9944077968130882, 1.0821463652038696,
+             2.7265453143725527, True, True, True),
+            (16.0, 0.6402846961720454, 0.5527085307987462,
+             1.661301219757605, True, True, True),
+        ]
+        cfg = load_config(Path(__file__).resolve().parents[1] / "scripts"
+                          / "sweep.cfg")
+        kinds = _spy_descend(monkeypatch)
+        rows = lambda_sweep(cfg.solver, cfg.lambda_list)
+        assert kinds == ["K1", "K3"] * len(recorded)
+        assert len(rows) == len(recorded)
+        for row, (lam, t, c12, c3, *flags) in zip(rows, recorded):
+            assert row.lam == lam
+            assert row.c1 == row.c2
+            for got, want in ((row.t_lambda, t), (row.c1, c12), (row.c3, c3)):
+                assert abs(got - want) <= 1e-10 * abs(want)
+            assert [row.threshold1, row.threshold2, row.threshold3] == flags
 
     @pytest.mark.parametrize("lams", [[], [2.0, 1.0], [-1.0], [1.0, 1.0],
                                       [1.0, math.inf], [math.nan]])
