@@ -146,9 +146,16 @@ def _read_field_csv(path: Path, mesh) -> np.ndarray:
             f"{path}: {rows.shape[0]} rows for a mesh with "
             f"{mesh.n_vertices} vertices"
         )
-    if not np.allclose(rows[:, : mesh.dim], mesh.vertices, atol=1e-12):
+    if not np.allclose(rows[:, : mesh.dim], mesh.vertices, rtol=0, atol=1e-12):
         raise ConfigurationError(f"{path}: vertex coordinates do not match mesh")
-    return rows[:, mesh.dim]
+    values = rows[:, mesh.dim]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # line numbers count the header
+        raise ConfigurationError(
+            f"{path}, line {bad[0] + 2}: non-finite field value {values[bad[0]]}"
+        )
+    return values
 
 
 def cmd_solve(cfg: RunConfig) -> int:

@@ -8,11 +8,21 @@ vertex weights used by the nodal quadrature rule
 
 and the P1 gradient as one sparse operator G (and its transpose), whose
 row (T, k) holds the k-th partial derivative of each hat function of T.
-Only two hat functions of a grid simplex vary along each axis, so a row
-of G has two nonzero entries, and G stores no zeros.  Every P1 kernel is
-a sparse product with it: the gradient table of u is G u, a p-stiffness
-co-vector is G^T applied to volume-weighted gradients, and the Laplace
-stiffness is G^T diag(vol) G.
+
+Each square cell holds 2 triangles and each cube cell 6 tetrahedra, one
+per path from the cell's origin corner to its opposite corner (Kuhn,
+IBM J. Res. Dev. 4, 1960).  Every simplex is thus a translate of one of
+2 or 6 integer templates scaled by h = 1/m, and its geometry is the
+template's: the volume is h^dim / dim!, and each hat gradient is m times
+an integer vector with entries -1, 0 and 1.  These are computed once per
+template, so the gradients are exact, the volume is rounded once, and no
+per-simplex algebra is needed.  Only two hat functions of a grid simplex
+vary along each axis, so a row of G has two entries, -m and +m, and G
+stores no zeros.
+
+Every P1 kernel is a sparse product with G: the gradient table of u is
+G u, a p-stiffness co-vector is G^T applied to volume-weighted gradients,
+and the Laplace stiffness is G^T diag(vol) G.
 
 On the uniform grid that stiffness, restricted to the interior vertices,
 is the 5-point (2D) or 7-point (3D) stencil, a sum over axes of the
@@ -29,6 +39,7 @@ fields are integrated exactly and nodal nonlinearities at second order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +81,8 @@ class Mesh:
     grad_op : scipy.sparse.csr_array, shape (n_simplices*dim, n_vertices)
         P1 gradient operator: row s*dim + k holds d(phi_i)/dx_k of simplex
         s at column simplices[s, i], so `grad_op @ u` is the gradient table.
-        Zeros are not stored, which leaves two entries per row.  On some
-        grids whose spacing is not a power of two (3D res 6, for one), the
-        edge-matrix inversion leaves round-off residues of a few 1e-16 in
-        place of some zeros, and those rows store them too.
+        Zeros are not stored, which leaves exactly two entries per row,
+        -m and +m (m = cells_per_side), at every resolution.
     grad_op_t : scipy.sparse.csr_array, shape (n_vertices, n_simplices*dim)
         The transpose of `grad_op`, stored once as CSR.
     """
@@ -107,25 +116,19 @@ def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _cell_simplices(dim: int, m: int) -> np.ndarray:
-    """Vertex indices of the simplices of the grid, cell by cell in
-    lexicographic order, from the corner offsets of one cell."""
-    side = m + 1
-    strides = side ** np.arange(dim - 1, -1, -1)
+def _cell_corners(dim: int) -> np.ndarray:
+    """Integer corner offsets of the simplices of one grid cell, shape
+    (simplices per cell, dim+1, dim).  Every simplex of the grid is one
+    of these templates, scaled by h = 1/m and translated to its cell."""
     if dim == 2:
-        corners = np.array([[(0, 0), (1, 0), (1, 1)],
-                            [(0, 0), (1, 1), (0, 1)]])
-    else:
-        # one tetrahedron per axis permutation: the path from the cell's
-        # origin corner to its opposite corner, one axis step at a time
-        steps = np.eye(3, dtype=np.int64)[sorted(itertools.permutations(range(3)))]
-        corners = np.concatenate(
-            [np.zeros((len(steps), 1, 3), dtype=np.int64),
-             np.cumsum(steps, axis=1)], axis=1)
-    offsets = corners @ strides                       # (per cell, dim+1)
-    origin = np.stack(np.meshgrid(*[np.arange(m)] * dim, indexing="ij"),
-                      axis=-1).reshape(-1, dim) @ strides
-    return (origin[:, None, None] + offsets).reshape(-1, dim + 1)
+        return np.array([[(0, 0), (1, 0), (1, 1)],
+                         [(0, 0), (1, 1), (0, 1)]])
+    # one tetrahedron per axis permutation: the path from the cell's
+    # origin corner to its opposite corner, one axis step at a time
+    steps = np.eye(3, dtype=np.int64)[sorted(itertools.permutations(range(3)))]
+    return np.concatenate(
+        [np.zeros((len(steps), 1, 3), dtype=np.int64),
+         np.cumsum(steps, axis=1)], axis=1)
 
 
 def _frozen_csr(mat: sparse.csr_array) -> sparse.csr_array:
@@ -140,6 +143,10 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     Squares are split into 2 triangles along the (0,0)-(1,1) diagonal;
     cubes into 6 tetrahedra (one per axis permutation, all sharing the
     main diagonal), which keeps the triangulation conforming.
+
+    Every simplex is a translate of one cell template scaled by h = 1/m,
+    so its geometry is that of the template, taken from the integer grid
+    with no per-simplex linear algebra.
     """
     if dim not in (2, 3):
         raise ConfigurationError(f"dim must be 2 or 3, got {dim}")
@@ -148,48 +155,44 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
         raise ConfigurationError(f"cells_per_side must be >= 1, got {cells_per_side}")
 
     side = m + 1
-    axes = [np.linspace(0.0, 1.0, side)] * dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    vertices = np.stack([g.ravel() for g in grids], axis=1)
-    simplices = _cell_simplices(dim, m)
-    ns, nloc = simplices.shape
+    strides = side ** np.arange(dim - 1, -1, -1)
+    index = np.indices((side,) * dim).reshape(dim, -1).T   # grid index per vertex
+    vertices = np.linspace(0.0, 1.0, side)[index]
+    boundary = ((index == 0) | (index == m)).any(axis=1)
 
-    # Per-simplex geometry: edge matrix E rows are x_i - x_0; the hat-function
-    # gradients for vertices 1..dim are the columns of inv(E), and vertex 0
-    # carries minus their sum so each row block sums to zero.
-    coords = vertices[simplices]                       # (ns, dim+1, dim)
-    edges = coords[:, 1:, :] - coords[:, :1, :]        # (ns, dim, dim)
-    dets = np.linalg.det(edges)
-    volumes = np.abs(dets) / np.prod(range(1, dim + 1))
-    inv_edges = np.linalg.inv(edges)                   # (ns, dim, dim)
-    grads = np.empty((ns, nloc, dim))
-    grads[:, 1:, :] = np.transpose(inv_edges, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    corners = _cell_corners(dim)
+    offsets = corners @ strides                      # (per cell, dim+1)
+    origin = np.indices((m,) * dim).reshape(dim, -1).T @ strides
+    simplices = (origin[:, None, None] + offsets).reshape(-1, dim + 1)
+    ns, n_cells = simplices.shape[0], origin.shape[0]
 
-    # Row (s, k) of the gradient operator lists d(phi_i)/dx_k for i = 0..dim.
-    # A grid simplex steps along each axis once, so only the two hat
-    # functions at the ends of the step along x_k vary in x_k: the other
-    # dim - 1 entries of the row vanish and are not stored.  (Inversion
-    # round-off can leave a residue in their place on some grids whose
-    # spacing is not a power of two; it is kept, so the products are those
-    # of the full table.)
-    grad_op = sparse.csr_array(
-        (grads.transpose(0, 2, 1).ravel(),
-         np.repeat(simplices, dim, axis=0).ravel(),
-         np.arange(0, ns * dim * nloc + 1, nloc)),
+    # Hat gradients of a template in grid units: the columns of the inverse
+    # edge matrix (rows x_i - x_0) for vertices 1..dim, and minus their sum
+    # for vertex 0.  The edge matrices are unimodular, so the inverse is an
+    # integer matrix and rounding recovers it exactly.
+    edges = corners[:, 1:, :] - corners[:, :1, :]
+    unit = np.empty(corners.shape, dtype=np.int64)   # entries -1, 0, 1
+    unit[:, 1:, :] = np.rint(np.linalg.inv(edges)).astype(np.int64).transpose(0, 2, 1)
+    unit[:, 0, :] = -unit[:, 1:, :].sum(axis=1)
+    grads = np.tile(m * unit.astype(float), (n_cells, 1, 1))
+    volumes = np.full(ns, 1.0 / (m ** dim * math.factorial(dim)))
+
+    # Row (s, k) of the gradient operator holds d(phi_i)/dx_k.  A grid
+    # simplex steps along each axis once, so only the hat functions at the
+    # two ends of the step along x_k vary in x_k, with -m and +m: every row
+    # stores exactly two entries, in local vertex order.
+    tmpl, k, local = np.nonzero(unit.transpose(0, 2, 1))
+    grad_op = _frozen_csr(sparse.csr_array(
+        (np.tile(m * unit[tmpl, local, k].astype(float), n_cells),
+         (origin[:, None] + offsets[tmpl, local]).ravel(),
+         np.arange(0, 2 * ns * dim + 1, 2)),
         shape=(ns * dim, vertices.shape[0]),
-    )
-    grad_op.eliminate_zeros()
-    grad_op = _frozen_csr(grad_op)
+    ))
     grad_op_t = _frozen_csr(grad_op.T.tocsr())
 
-    boundary = np.zeros(vertices.shape[0], dtype=bool)
-    for k in range(dim):
-        boundary |= np.isclose(vertices[:, k], 0.0) | np.isclose(vertices[:, k], 1.0)
-
-    lumped = np.zeros(vertices.shape[0])
-    np.add.at(lumped, simplices.ravel(),
-              np.repeat(volumes / (dim + 1), dim + 1))
+    # a vertex's weight is vol/(dim+1) from each simplex that holds it
+    lumped = (np.bincount(simplices.ravel(), minlength=vertices.shape[0])
+              / (m ** dim * math.factorial(dim + 1)))
 
     for arr in (vertices, simplices, volumes, grads, boundary, lumped):
         arr.flags.writeable = False

@@ -302,6 +302,31 @@ class TestVerifyCommand:
         clipped.write_text("\n".join(lines[:-3]) + "\n")
         assert main(["verify", "--config", cfg, str(clipped)]) == 2
 
+    def test_shifted_vertex_exits_2(self, solved, tmp_path, capsys):
+        # far inside a relative tolerance of 1e-5, far outside 1e-12
+        _, cfg, out = solved
+        lines = (out / "u1.csv").read_text().splitlines()
+        cols = lines[300].split(",")
+        cols[1] = f"{float(cols[1]) + 1e-9:.17g}"
+        lines[300] = ",".join(cols)
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--config", cfg, str(shifted)]) == 2
+        assert "vertex coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_2(self, solved, tmp_path, capsys, value):
+        _, cfg, out = solved
+        lines = (out / "u1.csv").read_text().splitlines()
+        for i in (300, 400):
+            lines[i] = ",".join(lines[i].split(",")[:-1] + [value])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--config", cfg, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}, line 301: non-finite" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
     def test_no_fields_exits_2(self, solved):
         _, cfg, _ = solved
         assert main(["verify", "--config", cfg]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -200,14 +201,35 @@ def _loop_mesh(dim, m):
 @pytest.mark.parametrize("dim,m", [(2, m) for m in range(1, 6)]
                          + [(3, m) for m in range(1, 5)])
 def test_build_matches_cell_loop(dim, m):
+    # the combinatorics match the loop exactly; the geometry is exact, so it
+    # matches the loop's inv/det up to the loop's own round-off
     mesh = build_mesh(dim, m)
-    for name, want in _loop_mesh(dim, m).items():
-        got = getattr(mesh, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
+    want = _loop_mesh(dim, m)
+    for name in want:
+        assert getattr(mesh, name).dtype == want[name].dtype, name
+    for name in ("vertices", "simplices", "boundary"):
+        assert np.array_equal(getattr(mesh, name), want[name]), name
+    vol = 1.0 / (m ** dim * math.factorial(dim))
+    assert np.all(mesh.volumes == vol)
+    assert np.allclose(mesh.volumes, want["volumes"], rtol=1e-15, atol=0)
+    unit = mesh.shape_gradients / m
+    assert np.array_equal(unit, np.rint(unit))
+    assert set(np.unique(unit)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(mesh.shape_gradients, m * unit)
+    assert np.allclose(mesh.shape_gradients, want["shape_gradients"],
+                       rtol=0, atol=1e-15 * m)
+    # a vertex's weight is vol/(dim+1) from each simplex that holds it,
+    # rounded once; the loop sums up to 24 inexact shares and lands up to
+    # 1.1e-15 (5 ulp) off at 3D res 4
+    count = np.bincount(mesh.simplices.ravel(), minlength=mesh.n_vertices)
+    assert np.array_equal(mesh.lumped_mass,
+                          count / (m ** dim * math.factorial(dim + 1)))
+    assert np.allclose(mesh.lumped_mass, want["lumped_mass"],
+                       rtol=2e-15, atol=0)
+    assert abs(mesh.lumped_mass.sum() - 1.0) <= 1e-15
 
 
-@pytest.mark.parametrize("dim,m", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("dim,m", [(2, 5), (3, 4), (2, 17), (3, 6)])
 def test_gradient_operator_layout(dim, m):
     # G stores no zeros: along each axis only the two hat functions at the
     # ends of a simplex's step in that axis vary
@@ -225,6 +247,17 @@ def test_gradient_operator_layout(dim, m):
         shape=G.shape)
     assert np.array_equal(G.toarray(), coo.toarray())
     assert (mesh.grad_op_t != G.T).nnz == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gradient_operator_rows_are_exact(dim):
+    # every row of G is one axis step of one simplex: -m and +m, at every
+    # resolution, with no round-off residue in place of a zero
+    for m in range(1, 13):
+        G = build_mesh(dim, m).grad_op
+        assert np.all(np.diff(G.indptr) == 2), m
+        assert np.array_equal(np.sort(G.data.reshape(-1, 2), axis=1),
+                              np.tile([-float(m), float(m)], (G.shape[0], 1))), m
 
 
 @pytest.mark.parametrize("dim,m", [(2, 5), (3, 4)])
@@ -263,7 +296,8 @@ def _axis_stencil(dim, m):
     return S
 
 
-@pytest.mark.parametrize("dim,m", [(2, 3), (2, 4), (3, 3), (3, 4)])
+@pytest.mark.parametrize("dim,m", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5),
+                                   (3, 6), (3, 7), (2, 12), (3, 12)])
 def test_stiffness_is_the_axis_stencil(dim, m):
     mesh = build_mesh(dim, m)
     K = laplace_stiffness(mesh)
@@ -275,16 +309,15 @@ def test_stiffness_is_the_axis_stencil(dim, m):
     interior = ~mesh.boundary
     scale = 2 * dim * m ** (2 - dim)
     assert np.max(np.abs(dense[interior] - S[interior])) <= 1e-14 * scale
-    if m == 4:
-        # h is a power of two: the off-stencil entries cancel exactly
-        assert np.array_equal(dense != 0.0, S != 0.0)
+    # the gradients are exact, so the off-stencil entries cancel exactly
+    assert np.array_equal(dense != 0.0, S != 0.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
 def test_sine_preconditioner_matches_lu(dim, m):
-    # m not a power of two: the stiffness carries ~1e-17 off-stencil
-    # entries that the sine transform does not see; m = 1 has no interior
+    # the assembled stiffness has exactly the stencil's sparsity at every m,
+    # so both invert the same operator up to round-off; m = 1 has no interior
     mesh = build_mesh(dim, m)
     P, lu = LaplacePreconditioner(mesh), _LUPreconditioner(mesh)
     assert np.array_equal(P.interior, lu.interior)
