@@ -116,17 +116,19 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _coordinate_columns(mesh) -> tuple[str, list[str]]:
     """Header and `x,y[,z],` prefix of every row of a field CSV on the mesh,
-    formatted once and shared by all fields written on it."""
+    formatted once and shared by all fields written on it.  Each distinct
+    grid coordinate (m + 1 of them) is formatted once."""
     header = "x,y,value" if mesh.dim == 2 else "x,y,z,value"
-    return header, ["".join(_fmt(c) + "," for c in vertex)
-                    for vertex in mesh.vertices.tolist()]
+    coords, index = np.unique(mesh.vertices, return_inverse=True)
+    labels = np.array([_fmt(c) + "," for c in coords.tolist()], dtype=object)
+    return header, labels[index.reshape(mesh.vertices.shape)].sum(1).tolist()
 
 
 def _write_field_csv(path: Path, columns: tuple[str, list[str]],
                      values) -> None:
     header, prefixes = columns
-    rows = [prefix + _fmt(value) for prefix, value in zip(prefixes, values)]
-    path.write_text("\n".join([header, *rows]) + "\n")
+    path.write_text(header + "\n" + "".join(map(
+        "{}{:.17g}\n".format, prefixes, np.asarray(values, float).tolist())))
 
 
 def _read_field_csv(path: Path, mesh) -> np.ndarray:

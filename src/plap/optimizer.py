@@ -9,14 +9,16 @@ pass:
 
     1. take the energy gradient from the state and remove its
        constraint-normal components (the multipliers),
-    2. precondition it with one discrete Dirichlet-Laplace solve,
-    3. project the preconditioned direction onto the constraint tangent,
-       with the state's constraint gradients,
+    2. precondition it with one discrete Dirichlet-Laplace solve, the
+       H0 of the L-BFGS direction (`_lbfgs_direction`) of the last few
+       changes of iterate and residual, which needs no other solve,
+    3. project that direction onto the constraint tangent, with the
+       state's constraint gradients,
     4. retract trial steps with `retract` (clip each part to its sign,
-       scale it once onto its constraint) and backtrack until the Armijo
-       test holds; the first trial is a Barzilai-Borwein step in the
-       Laplace metric (`_bb_step`) from the last two iterates and their
-       residuals, and each retraction returns the state of its field, whose
+       scale it once onto its constraint) and backtrack from t = 1 until
+       the Armijo test holds, searching once more along the Laplace
+       solve with the memory cleared when the L-BFGS direction finds no
+       step; each retraction returns the state of its field, whose
        energy comes from the scaling's term list without a new gradient
        table,
     5. keep the accepted trial's state as the next iterate; its E' and
@@ -39,6 +41,7 @@ is not run, and u2 is the negation of u1 with a report marked
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,10 +69,12 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
-STEP_INIT = 1.0         # first trial step when no spectral step is defined
-STEP_MIN, STEP_MAX = 1e-3, 1e3      # clip of the spectral first trial
+LBFGS_PAIRS = 8         # curvature pairs kept for the L-BFGS direction
+LBFGS_COSINE = 0.01     # least <s, y> / (||s||_K ||y||_{K^-1}) of a kept pair
+STEP_INIT = 1.0         # first trial step of every line search
 ARMIJO_C = 1e-4         # sufficient-decrease fraction of the slope
 BACKTRACK = 0.5         # step factor per rejected trial
+K3_LEAN = 0.05          # weight of the x_1 = x_2 mode in the K3 start
 
 # failures that end a descent at its last iterate
 _STOPS = (LostSignError, NoRootError, DegenerateConstraintError)
@@ -189,7 +194,14 @@ def _initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     seed, so the two runs start from mirror images.  K3 places one bump in
     each half {x_1 < 1/2}, {x_1 > 1/2} (requires at least 4 cells per
     side), the negative one being the mirrored negation of the positive
-    one.
+    one, and adds K3_LEAN times (x_2 - x_1) prod sin(pi x_i).
+
+    Without that lean the pair is a saddle on the square (p = 1.5), and
+    the seed's jitter tips the descent toward either diagonal nodal line.
+    Along x_1 = x_2, the cells' shared diagonal, it reaches a discrete
+    solution; along x_1 + x_2 = 1 the constrained minimum sits on the
+    kink of the clip retraction at vertices with u = 0 and is none.  The
+    lean tips the start toward x_1 = x_2 by far more than the jitter does.
     """
     if k is not KIndex.K3:
         w = reference_bump(mesh, seed)
@@ -203,9 +215,10 @@ def _initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     left = np.where(x1 < 0.5, np.sin(2.0 * np.pi * x1), 0.0)
     w_pos = np.maximum(_jittered(mesh, left * _transverse_profile(mesh), seed),
                        0.0)
-    # exact mirrored negation keeps the pair antisymmetric to the last bit
     w_neg = -w_pos[_mirror_first_axis(mesh)]
-    return w_pos + w_neg
+    v = mesh.vertices
+    lean = (v[:, 1] - v[:, 0]) * np.prod(np.sin(np.pi * v), axis=1)
+    return w_pos + w_neg + K3_LEAN * apply_dirichlet(mesh, lean)
 
 
 def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -243,22 +256,46 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return _Iterate.scaled(mesh, nl, params, k, scaled)
 
 
-def _bb_step(s: np.ndarray, y: np.ndarray, s_norm: float, dg: np.ndarray,
-             long: bool) -> float:
-    """First trial step from the Barzilai-Borwein quotients in the metric K.
+def _lbfgs_direction(pairs, r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """H r by the L-BFGS two-loop recursion with H0 = gamma K^-1.
 
-    s is the change of the iterate, y that of the multiplier-free residual
-    co-vector, s_norm = ||s||_K and dg = K^-1 y the change of the
-    preconditioned residual.  `long` selects BB1 = ||s||_K^2 / <s, y>,
-    otherwise BB2 = <s, y> / ||y||_{K^-1}^2.  Without positive curvature
-    <s, y> the step is STEP_INIT; otherwise it is clipped to
-    [STEP_MIN, STEP_MAX].
+    `pairs` holds (s, y, K^-1 y, <s, y>), oldest first; g = K^-1 r, and
+    gamma = <s, y> / <y, K^-1 y> of the newest pair.  K^-1 is linear, so
+    the first loop's K^-1 q is g less the alpha-weighted K^-1 y: no solve.
+    With no pairs the direction is g itself.
     """
-    sy = float(np.dot(s, y))
-    if not sy > 0.0:
-        return STEP_INIT
-    step = s_norm * s_norm / sy if long else sy / float(np.dot(y, dg))
-    return min(max(step, STEP_MIN), STEP_MAX)
+    if not pairs:
+        return g
+    r, g, alphas = r.copy(), g.copy(), []
+    for s, y, ky, sy in reversed(pairs):
+        alphas.append(np.dot(s, r) / sy)
+        r -= alphas[-1] * y
+        g -= alphas[-1] * ky
+    _, y, ky, sy = pairs[-1]
+    g *= sy / np.dot(y, ky)
+    for (s, y, _, sy), alpha in zip(pairs, reversed(alphas)):
+        g += (alpha - np.dot(y, g) / sy) * s
+    return g
+
+
+def _armijo_search(mesh: Mesh, config: SolverConfig, k: KIndex,
+                   state: _Iterate, gt: np.ndarray, slope: float):
+    """Backtrack from t = STEP_INIT along -gt until the retracted trial
+    meets the Armijo test.  Returns (trial state, t, rejected trials,
+    trials that clipped away a part); the state is None when all
+    MAX_BACKTRACKS trials were rejected."""
+    t, lost = STEP_INIT, 0
+    for rejected in range(MAX_BACKTRACKS):
+        try:
+            cand = retract(mesh, config.nonlin, config.params,
+                           state.u - t * gt, k, config.constraint_tol)
+        except LostSignError:
+            lost += 1
+        else:
+            if cand.energy <= state.energy - ARMIJO_C * t * slope:
+                return cand, t, rejected, lost
+        t *= BACKTRACK
+    return None, t, MAX_BACKTRACKS, lost
 
 
 def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
@@ -293,6 +330,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     residuals = state.relative_residuals
     max_resid = max(residuals)
     prev = None             # (u, r_proj, g) of the previous iterate
+    pairs = deque(maxlen=LBFGS_PAIRS)
     converged = False
     pnorm = float("inf")
     iterations = 0
@@ -302,46 +340,44 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
         for iterations in range(config.max_iters + 1):
             r_proj = state.remove_multipliers(state.residual)
             g = P.solve(r_proj)
-            gt = state.tangent_project(g)
-            # <r, gt> collapses to the positive form r_proj^T K^-1 r_proj:
-            # gt is tangent, and r_proj pairs to zero with the part
-            # directions.
-            slope = float(np.dot(r_proj, g))
-            pnorm = float(np.sqrt(max(slope, 0.0)))
+            pnorm = math.sqrt(max(float(np.dot(r_proj, g)), 0.0))
             if pnorm <= config.grad_tol:
                 converged = True
                 break
             if iterations == config.max_iters:
                 break
+            if prev is not None:
+                s, y, ky = state.u - prev[0], r_proj - prev[1], g - prev[2]
+                sy = float(np.dot(s, y))
+                # a cosine bound in the metric K: H stays well conditioned
+                if sy > LBFGS_COSINE * P.norm(s) * math.sqrt(
+                        max(float(np.dot(y, ky)), 0.0)):
+                    pairs.append((s, y, ky, sy))
+            prev = (state.u, r_proj, g)
+            # a failed search along an L-BFGS direction is retried along g
+            # with the memory cleared; with no pairs the direction is g
+            for d in (_lbfgs_direction(pairs, r_proj, g), g):
+                # <r, gt> collapses to the positive form <r_proj, H r_proj>:
+                # gt is tangent, and r_proj pairs to zero with the part
+                # directions.
+                slope = float(np.dot(r_proj, d))
+                if slope <= 0.0:
+                    break
+                cand, t, rejected, lost = _armijo_search(
+                    mesh, config, k, state, state.tangent_project(d), slope)
+                if cand is not None or d is g:
+                    break
+                pairs.clear()
             if slope <= 0.0:
                 error = "projected direction is not a descent direction"
                 break
-            if prev is None:
-                t = STEP_INIT
-            else:
-                s = state.u - prev[0]
-                t = _bb_step(s, r_proj - prev[1], P.norm(s), g - prev[2],
-                             iterations % 2 == 1)
-            prev = (state.u, r_proj, g)
-            accepted = False
-            lost = 0
-            for rejected in range(MAX_BACKTRACKS):
-                try:
-                    cand = retract(mesh, nl, params, state.u - t * gt, k,
-                                   tol_rel)
-                except LostSignError:
-                    lost += 1
-                    t *= BACKTRACK
-                    continue
-                if cand.energy <= state.energy - ARMIJO_C * t * slope:
-                    accepted = True
-                    break
-                t *= BACKTRACK
-            if not accepted:
+            if cand is None:
                 error = ("every trial step clipped away a required part"
                          if lost == MAX_BACKTRACKS else
                          f"no acceptable step in {MAX_BACKTRACKS} backtracks")
                 break
+            if rejected:
+                pairs.clear()
             state = cand
             history.append(state.energy)
             steps.append(t)

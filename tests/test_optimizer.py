@@ -15,11 +15,12 @@ from plap.functional import (Nonlinearity, RunParameters, energy,
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import (KIndex, constraint_phi, constraint_scale,
                          fibering_coefficients)
-from plap.optimizer import (ARMIJO_C, BACKTRACK, STEP_INIT, STEP_MAX,
-                            STEP_MIN, SolverConfig, _bb_step, _initial_shape,
-                            descend, initial_point, lambda_sweep,
-                            reference_bump, retract, solve_three)
-from plap.verify import check_membership
+from plap.optimizer import (ARMIJO_C, BACKTRACK, LBFGS_COSINE, LBFGS_PAIRS,
+                            MAX_BACKTRACKS, STEP_INIT, SolverConfig,
+                            _initial_shape, _lbfgs_direction, descend,
+                            initial_point, lambda_sweep, reference_bump,
+                            retract, solve_three)
+from plap.verify import check_membership, verify_fields
 
 from conftest import _LUPreconditioner, coarse_config
 
@@ -30,9 +31,9 @@ NL3 = Nonlinearity(family="signed", q=4.0, r=4.0)
 
 
 def _fixed_step_descent(mesh, config, k, initial, P):
-    """The descent with a fixed first trial t = STEP_INIT on every
-    iteration and the same Armijo backtracking, kept as the oracle for
-    the critical level the spectral step of `descend` reaches.  Returns
+    """The descent along the preconditioned residual with the same
+    Armijo backtracking from t = STEP_INIT, kept as the oracle for the
+    critical level the L-BFGS direction of `descend` reaches.  Returns
     (final energy, iterations)."""
     nl, params, tol = config.nonlin, config.params, config.constraint_tol
     state = retract(mesh, nl, params, initial, k, tol)
@@ -173,10 +174,10 @@ class TestPreconditioner:
 
 
 class TestSpectralStep:
-    """`_bb_step` on the 2D res-4 mesh, whose interior stiffness is the
-    five-point stencil: the sine modes e_jk = sin(j pi x) sin(k pi y) have
-    K e_jk = (4 sin^2(j pi/8) + 4 sin^2(k pi/8)) e_jk and, on the 3 x 3
-    interior, |e_11|^2 = |e_21|^2 = 4."""
+    """`_lbfgs_direction` on the 2D res-4 mesh, whose interior stiffness is
+    the five-point stencil: the sine modes e_jk = sin(j pi x) sin(k pi y)
+    have K e_jk = (4 sin^2(j pi/8) + 4 sin^2(k pi/8)) e_jk, and `descend`'s
+    memory of curvature pairs."""
 
     LAM11 = 4.0 - 2.0 * math.sqrt(2.0)     # 8 sin^2(pi/8)
     LAM21 = 4.0 - math.sqrt(2.0)           # 4 sin^2(pi/4) + 4 sin^2(pi/8)
@@ -188,66 +189,186 @@ class TestSpectralStep:
         e11 = apply_dirichlet(mesh, np.sin(np.pi * x) * np.sin(np.pi * y))
         e21 = apply_dirichlet(mesh,
                               np.sin(2 * np.pi * x) * np.sin(np.pi * y))
-        return LaplacePreconditioner(mesh), e11, e21
+        return mesh, LaplacePreconditioner(mesh), e11, e21
 
-    def step(self, P, s, y, long):
-        return _bb_step(s, y, P.norm(s), P.solve(y), long)
+    @staticmethod
+    def pair(P, s, y):
+        return (s, y, P.solve(y), float(np.dot(s, y)))
 
-    def test_quotients_alternate(self, modes):
-        P, e11, e21 = modes
-        s, y = e11 + e21, e11 + 4.0 * e21
-        sy = 4.0 + 16.0
-        bb1 = (4.0 * self.LAM11 + 4.0 * self.LAM21) / sy
-        bb2 = sy / (4.0 / self.LAM11 + 64.0 / self.LAM21)
-        assert self.step(P, s, y, True) == pytest.approx(bb1, rel=1e-12)
-        assert self.step(P, s, y, False) == pytest.approx(bb2, rel=1e-12)
-        assert bb1 > 1.01 * bb2
+    @staticmethod
+    def interior(mesh, rng):
+        return apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
 
-    def test_eigenmode_gives_its_inverse_eigenvalue(self, modes):
-        # along one mode, y = c s, both quotients are LAM / c
-        P, e11, _ = modes
-        for long in (True, False):
-            assert self.step(P, e11, 2.0 * e11, long) == pytest.approx(
-                self.LAM11 / 2.0, rel=1e-12)
+    def random_pairs(self, mesh, P, n, seed):
+        # y near K s, so <s, y> > 0 as in the pairs `descend` keeps
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(n):
+            y = self.interior(mesh, rng)
+            s = P.solve(y) * (1.0 + 0.5 * rng.random(mesh.n_vertices))
+            pairs.append(self.pair(P, s, y))
+            assert pairs[-1][3] > 0.0
+        return pairs
 
-    @pytest.mark.parametrize("long", [True, False])
-    def test_no_positive_curvature_falls_back(self, modes, long):
-        P, e11, _ = modes
-        assert self.step(P, e11, -e11, long) == STEP_INIT
-        assert self.step(P, e11, np.zeros_like(e11), long) == STEP_INIT
+    def direction(self, P, pairs, r):
+        return _lbfgs_direction(pairs, r, P.solve(r))
 
-    @pytest.mark.parametrize("long", [True, False])
-    def test_clipped_at_both_ends(self, modes, long):
-        P, e11, _ = modes
-        assert self.step(P, e11, 1e-8 * e11, long) == STEP_MAX
-        assert self.step(P, e11, 1e8 * e11, long) == STEP_MIN
+    def test_no_pairs_is_the_laplace_solve(self, modes):
+        mesh, P, _, _ = modes
+        r = self.interior(mesh, np.random.default_rng(3))
+        assert np.array_equal(self.direction(P, [], r), P.solve(r))
 
-    @pytest.mark.parametrize("k", [KIndex.K1, KIndex.K3])
-    def test_first_trial_has_no_previous_iterate(self, monkeypatch, k):
-        # the first iteration tries STEP_INIT; every later one asks the
-        # quotients, BB1 on odd iterations and BB2 on even ones, and the
-        # record holds each first trial halved once per rejection
-        config = SolverConfig(params=P3, nonlin=NL3, cells_per_side=4)
+    @pytest.mark.parametrize("n", [1, 3, LBFGS_PAIRS])
+    def test_newest_pair_is_a_secant(self, modes, n):
+        mesh, P, _, _ = modes
+        pairs = self.random_pairs(mesh, P, n, seed=n)
+        s, y, _, _ = pairs[-1]
+        got = self.direction(P, pairs, y)
+        assert np.max(np.abs(got - s)) <= 1e-12 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_pairs_along_cK_give_the_scaled_solve(self, modes, c):
+        # y = c K s for every pair: gamma = 1/c, and H0 = K^-1 / c already
+        # maps each y to its s, so no update changes it
+        mesh, P, e11, e21 = modes
+        pairs = [self.pair(P, s, c * y) for s, y in (
+            (e11, self.LAM11 * e11), (e21, self.LAM21 * e21),
+            (e11 + e21, self.LAM11 * e11 + self.LAM21 * e21))]
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            r = self.interior(mesh, rng)
+            want = P.solve(r) / c
+            got = self.direction(P, pairs, r)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_positive_definite_and_symmetric(self, modes):
+        mesh, P, _, _ = modes
+        pairs = self.random_pairs(mesh, P, LBFGS_PAIRS, seed=11)
+        rng = np.random.default_rng(12)
+        r1, r2 = self.interior(mesh, rng), self.interior(mesh, rng)
+        h1, h2 = self.direction(P, pairs, r1), self.direction(P, pairs, r2)
+        assert np.dot(r1, h1) > 0.0 and np.dot(r2, h2) > 0.0
+        assert np.dot(r1, h2) == pytest.approx(np.dot(r2, h1), rel=1e-12)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the memory `descend` passes at every pass."""
+        memories = []
+
+        def recorded(pairs, r, g):
+            memories.append(list(pairs))
+            return _lbfgs_direction(pairs, r, g)
+
+        monkeypatch.setattr(plap.optimizer, "_lbfgs_direction", recorded)
+        return memories
+
+    def test_failed_cosine_test_stores_no_pair(self, monkeypatch):
+        # a cosine bound above 1 rejects every pair, so each direction is
+        # the Laplace solve and the descent is the oracle's, bit for bit
+        monkeypatch.setattr(plap.optimizer, "LBFGS_COSINE", 2.0)
+        memories = self.spy(monkeypatch)
+        params = replace(P3, lam=20.0)
+        nl = Nonlinearity(family="signed", q=3.0, r=3.0)
+        config = SolverConfig(params=params, nonlin=nl, cells_per_side=4,
+                              max_iters=500)
         mesh = build_mesh(3, 4)
-        longs, trials = [], [STEP_INIT]
+        P = LaplacePreconditioner(mesh)
+        u0 = initial_point(mesh, nl, params, KIndex.K1, config.seed)
+        want, fixed_iterations = _fixed_step_descent(mesh, config,
+                                                     KIndex.K1, u0, P)
+        _, rep = descend(mesh, config, KIndex.K1, u0, P)
+        assert rep.converged and rep.iterations == fixed_iterations
+        assert rep.energy == want
+        assert len(memories) == rep.iterations
+        assert not any(memories)
 
-        def recorded(s, y, s_norm, dg, long):
-            longs.append(long)
-            trials.append(_bb_step(s, y, s_norm, dg, long))
-            return trials[-1]
-
-        monkeypatch.setattr(plap.optimizer, "_bb_step", recorded)
-        _, rep = descend(mesh, config, k, initial_point(mesh, NL3, P3, k, 0))
+    def test_memory_bound_and_reset(self, monkeypatch):
+        # the memory fills up to its bound, keeps only pairs that pass the
+        # cosine test, and is empty after an iteration that backtracked:
+        # the next pass sees at most the pair of that iteration's step
+        memories = self.spy(monkeypatch)
+        config = SolverConfig(params=P2, nonlin=Nonlinearity(
+            family="signed", q=2.5, r=2.5), cells_per_side=8,
+            grad_tol=1e-6, max_iters=1000)
+        mesh = build_mesh(2, 8)
+        P = LaplacePreconditioner(mesh)
+        _, rep = descend(mesh, config, KIndex.K3,
+                         _initial_shape(mesh, KIndex.K3, 0), P)
         assert rep.converged and any(rep.backtracks)
-        assert longs == [i % 2 == 1 for i in range(1, rep.iterations)]
-        assert rep.step_history == tuple(
-            t * BACKTRACK ** b for t, b in zip(trials, rep.backtracks))
+        assert len(memories) == rep.iterations
+        assert max(map(len, memories)) == LBFGS_PAIRS
+        assert memories[0] == []
+        for before, after, b in zip(memories, memories[1:], rep.backtracks):
+            if b:
+                assert len(after) <= 1
+            else:
+                assert len(after) in (len(before), min(len(before) + 1,
+                                                       LBFGS_PAIRS))
+            for s, y, ky, sy in after:
+                assert sy > LBFGS_COSINE * P.norm(s) * math.sqrt(
+                    float(np.dot(y, ky)))
+        assert rep.step_history == tuple(BACKTRACK ** b
+                                         for b in rep.backtracks)
+
+    @staticmethod
+    def failing_search(monkeypatch, at_pass):
+        """Make the first line search of pass `at_pass` fail; record the
+        (pairs, r, g) of every pass and the slope of every other search."""
+        passes, slopes, failed = [], [], []
+        search = plap.optimizer._armijo_search
+
+        def recorded(pairs, r, g):
+            passes.append((list(pairs), r, g))
+            return _lbfgs_direction(pairs, r, g)
+
+        def failing(mesh, config, k, state, gt, slope):
+            if len(passes) == at_pass + 1 and not failed:
+                failed.append(slope)
+                return None, 0.0, MAX_BACKTRACKS, 0
+            slopes.append(slope)
+            return search(mesh, config, k, state, gt, slope)
+
+        monkeypatch.setattr(plap.optimizer, "_lbfgs_direction", recorded)
+        monkeypatch.setattr(plap.optimizer, "_armijo_search", failing)
+        return passes, slopes
+
+    @staticmethod
+    def k1_descent():
+        """K1 at 3D res 4, q = r = 3: 11 iterations with the L-BFGS step."""
+        params = replace(P3, lam=20.0)
+        nl = Nonlinearity(family="signed", q=3.0, r=3.0)
+        config = SolverConfig(params=params, nonlin=nl, cells_per_side=4,
+                              max_iters=500)
+        mesh = build_mesh(3, 4)
+        u0 = initial_point(mesh, nl, params, KIndex.K1, config.seed)
+        _, rep = descend(mesh, config, KIndex.K1, u0)
+        return rep
+
+    def test_failed_search_is_retried_along_g(self, monkeypatch):
+        # the pass searches again along g = K^-1 r, the next pass sees at
+        # most the pair of that step, and the descent goes on to converge
+        passes, slopes = self.failing_search(monkeypatch, at_pass=5)
+        rep = self.k1_descent()
+        assert rep.converged and rep.error is None
+        assert len(passes) == len(slopes) == rep.iterations
+        pairs, r, g = passes[5]
+        assert pairs
+        assert slopes[5] == float(np.dot(r, g))
+        assert len(passes[6][0]) <= 1
+
+    def test_failed_search_with_no_memory_stops(self, monkeypatch):
+        passes, slopes = self.failing_search(monkeypatch, at_pass=0)
+        rep = self.k1_descent()
+        assert not rep.converged and rep.iterations == 0
+        assert rep.error == (f"no acceptable step in {MAX_BACKTRACKS} "
+                             "backtracks")
+        assert len(passes) == 1 and passes[0][0] == [] and slopes == []
 
     @pytest.mark.parametrize("k, share", [(KIndex.K1, 0.5),
                                           (KIndex.K3, 0.8)])
     def test_same_level_in_fewer_iterations(self, k, share):
         # q = r = 3 gives the fixed step a slow mode even at res 4: K1 takes
-        # 35 iterations and K3 20 with it, 12 and 15 with the spectral step
+        # 35 iterations and K3 20 with it, 11 and 11 with the L-BFGS step
         params = replace(P3, lam=20.0)
         nl = Nonlinearity(family="signed", q=3.0, r=3.0)
         config = SolverConfig(params=params, nonlin=nl, cells_per_side=4,
@@ -266,7 +387,8 @@ class TestSpectralStep:
         for rep in triple.reports:
             assert len(rep.step_history) == rep.iterations > 0
             assert len(rep.backtracks) == rep.iterations
-            assert all(STEP_MIN <= t <= STEP_MAX for t in rep.step_history)
+            assert rep.step_history == tuple(BACKTRACK ** b
+                                             for b in rep.backtracks)
             assert all(b >= 0 for b in rep.backtracks)
 
 
@@ -332,7 +454,7 @@ class TestDescend:
         assert counts["trials"] >= rep.iterations
         assert counts["gradient_table"] <= parts * counts["trials"]
         assert counts["p_stiffness_vector"] <= scatters_per_pass * passes
-        # the spectral step reads the solve each pass already makes
+        # the L-BFGS step reads the solve each pass already makes
         assert counts["solve"] <= passes
 
     @pytest.mark.parametrize("params, nl, m, k", [
@@ -418,6 +540,41 @@ class TestDescend:
         assert np.isfinite(rep.max_constraint_residual)
         E3 = energy(mesh, config.nonlin, config.params, triple.u3)
         assert abs(E3 - rep.energy) <= 1e-12 * abs(rep.energy)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sign_changing_descent_converges_for_p_below_2(self, seed):
+        # with p < 2 the sign-changing descent along the preconditioned
+        # residual alone ran to this cap and failed u3_euler_lagrange
+        config = SolverConfig(
+            params=P2, nonlin=Nonlinearity(family="signed", q=2.5, r=2.5),
+            cells_per_side=8, grad_tol=1e-6, max_iters=1000, seed=seed)
+        mesh = build_mesh(2, config.cells_per_side)
+        triple = solve_three(config, mesh)
+        for rep in triple.reports:
+            assert rep.converged and rep.error is None
+            assert rep.iterations < config.max_iters
+        checks = verify_fields(mesh, config.nonlin, config.params,
+                               triple.fields(),
+                               residual_tol=10.0 * config.grad_tol)
+        assert [c.name for c in checks if not c.passed] == []
+
+    @pytest.mark.parametrize("seed", [9, 40, 100])
+    def test_sign_changing_start_leans_to_the_cell_diagonal(self, seed):
+        # with the start exactly antisymmetric in x_1 - 1/2, the K3 descent
+        # at these seeds reached the nodal line x_1 + x_2 = 1 (E 1.428971),
+        # sat on the clip kink there and stopped in the line search with
+        # u3_euler_lagrange failing; leaning toward x_1 = x_2 converges
+        # the square16-p1.5 benchmark workload
+        config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=16,
+                              grad_tol=1e-6, max_iters=1000, seed=seed)
+        mesh = build_mesh(2, config.cells_per_side)
+        u, rep = descend(mesh, config, KIndex.K3,
+                         _initial_shape(mesh, KIndex.K3, seed))
+        assert rep.converged and rep.error is None
+        assert rep.energy == pytest.approx(1.4319544064, rel=1e-9)
+        checks = verify_fields(mesh, config.nonlin, config.params, [u],
+                               residual_tol=10.0 * config.grad_tol)
+        assert [c.name for c in checks if not c.passed] == []
 
     @pytest.mark.parametrize("exc, error", [
         (NoRootError("forced"), "forced"),
