@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import Mesh, _check_field, gradient_table, integrate
+from .mesh import Mesh, _check_field, gradient_table, integrate, laplace_apply
 
 __all__ = [
     "FAMILIES",
@@ -240,6 +241,70 @@ def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float, eps: float,
         w = (g2 + eps * eps) ** expo
     flux = (mesh.volumes * w)[:, None] * g
     return mesh.grad_op_t @ flux.ravel()
+
+
+class _TableForm(NamedTuple):
+    """The p-Dirichlet term of a field read from its gradient table and
+    the squared norms of that table per simplex, at any p."""
+
+    table: np.ndarray
+    sq_norms: np.ndarray
+
+    def scaled(self, t: float) -> "_TableForm":
+        return _TableForm(t * self.table, t * t * self.sq_norms)
+
+    def plus(self, other: "_TableForm") -> "_TableForm":
+        table = self.table + other.table
+        return _TableForm(table, _squared_norms(table))
+
+    def integral(self, mesh: Mesh, params: RunParameters) -> float:
+        """int |grad u|^p."""
+        return _p_dirichlet(mesh, self.sq_norms, params.p)
+
+    def covector(self, mesh: Mesh, params: RunParameters) -> np.ndarray:
+        """The regularized p-stiffness co-vector, `p_stiffness_vector`."""
+        return p_stiffness_vector(mesh, self.table, params.p, params.eps,
+                                  sq_norms=self.sq_norms)
+
+
+class _StencilForm(NamedTuple):
+    """The Dirichlet term at p = 2 of a field u that vanishes on the
+    boundary, read from u and its stencil image K u (`laplace_apply`):
+    int |grad u|^2 = u . K u, and K u is the p-stiffness co-vector on
+    the interior rows, since (|grad u|^2 + eps^2)^0 = 1."""
+
+    field: np.ndarray
+    image: np.ndarray
+
+    def scaled(self, t: float) -> "_StencilForm":
+        return _StencilForm(t * self.field, t * self.image)
+
+    def plus(self, other: "_StencilForm") -> "_StencilForm":
+        return _StencilForm(self.field + other.field,
+                            self.image + other.image)
+
+    def integral(self, mesh: Mesh, params: RunParameters) -> float:
+        return float(np.dot(self.field, self.image))
+
+    def covector(self, mesh: Mesh, params: RunParameters) -> np.ndarray:
+        return self.image
+
+
+def _dirichlet_form(mesh: Mesh, params: RunParameters, u: np.ndarray):
+    """The p-Dirichlet term of a field u that vanishes on the boundary, in
+    the form the descent reads it: the stencil image K u at p = 2, where
+    the term is the quadratic form of K, and the gradient table otherwise.
+
+    Both forms give int |grad u|^p (`integral`) and the p-stiffness
+    co-vector (`covector`, exact on the interior rows), scale with u
+    (`scaled`) and add over fields (`plus`).  `energy`, `energy_residual`
+    and the constraint functions of `nehari` keep the table at every p,
+    so they check the stencil independently.
+    """
+    if params.p == 2.0:
+        return _StencilForm(u, laplace_apply(mesh, u))
+    table = gradient_table(mesh, u)
+    return _TableForm(table, _squared_norms(table))
 
 
 def energy_residual(mesh: Mesh, nl: Nonlinearity, params: RunParameters,

@@ -20,17 +20,20 @@ per-simplex algebra is needed.  Only two hat functions of a grid simplex
 vary along each axis, so a row of G has two entries, -m and +m, and G
 stores no zeros.
 
-Every P1 kernel is a sparse product with G: the gradient table of u is
-G u, a p-stiffness co-vector is G^T applied to volume-weighted gradients,
-and the Laplace stiffness is G^T diag(vol) G.
+The P1 kernels at general p are sparse products with G: the gradient
+table of u is G u, a p-stiffness co-vector is G^T applied to
+volume-weighted gradients, and the Laplace stiffness is G^T diag(vol) G.
 
 On the uniform grid that stiffness, restricted to the interior vertices,
 is the 5-point (2D) or 7-point (3D) stencil, a sum over axes of the
-tridiagonal matrix tridiag(-1, 2, -1) acting along one axis.  The
-discrete sine transform diagonalizes it exactly, so the Dirichlet Laplace
-solve of the descent metric is two transforms and a division by the
-eigenvalues: the classical fast Poisson solver (Buzbee, Golub & Nielson,
-SIAM J. Numer. Anal. 7, 1970), with no assembly and no factor.
+tridiagonal matrix tridiag(-1, 2, -1) acting along one axis.
+`laplace_apply` applies it by slicing the vertex grid, with no table and
+no stored operator; at p = 2 it is the whole Dirichlet term, since
+int |grad u|^2 = u . K u for u zero on the boundary.  The discrete sine
+transform diagonalizes it exactly, so the Dirichlet Laplace solve of the
+descent metric is two transforms and a division by the eigenvalues: the
+classical fast Poisson solver (Buzbee, Golub & Nielson, SIAM J. Numer.
+Anal. 7, 1970), with no assembly and no factor.
 
 The rule is exact for piecewise-linear integrands, so gradients of P1
 fields are integrated exactly and nodal nonlinearities at second order.
@@ -54,6 +57,7 @@ __all__ = [
     "gradient_table",
     "apply_dirichlet",
     "laplace_stiffness",
+    "laplace_apply",
     "LaplacePreconditioner",
 ]
 
@@ -72,9 +76,6 @@ class Mesh:
     simplices : ndarray, shape (n_simplices, dim+1)
         Vertex indices; 2 triangles per square cell, 6 tetrahedra per cube.
     volumes : ndarray, shape (n_simplices,)
-    shape_gradients : ndarray, shape (n_simplices, dim+1, dim)
-        Gradient of each vertex hat function restricted to the simplex,
-        zeros included; its nonzero entries are those `grad_op` stores.
     boundary : ndarray of bool, shape (n_vertices,)
     lumped_mass : ndarray, shape (n_vertices,)
         Vertex weights of the nodal quadrature rule; sums to 1.
@@ -82,7 +83,9 @@ class Mesh:
         P1 gradient operator: row s*dim + k holds d(phi_i)/dx_k of simplex
         s at column simplices[s, i], so `grad_op @ u` is the gradient table.
         Zeros are not stored, which leaves exactly two entries per row,
-        -m and +m (m = cells_per_side), at every resolution.
+        -m and +m (m = cells_per_side), at every resolution.  The index
+        arrays are int32 below 2^31 entries, which covers every mesh that
+        fits in memory.
     grad_op_t : scipy.sparse.csr_array, shape (n_vertices, n_simplices*dim)
         The transpose of `grad_op`, stored once as CSR.
     """
@@ -92,11 +95,23 @@ class Mesh:
     vertices: np.ndarray
     simplices: np.ndarray
     volumes: np.ndarray
-    shape_gradients: np.ndarray
     boundary: np.ndarray
     lumped_mass: np.ndarray
     grad_op: sparse.csr_array
     grad_op_t: sparse.csr_array
+
+    @property
+    def shape_gradients(self) -> np.ndarray:
+        """Gradient of each vertex hat function restricted to each simplex,
+        shape (n_simplices, dim+1, dim), zeros included; its nonzero
+        entries are those `grad_op` stores.  Built read-only on each
+        access from the cell templates: the solver reads `grad_op` only,
+        so a mesh does not hold this table."""
+        m = self.cells_per_side
+        grads = np.tile(m * _template_gradients(self.dim).astype(float),
+                        (m ** self.dim, 1, 1))
+        grads.flags.writeable = False
+        return grads
 
     @property
     def n_vertices(self) -> int:
@@ -129,6 +144,23 @@ def _cell_corners(dim: int) -> np.ndarray:
     return np.concatenate(
         [np.zeros((len(steps), 1, 3), dtype=np.int64),
          np.cumsum(steps, axis=1)], axis=1)
+
+
+def _template_gradients(dim: int) -> np.ndarray:
+    """Hat gradients of the cell templates in grid units, shape (simplices
+    per cell, dim+1, dim), with entries -1, 0 and 1.
+
+    They are the columns of the inverse edge matrix (rows x_i - x_0) for
+    vertices 1..dim, and minus their sum for vertex 0.  The edge matrices
+    are unimodular, so the inverse is an integer matrix and rounding
+    recovers it exactly.
+    """
+    corners = _cell_corners(dim)
+    edges = corners[:, 1:, :] - corners[:, :1, :]
+    unit = np.empty(corners.shape, dtype=np.int64)
+    unit[:, 1:, :] = np.rint(np.linalg.inv(edges)).astype(np.int64).transpose(0, 2, 1)
+    unit[:, 0, :] = -unit[:, 1:, :].sum(axis=1)
+    return unit
 
 
 def _frozen_csr(mat: sparse.csr_array) -> sparse.csr_array:
@@ -166,26 +198,23 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     simplices = (origin[:, None, None] + offsets).reshape(-1, dim + 1)
     ns, n_cells = simplices.shape[0], origin.shape[0]
 
-    # Hat gradients of a template in grid units: the columns of the inverse
-    # edge matrix (rows x_i - x_0) for vertices 1..dim, and minus their sum
-    # for vertex 0.  The edge matrices are unimodular, so the inverse is an
-    # integer matrix and rounding recovers it exactly.
-    edges = corners[:, 1:, :] - corners[:, :1, :]
-    unit = np.empty(corners.shape, dtype=np.int64)   # entries -1, 0, 1
-    unit[:, 1:, :] = np.rint(np.linalg.inv(edges)).astype(np.int64).transpose(0, 2, 1)
-    unit[:, 0, :] = -unit[:, 1:, :].sum(axis=1)
-    grads = np.tile(m * unit.astype(float), (n_cells, 1, 1))
+    unit = _template_gradients(dim)
     volumes = np.full(ns, 1.0 / (m ** dim * math.factorial(dim)))
 
     # Row (s, k) of the gradient operator holds d(phi_i)/dx_k.  A grid
     # simplex steps along each axis once, so only the hat functions at the
     # two ends of the step along x_k vary in x_k, with -m and +m: every row
-    # stores exactly two entries, in local vertex order.
+    # stores exactly two entries, in local vertex order.  The entry count
+    # 2 ns dim leaves int32 only beyond 3.5e8 simplices, whose simplex
+    # array alone would take over 11 GB.
+    nnz = 2 * ns * dim
+    index = np.int32 if nnz < 2 ** 31 else np.int64
     tmpl, k, local = np.nonzero(unit.transpose(0, 2, 1))
     grad_op = _frozen_csr(sparse.csr_array(
         (np.tile(m * unit[tmpl, local, k].astype(float), n_cells),
-         (origin[:, None] + offsets[tmpl, local]).ravel(),
-         np.arange(0, 2 * ns * dim + 1, 2)),
+         (origin.astype(index)[:, None]
+          + offsets[tmpl, local].astype(index)).ravel(),
+         np.arange(0, nnz + 1, 2, dtype=index)),
         shape=(ns * dim, vertices.shape[0]),
     ))
     grad_op_t = _frozen_csr(grad_op.T.tocsr())
@@ -194,10 +223,10 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     lumped = (np.bincount(simplices.ravel(), minlength=vertices.shape[0])
               / (m ** dim * math.factorial(dim + 1)))
 
-    for arr in (vertices, simplices, volumes, grads, boundary, lumped):
+    for arr in (vertices, simplices, volumes, boundary, lumped):
         arr.flags.writeable = False
 
-    return Mesh(dim, m, vertices, simplices, volumes, grads,
+    return Mesh(dim, m, vertices, simplices, volumes,
                 boundary, lumped, grad_op, grad_op_t)
 
 
@@ -225,6 +254,32 @@ def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
     handling). Entries that cancel to exact zeros are not stored."""
     weights = sparse.diags_array(np.repeat(mesh.volumes, mesh.dim))
     return mesh.grad_op_t @ (weights @ mesh.grad_op)
+
+
+def laplace_apply(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """K u on the interior vertices and 0 on the boundary ones, where K is
+    `laplace_stiffness`: on an interior row it is the axis stencil
+    m^(2-dim) (2 dim u_c - sum of the 2 dim grid neighbours of c).
+
+    For u zero on the boundary, u . K u is int |grad u|^2.
+    """
+    u = _check_field(mesh, u)
+    dim, m = mesh.dim, mesh.cells_per_side
+    # The vertices are numbered in C order on the grid, so the neighbours
+    # of vertex i along the axes are i -+ (m+1)^k.  Every row at least
+    # reach = (m+1)^(dim-1) from either end has all of them in range; it
+    # holds the interior rows, and its boundary rows are zeroed at the end.
+    n, reach = u.shape[0], (m + 1) ** (dim - 1)
+    out = np.zeros(n)
+    core = out[reach:n - reach]         # a view: writes land in out
+    np.multiply(u[reach:n - reach], 2 * dim, out=core)
+    for k in range(dim):
+        step = (m + 1) ** k
+        core -= u[reach - step:n - reach - step]
+        core -= u[reach + step:n - reach + step]
+    core *= m ** (2.0 - dim)
+    out[mesh.boundary] = 0.0
+    return out
 
 
 class LaplacePreconditioner:

@@ -45,6 +45,7 @@ from .errors import (
 from .functional import (
     Nonlinearity,
     RunParameters,
+    _dirichlet_form,
     _odd_power,
     _p_dirichlet,
     _squared_norms,
@@ -96,13 +97,15 @@ class FiberingCoefficients:
 class ScaleResult(NamedTuple):
     """A shape w scaled onto its constraint: phi(t w) = A t^p - sum of
     c_e t^e over `terms`, whose first pair is the critical one
-    (p*, int |w|^p*) and the rest the source pairs (e, lam int g_e(w))."""
+    (p*, int |w|^p*) and the rest the source pairs (e, lam int g_e(w)).
+    `form` is the Dirichlet term of w as `functional._dirichlet_form`
+    gives it: the stencil image K w at p = 2, the gradient table of w
+    and its squared norms otherwise."""
 
     t: float                        # positive root of the fibering map
     A: float                        # int |grad w|^p
     terms: tuple[tuple[float, float], ...]  # (e, c_e), critical pair first
-    gradients: np.ndarray           # gradient table of the shape w
-    sq_norms: np.ndarray            # |grad w|^2 per simplex
+    form: tuple                     # Dirichlet term of the shape w
 
 
 def _sign(which: int) -> float:
@@ -217,8 +220,10 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     (p*, int |w|^p*) first) and the unique positive root t, which
     satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A or is
     resolved to the last bit where t^p is too large for that.  The
-    gradient table of w and its squared norms come along, so a caller
-    can evaluate the scaled field t w without touching the mesh again.
+    Dirichlet term of w comes along as `form`, so a caller can evaluate
+    the scaled field t w without touching the mesh again.  w vanishes on
+    the boundary, as every field of the Dirichlet problem does: at p = 2,
+    A is read as w . K w, which holds only there.
     """
     w = _nonzero_field(mesh, w)
     s = _sign(which)
@@ -226,14 +231,13 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     # and no temporary field, since this runs on every line-search trial
     if min(s * w.min(), s * w.max()) < 0.0:
         raise SignError(f"constraint {which} needs a field of sign {s:+g}")
-    table = gradient_table(mesh, w)
-    sq_norms = _squared_norms(table)
-    A = _p_dirichlet(mesh, sq_norms, params.p)
+    form = _dirichlet_form(mesh, params, w)
+    A = form.integral(mesh, params)
     terms = ((params.pstar, integrate(mesh, np.abs(w) ** params.pstar)),
              *((e, params.lam * integrate(mesh, g))
                for e, g in source_power_terms(nl, w)))
     t = fibering_root(A, terms, params.p, tol_rel)
-    return ScaleResult(t, A, terms, table, sq_norms)
+    return ScaleResult(t, A, terms, form)
 
 
 def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
@@ -296,26 +300,26 @@ class _Iterate:
     descent reads.
 
     The energy, the constraint values phi_i and their scales
-    int |grad u_s|^p are set on construction from one gradient table
-    per active part, that of s u_s: the table of u itself is their sum,
-    since u = u_plus - u_minus.  The residual E'(u), the constraint gradients
-    and the two projections follow on first use from one `nonlin_eval`
-    and one p-stiffness scatter per distinct table: one on K1 and K2,
-    where s u_s is u itself, three on K3 (u, u_plus, -u_minus).
-    Each table's squared norms per simplex are taken once, when the
-    scales are, and the scatters reuse them.
-    The standalone functions of this module and `functional` are the
-    reference for every quantity.
+    int |grad u_s|^p are set on construction from the Dirichlet term
+    (`functional._dirichlet_form`) of each active part s u_s; that of u
+    itself is their sum, since u = u_plus - u_minus.  At p = 2 the term
+    is the stencil image K (s u_s), whose sum K u is the p-stiffness
+    co-vector of u, so no gradient table and no scatter is made.  At
+    other p it is the gradient table of s u_s with its squared norms,
+    taken once; the residual E'(u), the constraint gradients and the two
+    projections then take one p-stiffness scatter per distinct table:
+    one on K1 and K2, where s u_s is u itself, three on K3 (u, u_plus,
+    -u_minus).  All of them follow on first use, with one `nonlin_eval`.
+    The standalone functions of this module and `functional`, which read
+    gradient tables at every p, are the reference for every quantity.
     """
 
     mesh: Mesh
     nl: Nonlinearity
     params: RunParameters
     u: np.ndarray
-    tables: dict            # which -> gradient table of s u_s
-    table: np.ndarray       # gradient table of u
-    sq_norms: dict          # which -> squared norms of tables[which]
-    sq_norm: np.ndarray     # squared norms of table
+    forms: dict             # which -> Dirichlet term of s u_s
+    form: tuple             # Dirichlet term of u
     energy: float
     phis: dict              # which -> phi_which(u)
     scales: dict            # which -> int |grad u_s|^p
@@ -327,32 +331,29 @@ class _Iterate:
         `scaled` maps each active constraint to its sign-definite shape w_i
         and the ScaleResult of w_i.  The parts have disjoint supports, so
         every nodal integral splits into t_i^e times a moment of w_i that
-        the scaling already holds, and so do the squared gradient norms of
-        t_i w_i; only int |grad u|^p on K3 reads the summed gradient table.
+        the scaling already holds, and so does the Dirichlet term of
+        t_i w_i; only int |grad u|^p on K3 reads the summed term.
         """
         p = params.p
         u = np.zeros(mesh.n_vertices)
-        tables, sq_norms, phis, scales = {}, {}, {}, {}
+        forms, phis, scales = {}, {}, {}
         nodal = 0.0                 # (1/p*) int |u|^p* + lam int F(u)
         for which, (w, res) in scaled.items():
             t = res.t
             u += t * w
-            tables[which] = t * res.gradients
-            sq_norms[which] = t * t * res.sq_norms
+            forms[which] = res.form.scaled(t)
             scales[which] = t ** p * res.A
             phis[which] = scales[which] - sum(c * t ** e
                                               for e, c in res.terms)
             nodal += sum(c * t ** e / e for e, c in res.terms)
         if k is KIndex.K3:
-            table = tables[1] + tables[2]
-            sq_norm = _squared_norms(table)
-            grad = _p_dirichlet(mesh, sq_norm, p)
+            form = forms[1].plus(forms[2])
+            grad = form.integral(mesh, params)
         else:
-            (which, table), = tables.items()
-            sq_norm = sq_norms[which]
+            (which, form), = forms.items()
             grad = scales[which]
-        return cls(mesh, nl, params, u, tables, table, sq_norms, sq_norm,
-                   grad / p - nodal, phis, scales)
+        return cls(mesh, nl, params, u, forms, form, grad / p - nodal,
+                   phis, scales)
 
     @property
     def relative_residuals(self) -> tuple[float, ...]:
@@ -364,23 +365,20 @@ class _Iterate:
     def _calculus(self):
         """Residual E'(u), and per active constraint the part and grad phi."""
         mesh, params, u = self.mesh, self.params, self.u
-        p, pstar, lam, eps = params.p, params.pstar, params.lam, params.eps
+        p, pstar, lam = params.p, params.pstar, params.lam
         f, _, fu = nonlin_eval(self.nl, u)
         M = mesh.lumped_mass
-        stiff = p_stiffness_vector(mesh, self.table, p, eps,
-                                   sq_norms=self.sq_norm)
+        stiff = self.form.covector(mesh, params)
         residual = stiff - M * (_odd_power(u, pstar - 1.0) + lam * f)
         residual[mesh.boundary] = 0.0
         parts, grads = {}, {}
-        for which, g in self.tables.items():
+        for which, form in self.forms.items():
             s = _sign(which)
             part = np.maximum(s * u, 0.0)
             chi = (s * u > 0.0).astype(float)
-            # the scatter of g, the table of s u_s, is s times that of u_s
-            part_stiff = s * (stiff if len(self.tables) == 1
-                              else p_stiffness_vector(
-                                  mesh, g, p, eps,
-                                  sq_norms=self.sq_norms[which]))
+            # the co-vector of s u_s is s times that of u_s
+            part_stiff = s * (stiff if len(self.forms) == 1
+                              else form.covector(mesh, params))
             crit = pstar * M * part ** (pstar - 1.0)
             grad = (s * (p * chi * part_stiff - crit)
                     - lam * M * (f * chi + s * fu * part))
@@ -406,13 +404,13 @@ class _Iterate:
         decrease in the descent.
         """
         _, parts, grads = self._calculus
-        for which in self.tables:
+        for which in self.forms:
             r = _remove_normal(r, grads[which], parts[which])
         return r
 
     def tangent_project(self, v: np.ndarray) -> np.ndarray:
         """As the standalone `tangent_project` at u."""
         _, parts, grads = self._calculus
-        for which in self.tables:
+        for which in self.forms:
             v = _remove_normal(v, parts[which], grads[which])
         return v

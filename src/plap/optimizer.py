@@ -4,7 +4,8 @@ The minimizing sequence for each constraint set is generated by a
 Sobolev-gradient loop.  It starts from the retraction of a given field,
 so every iterate, the first included, is the state of a retraction
 (`nehari._Iterate`): E, E', phi_i, grad phi_i and the constraint scales
-of the field, all read from one gradient table per active part.  One
+of the field, all read from one Dirichlet term per active part (at
+p = 2 the part's stencil image K w, otherwise its gradient table).  One
 pass:
 
     1. take the energy gradient from the state and remove its
@@ -20,8 +21,10 @@ pass:
        the Armijo test holds, searching once more along the Laplace
        solve with the memory cleared when the L-BFGS direction finds no
        step; each retraction returns the state of its field, whose
-       energy comes from the scaling's term list without a new gradient
-       table,
+       energy comes from the scaling's term list and the Dirichlet term
+       of each part: one stencil application K w per part at p = 2,
+       where the descent reads no gradient table, one gradient table per
+       part otherwise,
     5. keep the accepted trial's state as the next iterate; its E' and
        grad phi_i are evaluated when step 1 first reads them.
 

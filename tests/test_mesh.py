@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap.errors import ConfigurationError, DimensionMismatchError
+from plap.functional import _p_dirichlet, _squared_norms
 from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
-                       gradient_table, integrate, laplace_stiffness)
+                       gradient_table, integrate, laplace_apply,
+                       laplace_stiffness)
 
 from conftest import _LUPreconditioner
 
@@ -311,6 +313,27 @@ def test_stiffness_is_the_axis_stencil(dim, m):
     assert np.max(np.abs(dense[interior] - S[interior])) <= 1e-14 * scale
     # the gradients are exact, so the off-stencil entries cancel exactly
     assert np.array_equal(dense != 0.0, S != 0.0)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 1), (3, 1), (2, 2), (3, 2),
+                                   (2, 3), (2, 4), (3, 3), (3, 4), (3, 5),
+                                   (3, 6), (3, 7), (2, 12), (3, 12)])
+def test_laplace_apply_is_the_assembled_stiffness(dim, m):
+    # m = 1 has no interior row, m = 2 a single one
+    mesh = build_mesh(dim, m)
+    rng = np.random.default_rng(5)
+    u = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
+    got = laplace_apply(mesh, u)
+    assert got.shape == (mesh.n_vertices,)
+    assert np.all(got[mesh.boundary] == 0.0)
+    want = laplace_stiffness(mesh) @ u
+    interior = ~mesh.boundary
+    scale = 2 * dim * m ** (2 - dim) * np.max(np.abs(u), initial=0.0)
+    assert np.max(np.abs(got[interior] - want[interior]),
+                  initial=0.0) <= 1e-14 * scale
+    # the quadratic form is the Dirichlet integral of the gradient table
+    table = _p_dirichlet(mesh, _squared_norms(gradient_table(mesh, u)), 2.0)
+    assert abs(float(np.dot(u, got)) - table) <= 1e-13 * abs(table)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -419,18 +419,25 @@ class TestDescend:
         A = fibering_coefficients(mesh, config.nonlin, config.params, u0).A
         assert E0 <= A / config.params.p
 
-    @pytest.mark.parametrize("k, scatters_per_pass",
-                             [(KIndex.K1, 1), (KIndex.K3, 3)])
-    def test_kernel_call_budget(self, monkeypatch, k, scatters_per_pass):
-        # one gradient table per active part per retract trial, the
+    @pytest.mark.parametrize("params, nl, m, k, scatters_per_pass", [
+        (P2, NL2, 8, KIndex.K1, 1),
+        (P2, NL2, 8, KIndex.K3, 3),
+        (P3, NL3, 4, KIndex.K1, 0),
+        (P3, NL3, 4, KIndex.K3, 0),
+    ], ids=["square-p1.5-K1", "square-p1.5-K3", "cube-p2-K1", "cube-p2-K3"])
+    def test_kernel_call_budget(self, monkeypatch, params, nl, m, k,
+                                scatters_per_pass):
+        # p != 2: one gradient table per active part per retract trial, the
         # retraction of the start included; p-stiffness scatters per pass:
-        # u alone on K1, u, u_plus and u_minus on K3
-        config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=8,
+        # u alone on K1, u, u_plus and u_minus on K3.  p = 2: one stencil
+        # application per active part per trial instead, and no table or
+        # scatter at all
+        config = SolverConfig(params=params, nonlin=nl, cells_per_side=m,
                               grad_tol=1e-6, max_iters=200)
-        mesh = build_mesh(2, config.cells_per_side)
-        u0 = initial_point(mesh, NL2, P2, k, config.seed)
-        counts = {"gradient_table": 0, "p_stiffness_vector": 0, "trials": 0,
-                  "solve": 0}
+        mesh = build_mesh(params.dim, m)
+        u0 = initial_point(mesh, nl, params, k, config.seed)
+        counts = {"gradient_table": 0, "p_stiffness_vector": 0,
+                  "laplace_apply": 0, "trials": 0, "solve": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -438,7 +445,7 @@ class TestDescend:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("gradient_table", "p_stiffness_vector"):
+        for name in ("gradient_table", "p_stiffness_vector", "laplace_apply"):
             for mod in (plap.nehari, plap.functional, plap.optimizer):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name,
@@ -452,8 +459,15 @@ class TestDescend:
         parts = len(k.active_constraints)
         passes = rep.iterations + 1
         assert counts["trials"] >= rep.iterations
-        assert counts["gradient_table"] <= parts * counts["trials"]
-        assert counts["p_stiffness_vector"] <= scatters_per_pass * passes
+        if params.p == 2.0:
+            assert counts["gradient_table"] == 0
+            assert counts["p_stiffness_vector"] == 0
+            assert counts["laplace_apply"] == parts * counts["trials"]
+        else:
+            assert counts["laplace_apply"] == 0
+            assert counts["gradient_table"] <= parts * counts["trials"]
+            assert (counts["p_stiffness_vector"]
+                    <= scatters_per_pass * passes)
         # the L-BFGS step reads the solve each pass already makes
         assert counts["solve"] <= passes
 
