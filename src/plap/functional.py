@@ -163,16 +163,12 @@ def nonlin_eval(nl: Nonlinearity, u: np.ndarray):
     f = _odd_power(u, q - 1.0)
     F = au ** q / q
     fu = (q - 1.0) * _masked_power(au, q - 2.0)
-    if nl.family == "signed":
-        f = f + _odd_power(u, r - 1.0)
-        F = F + au ** r / r
-        fu = fu + (r - 1.0) * _masked_power(au, r - 2.0)
-    else:
-        up = np.maximum(u, 0.0)
-        f = f + up ** (r - 1.0)
-        F = F + up ** r / r
-        fu = fu + (r - 1.0) * _masked_power(up, r - 2.0)
-    return f, F, fu
+    signed = nl.family == "signed"
+    if signed and r == q:       # x + x is 2x exactly
+        return f + f, F + F, fu + fu
+    base = au if signed else np.maximum(u, 0.0)
+    return (f + base ** (r - 1.0) * (np.sign(u) if signed else 1.0),
+            F + base ** r / r, fu + (r - 1.0) * _masked_power(base, r - 2.0))
 
 
 def source_power_terms(nl: Nonlinearity, w: np.ndarray):
@@ -183,8 +179,10 @@ def source_power_terms(nl: Nonlinearity, w: np.ndarray):
     """
     w = np.asarray(w, dtype=float)
     aw = np.abs(w)
-    second = aw if nl.family == "signed" else np.maximum(w, 0.0)
-    return ((nl.q, aw ** nl.q), (nl.r, second ** nl.r))
+    first = aw ** nl.q
+    if nl.family == "signed":       # for r = q each power is taken once
+        return ((nl.q, first), (nl.r, first if nl.r == nl.q else aw ** nl.r))
+    return ((nl.q, first), (nl.r, np.maximum(w, 0.0) ** nl.r))
 
 
 def plus_minus_parts(u: np.ndarray):

@@ -11,7 +11,7 @@ pass:
     1. take the energy gradient from the state and remove its
        constraint-normal components (the multipliers),
     2. precondition it with one discrete Dirichlet-Laplace solve, the
-       H0 of the L-BFGS direction (`_lbfgs_direction`) of the last
+       H0 of the L-BFGS direction (`_LbfgsMemory`) of the last
        LBFGS_PAIRS changes of iterate and residual, which needs no other
        solve,
     3. project that direction onto the constraint tangent, with the
@@ -45,7 +45,6 @@ is not run, and u2 is the negation of u1 with a report marked
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,8 +72,8 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
-# square16-p1.5 K3 seeds 0-159: 8/16/32/64 pairs take median 496/321/225/166
-LBFGS_PAIRS = 32        # curvature pairs kept for the L-BFGS direction
+# square16-p1.5 K3 seeds 0-159: 8/16/32/64 pairs take median 496/321/225/164
+LBFGS_PAIRS = 64        # curvature pairs kept; depth costs the direction little
 LBFGS_COSINE = 0.01     # least <s, y> / (||s||_K ||y||_{K^-1}) of a kept pair
 STEP_INIT = 1.0         # first trial step of every line search
 ARMIJO_C = 1e-4         # sufficient-decrease fraction of the slope
@@ -261,26 +260,49 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return _Iterate.scaled(mesh, nl, params, k, scaled)
 
 
-def _lbfgs_direction(pairs, r: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """H r by the L-BFGS two-loop recursion with H0 = gamma K^-1.
+class _LbfgsMemory:
+    """The last LBFGS_PAIRS curvature pairs and the L-BFGS direction H r,
+    H0 = gamma K^-1, in the compact form of Byrd, Nocedal and Schnabel
+    (1994).  Pairs (s, y, K^-1 y) are scaled by 1/sqrt(<s, y>), which
+    keeps H and gives R = triu(S^T Y) a unit diagonal.  They fill ring
+    slots of three row blocks, each doubled when full, and R^-1 is kept in
+    slot order; the oldest pair leaves by zeroing its row and column."""
 
-    `pairs` holds (s, y, K^-1 y, <s, y>), oldest first; g = K^-1 r, and
-    gamma = <s, y> / <y, K^-1 y> of the newest pair.  K^-1 is linear, so
-    the first loop's K^-1 q is g less the alpha-weighted K^-1 y: no solve.
-    With no pairs the direction is g itself.
-    """
-    if not pairs:
-        return g
-    r, g, alphas = r.copy(), g.copy(), []
-    for s, y, ky, sy in reversed(pairs):
-        alphas.append(np.dot(s, r) / sy)
-        r -= alphas[-1] * y
-        g -= alphas[-1] * ky
-    _, y, ky, sy = pairs[-1]
-    g *= sy / np.dot(y, ky)
-    for (s, y, _, sy), alpha in zip(pairs, reversed(alphas)):
-        g += (alpha - np.dot(y, g) / sy) * s
-    return g
+    def __init__(self, n: int):
+        self._rows = [np.empty((1, n)) for _ in range(3)]  # S, Y, K^-1 Y
+        self._rinv = np.empty((LBFGS_PAIRS, LBFGS_PAIRS))
+        self._gamma = 1.0   # <s, y> / <y, K^-1 y> of the newest pair
+        self._len = self._next = 0
+
+    def clear(self):
+        self._len = self._next = 0
+
+    def append(self, s, y, ky, sy: float):
+        slot, m = self._next, min(self._len + 1, LBFGS_PAIRS)
+        self._len, self._next = m, (slot + 1) % LBFGS_PAIRS
+        for i, v in enumerate((s, y, ky)):
+            if m > len(self._rows[i]):   # full: double it, one block at a time
+                grown = np.empty((min(2 * m - 2, LBFGS_PAIRS), v.size))
+                grown[:m - 1] = self._rows[i]
+                self._rows[i] = grown
+            np.divide(v, math.sqrt(sy), out=self._rows[i][slot])
+        S, Y, KY = (block[:m] for block in self._rows)
+        self._gamma = 1.0 / float(np.dot(Y[slot], KY[slot]))
+        rinv = self._rinv[:m, :m]
+        rinv[slot] = rinv[:, slot] = 0.0     # R^-1 of the other pairs
+        rinv[:, slot] = -(rinv @ (S @ Y[slot]))     # R's new column S y_new
+        rinv[slot, slot] = 1.0
+
+    def direction(self, r: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """H r = z + S^T R^-T (alpha - Y z), alpha = R^-1 S r, z = gamma (g -
+        (K^-1 Y)^T alpha), where g = K^-1 r; g itself with no pairs."""
+        if not self._len:
+            return g
+        S, Y, KY = (block[:self._len] for block in self._rows)
+        rinv = self._rinv[:self._len, :self._len]
+        alpha = rinv @ (S @ r)
+        z = self._gamma * (g - alpha @ KY)
+        return z + (rinv.T @ (alpha - Y @ z)) @ S
 
 
 def _armijo_search(mesh: Mesh, config: SolverConfig, k: KIndex,
@@ -335,7 +357,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     residuals = state.relative_residuals
     max_resid = max(residuals)
     prev = None             # (u, r_proj, g) of the previous iterate
-    pairs = deque(maxlen=LBFGS_PAIRS)
+    memory = _LbfgsMemory(mesh.n_vertices)
     converged = False
     pnorm = float("inf")
     iterations = 0
@@ -357,11 +379,11 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
                 # a cosine bound in the metric K: H stays well conditioned
                 if sy > LBFGS_COSINE * P.norm(s) * math.sqrt(
                         max(float(np.dot(y, ky)), 0.0)):
-                    pairs.append((s, y, ky, sy))
+                    memory.append(s, y, ky, sy)
             prev = (state.u, r_proj, g)
             # a failed search along an L-BFGS direction is retried along g
             # with the memory cleared; with no pairs the direction is g
-            for d in (_lbfgs_direction(pairs, r_proj, g), g):
+            for d in (memory.direction(r_proj, g), g):
                 # <r, gt> collapses to the positive form <r_proj, H r_proj>:
                 # gt is tangent, and r_proj pairs to zero with the part
                 # directions.
@@ -372,7 +394,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
                     mesh, config, k, state, state.tangent_project(d), slope)
                 if cand is not None or d is g:
                     break
-                pairs.clear()
+                memory.clear()
             if slope <= 0.0:
                 error = "projected direction is not a descent direction"
                 break
@@ -382,7 +404,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
                          f"no acceptable step in {MAX_BACKTRACKS} backtracks")
                 break
             if rejected:
-                pairs.clear()
+                memory.clear()
             state = cand
             history.append(state.energy)
             steps.append(t)

@@ -79,3 +79,26 @@ class _LUPreconditioner:
     def dual_norm(self, covector):
         ri = covector[self.interior]
         return float(np.sqrt(max(ri @ self._lu.solve(ri), 0.0)))
+
+
+def two_loop_direction(pairs, r, g):
+    """H r by the L-BFGS two-loop recursion with H0 = gamma K^-1, kept as
+    the oracle for the compact direction of `plap.optimizer._LbfgsMemory`.
+
+    `pairs` holds (s, y, K^-1 y, <s, y>), oldest first; g = K^-1 r, and
+    gamma = <s, y> / <y, K^-1 y> of the newest pair.  K^-1 is linear, so
+    the first loop's K^-1 q is g less the alpha-weighted K^-1 y: no solve.
+    With no pairs the direction is g itself.
+    """
+    if not pairs:
+        return g
+    r, g, alphas = r.copy(), g.copy(), []
+    for s, y, ky, sy in reversed(pairs):
+        alphas.append(np.dot(s, r) / sy)
+        r -= alphas[-1] * y
+        g -= alphas[-1] * ky
+    _, y, ky, sy = pairs[-1]
+    g *= sy / np.dot(y, ky)
+    for (s, y, _, sy), alpha in zip(pairs, reversed(alphas)):
+        g += (alpha - np.dot(y, g) / sy) * s
+    return g

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +234,24 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 1
         assert (out / "triple.json").is_file()
         assert "FAIL" in capsys.readouterr().out
+
+    def test_solve_does_not_import_scipy_linalg(self, tmp_path):
+        # importing scipy.linalg adds about 7 MB to the resident memory of
+        # a run; the solver's dense algebra is numpy's.  A fresh interpreter
+        # sees the modules a solve pulls in, and no test's own imports.
+        out = tmp_path / "artifacts"
+        cfg = write_config(tmp_path, extra=f"out-dir = {out}\n")
+        script = ("import sys\n"
+                  "from plap.cli import main\n"
+                  f"code = main(['solve', '--config', {cfg!r}])\n"
+                  "print(code, 'scipy.linalg' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -17,12 +17,12 @@ from plap.nehari import (KIndex, constraint_phi, constraint_scale,
                          fibering_coefficients)
 from plap.optimizer import (ARMIJO_C, BACKTRACK, LBFGS_COSINE, LBFGS_PAIRS,
                             MAX_BACKTRACKS, STEP_INIT, SolverConfig,
-                            _initial_shape, _lbfgs_direction, descend,
+                            _initial_shape, _LbfgsMemory, descend,
                             initial_point, lambda_sweep, reference_bump,
                             retract, solve_three)
 from plap.verify import check_membership, verify_fields
 
-from conftest import _LUPreconditioner, coarse_config
+from conftest import _LUPreconditioner, coarse_config, two_loop_direction
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -173,11 +173,22 @@ class TestPreconditioner:
         assert np.isclose(P.norm(v) ** 2, quad, rtol=1e-10, atol=0)
 
 
+def held_pairs(memory):
+    """The pairs `memory` holds, oldest first, as (s, y, K^-1 y, <s, y>) in
+    its scaling, copied out of its ring slots."""
+    m = memory._len
+    slots = [(memory._next - m + i) % LBFGS_PAIRS for i in range(m)]
+    return [(s, y, ky, float(np.dot(s, y))) for s, y, ky in (
+        [block[slot].copy() for block in memory._rows] for slot in slots)]
+
+
 class TestSpectralStep:
-    """`_lbfgs_direction` on the 2D res-4 mesh, whose interior stiffness is
-    the five-point stencil: the sine modes e_jk = sin(j pi x) sin(k pi y)
-    have K e_jk = (4 sin^2(j pi/8) + 4 sin^2(k pi/8)) e_jk, and `descend`'s
-    memory of curvature pairs."""
+    """The direction of `_LbfgsMemory` on the 2D res-4 mesh, whose interior
+    stiffness is the five-point stencil: the sine modes
+    e_jk = sin(j pi x) sin(k pi y) have K e_jk = (4 sin^2(j pi/8) +
+    4 sin^2(k pi/8)) e_jk; the compact direction against the two-loop
+    recursion on the res-16 mesh; and `descend`'s memory of curvature
+    pairs."""
 
     LAM11 = 4.0 - 2.0 * math.sqrt(2.0)     # 8 sin^2(pi/8)
     LAM21 = 4.0 - math.sqrt(2.0)           # 4 sin^2(pi/4) + 4 sin^2(pi/8)
@@ -210,13 +221,74 @@ class TestSpectralStep:
             assert pairs[-1][3] > 0.0
         return pairs
 
+    @staticmethod
+    def filled(n, pairs):
+        """A memory of n-vertex fields that was handed `pairs` in order."""
+        memory = _LbfgsMemory(n)
+        for pair in pairs:
+            memory.append(*pair)
+        return memory
+
     def direction(self, P, pairs, r):
-        return _lbfgs_direction(pairs, r, P.solve(r))
+        return self.filled(r.size, pairs).direction(r, P.solve(r))
 
     def test_no_pairs_is_the_laplace_solve(self, modes):
+        # `descend` tells the retry along g from the L-BFGS search by identity
         mesh, P, _, _ = modes
         r = self.interior(mesh, np.random.default_rng(3))
         assert np.array_equal(self.direction(P, [], r), P.solve(r))
+        g = P.solve(r)
+        assert _LbfgsMemory(mesh.n_vertices).direction(r, g) is g
+
+    @pytest.fixture(scope="class")
+    def square16(self):
+        mesh = build_mesh(2, 16)
+        return mesh, LaplacePreconditioner(mesh)
+
+    @pytest.mark.parametrize("n", [1, 3, LBFGS_PAIRS, 2 * LBFGS_PAIRS])
+    def test_direction_is_the_two_loop(self, square16, n):
+        # past LBFGS_PAIRS appends the oldest pairs leave the ring slots,
+        # and the two-loop sees only the newest LBFGS_PAIRS
+        mesh, P = square16
+        pairs = self.random_pairs(mesh, P, n, seed=100 + n)
+        memory = self.filled(mesh.n_vertices, pairs)
+        self.assert_two_loop(mesh, P, memory, pairs[-LBFGS_PAIRS:], seed=n)
+
+    def test_direction_after_clear_is_the_two_loop(self, square16):
+        mesh, P = square16
+        pairs = self.random_pairs(mesh, P, LBFGS_PAIRS + 5, seed=7)
+        memory = self.filled(mesh.n_vertices, pairs)
+        memory.clear()
+        r = self.interior(mesh, np.random.default_rng(8))
+        g = P.solve(r)
+        assert memory.direction(r, g) is g
+        for pair in pairs[:3]:
+            memory.append(*pair)
+        self.assert_two_loop(mesh, P, memory, pairs[:3], seed=9)
+
+    def test_direction_is_the_two_loop_as_steps_shrink(self, square16):
+        # near convergence <s, y> falls by orders of magnitude along the
+        # memory: here from 1 to 1e-14 over LBFGS_PAIRS pairs, the regime
+        # where an inverse of the unscaled S^T Y lost accuracy
+        mesh, P = square16
+        pairs = []
+        for i, (s, y, _, _) in enumerate(self.random_pairs(
+                mesh, P, LBFGS_PAIRS, seed=13)):
+            c = 10.0 ** (-7.0 * i / (LBFGS_PAIRS - 1)) / math.sqrt(
+                float(np.dot(s, y)))
+            pairs.append(self.pair(P, c * s, c * y))
+        assert pairs[0][3] == pytest.approx(1.0)
+        assert pairs[-1][3] == pytest.approx(1e-14)
+        memory = self.filled(mesh.n_vertices, pairs)
+        self.assert_two_loop(mesh, P, memory, pairs, seed=14)
+
+    def assert_two_loop(self, mesh, P, memory, pairs, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            r = self.interior(mesh, rng)
+            want = two_loop_direction(pairs, r, P.solve(r))
+            got = memory.direction(r, P.solve(r))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [1, 3, LBFGS_PAIRS])
     def test_newest_pair_is_a_secant(self, modes, n):
@@ -252,14 +324,15 @@ class TestSpectralStep:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the memory `descend` passes at every pass."""
+        """Record the pairs the memory of `descend` holds at every pass."""
         memories = []
+        direction = _LbfgsMemory.direction
 
-        def recorded(pairs, r, g):
-            memories.append(list(pairs))
-            return _lbfgs_direction(pairs, r, g)
+        def recorded(memory, r, g):
+            memories.append(held_pairs(memory))
+            return direction(memory, r, g)
 
-        monkeypatch.setattr(plap.optimizer, "_lbfgs_direction", recorded)
+        monkeypatch.setattr(_LbfgsMemory, "direction", recorded)
         return memories
 
     def test_failed_cosine_test_stores_no_pair(self, monkeypatch):
@@ -316,10 +389,11 @@ class TestSpectralStep:
         (pairs, r, g) of every pass and the slope of every other search."""
         passes, slopes, failed = [], [], []
         search = plap.optimizer._armijo_search
+        direction = _LbfgsMemory.direction
 
-        def recorded(pairs, r, g):
-            passes.append((list(pairs), r, g))
-            return _lbfgs_direction(pairs, r, g)
+        def recorded(memory, r, g):
+            passes.append((held_pairs(memory), r, g))
+            return direction(memory, r, g)
 
         def failing(mesh, config, k, state, gt, slope):
             if len(passes) == at_pass + 1 and not failed:
@@ -328,7 +402,7 @@ class TestSpectralStep:
             slopes.append(slope)
             return search(mesh, config, k, state, gt, slope)
 
-        monkeypatch.setattr(plap.optimizer, "_lbfgs_direction", recorded)
+        monkeypatch.setattr(_LbfgsMemory, "direction", recorded)
         monkeypatch.setattr(plap.optimizer, "_armijo_search", failing)
         return passes, slopes
 
@@ -579,10 +653,10 @@ class TestDescend:
         # at seeds 9, 40 and 100 reached the nodal line x_1 + x_2 = 1
         # (E 1.428971), sat on the clip kink there and stopped in the line
         # search with u3_euler_lagrange failing; leaning toward x_1 = x_2
-        # converges.  The iteration budget is the L-BFGS memory's: with 32
-        # pairs these seeds took 185 to 265 iterations, with 8 pairs 325
-        # to 605, and 1783054435 stopped in the line search one step from
-        # grad-tol.
+        # converges.  The iteration budget is the L-BFGS memory's: with 64
+        # pairs these seeds take 152 to 230 iterations (seed 40 the most),
+        # with 32 pairs they took 185 to 265, with 8 pairs 325 to 605, and
+        # 1783054435 stopped in the line search one step from grad-tol.
         # the square16-p1.5 benchmark workload
         config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=16,
                               grad_tol=1e-6, max_iters=1000, seed=seed)
