@@ -114,21 +114,19 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(path.read_text())
 
 
-def _coordinate_columns(mesh) -> tuple[str, list[str]]:
-    """Header and `x,y[,z],` prefix of every row of a field CSV on the mesh,
-    formatted once and shared by all fields written on it.  Each distinct
-    grid coordinate (m + 1 of them) is formatted once."""
+def _coordinate_columns(mesh) -> str:
+    """%-template of a field CSV on the mesh: the header, then per row the
+    `x,y[,z],` prefix and `%.17g`.  Shared by all fields written on it;
+    each distinct grid coordinate (m + 1 of them) is formatted once."""
     header = "x,y,value" if mesh.dim == 2 else "x,y,z,value"
     coords, index = np.unique(mesh.vertices, return_inverse=True)
     labels = np.array([_fmt(c) + "," for c in coords.tolist()], dtype=object)
-    return header, labels[index.reshape(mesh.vertices.shape)].sum(1).tolist()
+    rows = labels[index.reshape(mesh.vertices.shape)].sum(1) + "%.17g\n"
+    return header + "\n" + "".join(rows.tolist())
 
 
-def _write_field_csv(path: Path, columns: tuple[str, list[str]],
-                     values) -> None:
-    header, prefixes = columns
-    path.write_text(header + "\n" + "".join(map(
-        "{}{:.17g}\n".format, prefixes, np.asarray(values, float).tolist())))
+def _write_field_csv(path: Path, template: str, values) -> None:
+    path.write_text(template % tuple(np.asarray(values, float).tolist()))
 
 
 def _read_field_csv(path: Path, mesh) -> np.ndarray:
@@ -166,9 +164,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    columns = _coordinate_columns(mesh)
+    template = _coordinate_columns(mesh)
     for name, values in zip(("u1.csv", "u2.csv", "u3.csv"), triple.fields()):
-        _write_field_csv(out / name, columns, values)
+        _write_field_csv(out / name, template, values)
 
     checks = verify_fields(
         mesh, cfg.solver.nonlin, cfg.solver.params, triple.fields(),

@@ -136,11 +136,6 @@ class Nonlinearity:
             )
 
 
-def _odd_power(u: np.ndarray, e: float) -> np.ndarray:
-    # sign(u)|u|^e with e > 0; safe at u = 0
-    return np.sign(u) * np.abs(u) ** e
-
-
 def _masked_power(base: np.ndarray, e: float) -> np.ndarray:
     """base**e with the convention 0**e = 0 even for e < 0 (base >= 0)."""
     if e >= 0.0:
@@ -149,6 +144,39 @@ def _masked_power(base: np.ndarray, e: float) -> np.ndarray:
     mask = base > 0.0
     out[mask] = base[mask] ** e
     return out
+
+
+class _Powers(dict):
+    """|x|^e of one nodal field x, each power taken once: `pw[e]`.  An
+    integer 2 < e <= 8 is a product of the shared squares x x, |x|^4, ...
+    (|x|^6 = |x|^4 |x|^2, with no `abs` and no `pow`); any other e is
+    `_masked_power(|x|, e)`, which is |x| ** e for e >= 0."""
+
+    def __init__(self, x: np.ndarray):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, e: float) -> np.ndarray:
+        if e == 2.0:
+            self[e] = self.x * self.x
+        elif e == int(e) and 2.0 < e <= 8.0:
+            low = 1 << ((int(e) - 1).bit_length() - 1)  # largest 2^k < e
+            self[e] = self[low] * self[e - low]
+        else:
+            self[e] = _masked_power(np.abs(self.x), e)
+        return self[e]
+
+    def odd(self, e: float) -> np.ndarray:     # sign(x) |x|^e
+        return self.x * self[e - 1.0]
+
+
+def _source_derivatives(nl: Nonlinearity, pw: _Powers):
+    """f(u) and f'(u) of `nonlin_eval`, to rounding, from the powers of u."""
+    f, fu = pw.odd(nl.q - 1.0), (nl.q - 1.0) * pw[nl.q - 2.0]
+    if nl.odd and nl.r == nl.q:     # x + x is 2x exactly
+        return f + f, fu + fu
+    base = pw if nl.odd else _Powers(np.maximum(pw.x, 0.0))
+    return f + base.odd(nl.r - 1.0), fu + (nl.r - 1.0) * base[nl.r - 2.0]
 
 
 def nonlin_eval(nl: Nonlinearity, u: np.ndarray):
@@ -160,7 +188,7 @@ def nonlin_eval(nl: Nonlinearity, u: np.ndarray):
     u = np.asarray(u, dtype=float)
     au = np.abs(u)
     q, r = nl.q, nl.r
-    f = _odd_power(u, q - 1.0)
+    f = np.sign(u) * au ** (q - 1.0)
     F = au ** q / q
     fu = (q - 1.0) * _masked_power(au, q - 2.0)
     signed = nl.family == "signed"
@@ -171,18 +199,17 @@ def nonlin_eval(nl: Nonlinearity, u: np.ndarray):
             F + base ** r / r, fu + (r - 1.0) * _masked_power(base, r - 2.0))
 
 
-def source_power_terms(nl: Nonlinearity, w: np.ndarray):
+def source_power_terms(nl: Nonlinearity, w: np.ndarray,
+                       pw: _Powers | None = None):
     """Pairs (e, g_e) with f(t w) t w = sum_e t^e g_e pointwise for t > 0.
 
     signed gives (q, |w|^q) and (r, |w|^r); pospart gives (q, |w|^q) and
-    (r, max(w, 0)^r), whose second entry vanishes on nonpositive w.
+    (r, max(w, 0)^r), whose second entry vanishes on nonpositive w.  The
+    powers of w come from `pw`, its `_Powers`, when given.
     """
-    w = np.asarray(w, dtype=float)
-    aw = np.abs(w)
-    first = aw ** nl.q
-    if nl.family == "signed":       # for r = q each power is taken once
-        return ((nl.q, first), (nl.r, first if nl.r == nl.q else aw ** nl.r))
-    return ((nl.q, first), (nl.r, np.maximum(w, 0.0) ** nl.r))
+    pw = _Powers(np.asarray(w, dtype=float)) if pw is None else pw
+    rth = pw if nl.odd else _Powers(np.maximum(pw.x, 0.0))
+    return ((nl.q, pw[nl.q]), (nl.r, rth[nl.r]))
 
 
 def plus_minus_parts(u: np.ndarray):
@@ -317,7 +344,8 @@ def energy_residual(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     res = p_stiffness_vector(mesh, gradient_table(mesh, u), params.p,
                              params.eps)
     f, _, _ = nonlin_eval(nl, u)
-    res -= mesh.lumped_mass * (_odd_power(u, params.pstar - 1.0) + params.lam * f)
+    crit = np.sign(u) * np.abs(u) ** (params.pstar - 1.0)
+    res -= mesh.lumped_mass * (crit + params.lam * f)
     res[mesh.boundary] = 0.0
     return res
 

@@ -46,8 +46,9 @@ from .functional import (
     Nonlinearity,
     RunParameters,
     _dirichlet_form,
-    _odd_power,
     _p_dirichlet,
+    _Powers,
+    _source_derivatives,
     _squared_norms,
     nonlin_eval,
     p_stiffness_vector,
@@ -233,9 +234,10 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         raise SignError(f"constraint {which} needs a field of sign {s:+g}")
     form = _dirichlet_form(mesh, params, w)
     A = form.integral(mesh, params)
-    terms = ((params.pstar, integrate(mesh, np.abs(w) ** params.pstar)),
+    pw = _Powers(w)                 # on the cubes |w|^q comes with |w|^p*
+    terms = ((params.pstar, integrate(mesh, pw[params.pstar])),
              *((e, params.lam * integrate(mesh, g))
-               for e, g in source_power_terms(nl, w)))
+               for e, g in source_power_terms(nl, w, pw)))
     t = fibering_root(A, terms, params.p, tol_rel)
     return ScaleResult(t, A, terms, form)
 
@@ -309,9 +311,9 @@ class _Iterate:
     taken once; the residual E'(u), the constraint gradients and the two
     projections then take one p-stiffness scatter per distinct table:
     one on K1 and K2, where s u_s is u itself, three on K3 (u, u_plus,
-    -u_minus).  All of them follow on first use, with one `nonlin_eval`.
-    The standalone functions of this module and `functional`, which read
-    gradient tables at every p, are the reference for every quantity.
+    -u_minus).  All of them follow on first use, from powers of |u| taken
+    once each (`functional._Powers`).  The standalone functions, with
+    gradient tables and `**` at every p, are the reference for all of them.
     """
 
     mesh: Mesh
@@ -366,24 +368,21 @@ class _Iterate:
         """Residual E'(u), and per active constraint the part and grad phi."""
         mesh, params, u = self.mesh, self.params, self.u
         p, pstar, lam = params.p, params.pstar, params.lam
-        f, _, fu = nonlin_eval(self.nl, u)
+        pw = _Powers(u)
+        f, fu = _source_derivatives(self.nl, pw)
+        crit = pw.odd(pstar - 1.0)
         M = mesh.lumped_mass
         stiff = self.form.covector(mesh, params)
-        residual = stiff - M * (_odd_power(u, pstar - 1.0) + lam * f)
+        residual = stiff - M * (crit + lam * f)
         residual[mesh.boundary] = 0.0
+        # grad phi_s: p K(s u_s) less this term where s u > 0, else 0
+        nodal = M * (pstar * crit + lam * (f + fu * u))
         parts, grads = {}, {}
         for which, form in self.forms.items():
-            s = _sign(which)
-            part = np.maximum(s * u, 0.0)
-            chi = (s * u > 0.0).astype(float)
-            # the co-vector of s u_s is s times that of u_s
-            part_stiff = s * (stiff if len(self.forms) == 1
-                              else form.covector(mesh, params))
-            crit = pstar * M * part ** (pstar - 1.0)
-            grad = (s * (p * chi * part_stiff - crit)
-                    - lam * M * (f * chi + s * fu * part))
-            grad[mesh.boundary] = 0.0
-            parts[which], grads[which] = part, grad
+            parts[which] = part = np.maximum(_sign(which) * u, 0.0)
+            part_stiff = (stiff if len(self.forms) == 1
+                          else form.covector(mesh, params))
+            grads[which] = np.where(part > 0.0, p * part_stiff - nodal, 0.0)
         return residual, parts, grads
 
     @property

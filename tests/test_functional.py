@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from plap.errors import ConfigurationError
-from plap.functional import (Nonlinearity, RunParameters, energy, energy_parts,
+from plap.functional import (Nonlinearity, RunParameters, _Powers,
+                             _source_derivatives, energy, energy_parts,
                              energy_residual, nonlin_eval, p_stiffness_vector,
                              plus_minus_parts, sobolev_constant,
                              sobolev_threshold)
@@ -103,6 +104,66 @@ class TestNonlinEval:
         slack = 1e-12 * max(abs(x) for x in chain)
         for lo, hi in zip(chain, chain[1:]):
             assert lo <= hi + slack
+
+
+def signed_samples(n=4000, seed=3):
+    """Nodal values of both signs over ten decades, with exact zeros."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * np.exp(rng.uniform(-11.5, 11.5, n))
+    x[:3] = (0.0, -0.0, 0.0)
+    return x
+
+
+class TestPowers:
+    """The solver's power kernel against `np.abs(x) ** e`."""
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_integer_chains_within_4_ulp(self, e):
+        x = signed_samples()
+        got, want = _Powers(x)[float(e)], np.abs(x) ** float(e)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+        assert np.all(got[:3] == 0.0)
+
+    @pytest.mark.parametrize("e", [0.0, 0.5, 1.5, 2.5, 3.7, 5.999, 9.0, 12.0])
+    def test_other_exponents_are_pow_exactly(self, e):
+        x = signed_samples()
+        assert np.array_equal(_Powers(x)[e], np.abs(x) ** e)
+
+    @pytest.mark.parametrize("e", [-0.5, -1.0, -2.0])
+    def test_negative_exponents_mask_zero(self, e):
+        x = signed_samples()
+        got = _Powers(x)[e]
+        nonzero = x != 0.0
+        assert np.all(got[~nonzero] == 0.0)
+        assert np.array_equal(got[nonzero], np.abs(x[nonzero]) ** e)
+
+    @pytest.mark.parametrize("e", [0.5, 1.0, 2.0, 3.0, 4.5, 5.0])
+    def test_odd_power_keeps_the_sign(self, e):
+        x = signed_samples()
+        got = _Powers(x).odd(e)
+        assert np.array_equal(np.sign(got), np.sign(x))
+        want = np.abs(x) ** e
+        assert np.all(np.abs(np.abs(got) - want)
+                      <= 4 * np.finfo(float).eps * want)
+
+    def test_each_power_taken_once(self):
+        # |x|^6 = |x|^4 |x|^2 over the shared squares, with no abs
+        pw = _Powers(signed_samples())
+        six, four = pw[6.0], pw[4.0]
+        assert sorted(pw) == [2.0, 4.0, 6.0]
+        assert pw[6.0] is six and pw[4] is four
+
+    @pytest.mark.parametrize("family", ["signed", "pospart"])
+    @pytest.mark.parametrize("q, r", [(4.0, 4.0), (3.0, 3.0), (4.0, 3.0),
+                                      (2.5, 2.0), (1.8, 1.6)])
+    def test_source_derivatives_match_nonlin_eval(self, family, q, r):
+        nl = Nonlinearity(family=family, q=q, r=r)
+        x = signed_samples()
+        f, _, fu = nonlin_eval(nl, x)
+        got_f, got_fu = _source_derivatives(nl, _Powers(x))
+        for got, want in ((got_f, f), (got_fu, fu)):
+            assert np.all(np.abs(got - want)
+                          <= 8 * np.finfo(float).eps * np.abs(want))
 
 
 class TestValidation:

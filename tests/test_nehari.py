@@ -451,8 +451,10 @@ class TestTangentProject:
             tangent_project(self.mesh, NL2, P2, z, v, KIndex.K1)
 
 
-# (dim, p, q, r): p = 1.5 runs the eps-regularized p-stiffness weight
-STATE_CASES = [(2, 1.5, 3.0, 2.5), (3, 2.0, 4.0, 3.0), (3, 1.5, 2.5, 2.0)]
+# (dim, p, q, r): p = 1.5 runs the eps-regularized p-stiffness weight;
+# q = r, as every benchmark workload runs, shares the source powers
+STATE_CASES = [(2, 1.5, 3.0, 2.5), (3, 2.0, 4.0, 3.0), (3, 1.5, 2.5, 2.0),
+               (3, 2.0, 4.0, 4.0), (2, 1.5, 3.0, 3.0)]
 
 
 def state_fields(mesh, k):
