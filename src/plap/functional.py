@@ -33,7 +33,6 @@ __all__ = [
     "RunParameters",
     "nonlin_eval",
     "source_power_terms",
-    "plus_minus_parts",
     "energy",
     "energy_parts",
     "energy_residual",
@@ -199,23 +198,15 @@ def nonlin_eval(nl: Nonlinearity, u: np.ndarray):
             F + base ** r / r, fu + (r - 1.0) * _masked_power(base, r - 2.0))
 
 
-def source_power_terms(nl: Nonlinearity, w: np.ndarray,
-                       pw: _Powers | None = None):
-    """Pairs (e, g_e) with f(t w) t w = sum_e t^e g_e pointwise for t > 0.
+def source_power_terms(nl: Nonlinearity, pw: _Powers):
+    """Pairs (e, g_e) with f(t w) t w = sum_e t^e g_e pointwise for t > 0,
+    read from the powers `pw` = `_Powers(w)` of w.
 
     signed gives (q, |w|^q) and (r, |w|^r); pospart gives (q, |w|^q) and
-    (r, max(w, 0)^r), whose second entry vanishes on nonpositive w.  The
-    powers of w come from `pw`, its `_Powers`, when given.
+    (r, max(w, 0)^r), whose second entry vanishes on nonpositive w.
     """
-    pw = _Powers(np.asarray(w, dtype=float)) if pw is None else pw
     rth = pw if nl.odd else _Powers(np.maximum(pw.x, 0.0))
     return ((nl.q, pw[nl.q]), (nl.r, rth[nl.r]))
-
-
-def plus_minus_parts(u: np.ndarray):
-    """Nodal positive and negative parts: u = plus - minus, both >= 0."""
-    u = np.asarray(u, dtype=float)
-    return np.maximum(u, 0.0), np.maximum(-u, 0.0)
 
 
 def _squared_norms(g: np.ndarray) -> np.ndarray:
@@ -323,8 +314,8 @@ def _dirichlet_form(mesh: Mesh, params: RunParameters, u: np.ndarray):
     Both forms give int |grad u|^p (`integral`) and the p-stiffness
     co-vector (`covector`, exact on the interior rows), scale with u
     (`scaled`) and add over fields (`plus`).  `energy`, `energy_residual`
-    and the constraint functions of `nehari` keep the table at every p,
-    so they check the stencil independently.
+    and `plap.verify` keep the table at every p, so they check the
+    stencil independently.
     """
     if params.p == 2.0:
         return _StencilForm(u, laplace_apply(mesh, u))

@@ -56,7 +56,6 @@ __all__ = [
     "integrate",
     "gradient_table",
     "apply_dirichlet",
-    "laplace_stiffness",
     "laplace_apply",
     "LaplacePreconditioner",
 ]
@@ -99,19 +98,6 @@ class Mesh:
     lumped_mass: np.ndarray
     grad_op: sparse.csr_array
     grad_op_t: sparse.csr_array
-
-    @property
-    def shape_gradients(self) -> np.ndarray:
-        """Gradient of each vertex hat function restricted to each simplex,
-        shape (n_simplices, dim+1, dim), zeros included; its nonzero
-        entries are those `grad_op` stores.  Built read-only on each
-        access from the cell templates: the solver reads `grad_op` only,
-        so a mesh does not hold this table."""
-        m = self.cells_per_side
-        grads = np.tile(m * _template_gradients(self.dim).astype(float),
-                        (m ** self.dim, 1, 1))
-        grads.flags.writeable = False
-        return grads
 
     @property
     def n_vertices(self) -> int:
@@ -249,17 +235,11 @@ def apply_dirichlet(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
-    """P1 stiffness matrix of -Laplace, G^T diag(vol) G, as CSR (no boundary
-    handling). Entries that cancel to exact zeros are not stored."""
-    weights = sparse.diags_array(np.repeat(mesh.volumes, mesh.dim))
-    return mesh.grad_op_t @ (weights @ mesh.grad_op)
-
-
 def laplace_apply(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """K u on the interior vertices and 0 on the boundary ones, where K is
-    `laplace_stiffness`: on an interior row it is the axis stencil
-    m^(2-dim) (2 dim u_c - sum of the 2 dim grid neighbours of c).
+    the P1 stiffness of -Laplace, G^T diag(vol) G: on an interior row it
+    is the axis stencil m^(2-dim) (2 dim u_c - sum of the 2 dim grid
+    neighbours of c).
 
     For u zero on the boundary, u . K u is int |grad u|^2.
     """
@@ -292,8 +272,8 @@ class LaplacePreconditioner:
     S_jk = sqrt(2/m) sin(pi j k / m) is symmetric with S^2 = I and
     diagonalizes T with eigenvalues 4 sin^2(pi j / 2m), so K = S^d L S^d,
     where S^d applies S along every axis and L holds the sums
-    h^(dim-2) sum_axes 4 sin^2(pi j_axis / 2m).  `laplace_stiffness` is
-    the assembled operator this solve inverts.
+    h^(dim-2) sum_axes 4 sin^2(pi j_axis / 2m).  This K is the interior
+    block of the P1 stiffness G^T diag(vol) G, which is never assembled.
     """
 
     def __init__(self, mesh: Mesh):

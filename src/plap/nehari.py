@@ -20,10 +20,11 @@ Scaling a fixed shape w onto the constraint set leads to the scalar
 fibering map t -> phi(t w).  For sign-definite w it is a sum of powers,
 A t^p - sum_e c_e t^e with A = int |grad w|^p, the critical pair
 (p*, int |w|^p*) and the source pairs (e, lam int g_e(w)), and has
-exactly one positive root.  When the source term dominates c3 |u|^q, the
-root is bounded above by t1 = (A / (c3 lam C))^(1/(q-p)) with
-C = int |w|^q; `fibering_coefficients` and `fibering_upper_bound` give
-that bound as a standalone formula.
+exactly one positive root, which `fibering_root` finds.  When the source
+term dominates c3 |u|^q, the root is bounded above by
+t1 = (A / (c3 lam C))^(1/(q-p)) with C = int |w|^q.  The descent reads
+the calculus of a scaled field (E, E', phi_i, grad phi_i and the tangent
+projection) from one private state per iterate, `_Iterate`.
 """
 
 from __future__ import annotations
@@ -46,28 +47,17 @@ from .functional import (
     Nonlinearity,
     RunParameters,
     _dirichlet_form,
-    _p_dirichlet,
     _Powers,
     _source_derivatives,
-    _squared_norms,
-    nonlin_eval,
-    p_stiffness_vector,
     source_power_terms,
 )
-from .mesh import Mesh, _check_field, gradient_table, integrate
+from .mesh import Mesh, _check_field, integrate
 
 __all__ = [
     "KIndex",
-    "FiberingCoefficients",
     "ScaleResult",
-    "constraint_phi",
-    "constraint_scale",
-    "fibering_coefficients",
-    "fibering_upper_bound",
     "fibering_root",
     "scale_to_manifold",
-    "constraint_gradient",
-    "tangent_project",
 ]
 
 MAX_NEWTON = 100
@@ -83,16 +73,6 @@ class KIndex(enum.Enum):
     @property
     def active_constraints(self) -> tuple[int, ...]:
         return {1: (1,), 2: (2,), 3: (1, 2)}[self.value]
-
-
-@dataclass(frozen=True)
-class FiberingCoefficients:
-    """Integrals entering the fibering map of a shape w:
-    A = int |grad w|^p, B = int |w|^p*, C = int |w|^q."""
-
-    A: float
-    B: float
-    C: float
 
 
 class ScaleResult(NamedTuple):
@@ -116,50 +96,11 @@ def _sign(which: int) -> float:
     return 1.0 if which == 1 else -1.0
 
 
-def constraint_phi(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                   u: np.ndarray, which: int) -> float:
-    """Evaluate phi1 (which=1) or phi2 (which=2) at u."""
-    u = _check_field(mesh, u)
-    s = _sign(which)
-    part = np.maximum(s * u, 0.0)
-    f, _, _ = nonlin_eval(nl, u)
-    return (_p_dirichlet(mesh, _squared_norms(gradient_table(mesh, part)),
-                         params.p)
-            - integrate(mesh, part ** params.pstar)
-            - s * params.lam * integrate(mesh, f * part))
-
-
-def constraint_scale(mesh: Mesh, params: RunParameters, u: np.ndarray,
-                     which: int) -> float:
-    """Natural scale of phi_which at u: the part's gradient integral
-    int |grad u_s|^p.  Used to make constraint tolerances relative."""
-    part = np.maximum(_sign(which) * _check_field(mesh, u), 0.0)
-    return _p_dirichlet(
-        mesh, _squared_norms(gradient_table(mesh, part)), params.p)
-
-
 def _nonzero_field(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     w = _check_field(mesh, w)
     if not np.any(w != 0.0):
         raise DegenerateInputError("fibering coefficients of the zero field")
     return w
-
-
-def fibering_coefficients(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                          w: np.ndarray) -> FiberingCoefficients:
-    """A, B, C for the shape w.  Homogeneous of degree p, p*, q in w."""
-    w = _nonzero_field(mesh, w)
-    aw = np.abs(w)
-    A = _p_dirichlet(mesh, _squared_norms(gradient_table(mesh, w)), params.p)
-    return FiberingCoefficients(A, integrate(mesh, aw ** params.pstar),
-                                integrate(mesh, aw ** nl.q))
-
-
-def fibering_upper_bound(A: float, c3: float, lam: float, C: float,
-                         q: float, p: float) -> float:
-    """t1 = (A / (c3 lam C))^(1/(q-p)), an upper bound for the root
-    whenever the source term dominates c3 |u|^q."""
-    return (A / (c3 * lam * C)) ** (1.0 / (q - p))
 
 
 def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
@@ -237,33 +178,9 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     pw = _Powers(w)                 # on the cubes |w|^q comes with |w|^p*
     terms = ((params.pstar, integrate(mesh, pw[params.pstar])),
              *((e, params.lam * integrate(mesh, g))
-               for e, g in source_power_terms(nl, w, pw)))
+               for e, g in source_power_terms(nl, pw)))
     t = fibering_root(A, terms, params.p, tol_rel)
     return ScaleResult(t, A, terms, form)
-
-
-def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                        u: np.ndarray, which: int) -> np.ndarray:
-    """Nodal gradient of phi_which at u, zeroed on the boundary.
-
-    The positive/negative part is differentiated with the almost-everywhere
-    chain rule: the variation of u_plus in direction v is v on {u > 0} and
-    0 elsewhere, so every entry at a node of the opposite sign vanishes
-    identically, making the K3 cross-pairings exact zeros.
-    """
-    u = _check_field(mesh, u)
-    s = _sign(which)
-    part = np.maximum(s * u, 0.0)
-    chi = (s * u > 0.0).astype(float)
-    p, pstar, lam = params.p, params.pstar, params.lam
-    f, _, fu = nonlin_eval(nl, u)
-    M = mesh.lumped_mass
-    part_stiff = p_stiffness_vector(mesh, gradient_table(mesh, part), p,
-                                    params.eps)
-    out = (s * (p * chi * part_stiff - pstar * M * part ** (pstar - 1.0))
-           - lam * M * (f * chi + s * fu * part))
-    out[mesh.boundary] = 0.0
-    return out
 
 
 def _remove_normal(v: np.ndarray, along: np.ndarray,
@@ -284,18 +201,6 @@ def _remove_normal(v: np.ndarray, along: np.ndarray,
     return v - (float(np.dot(against, v)) / denom) * along
 
 
-def tangent_project(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                    u: np.ndarray, v: np.ndarray, k: KIndex) -> np.ndarray:
-    """Project a direction v onto the tangent space of the active
-    constraints at u, by removing multiples of u_plus and/or u_minus."""
-    u = _check_field(mesh, u)
-    out = _check_field(mesh, v)
-    for which in k.active_constraints:
-        out = _remove_normal(out, np.maximum(_sign(which) * u, 0.0),
-                             constraint_gradient(mesh, nl, params, u, which))
-    return out
-
-
 @dataclass(eq=False)
 class _Iterate:
     """One retracted field u of constraint set k with everything the
@@ -312,8 +217,9 @@ class _Iterate:
     projections then take one p-stiffness scatter per distinct table:
     one on K1 and K2, where s u_s is u itself, three on K3 (u, u_plus,
     -u_minus).  All of them follow on first use, from powers of |u| taken
-    once each (`functional._Powers`).  The standalone functions, with
-    gradient tables and `**` at every p, are the reference for all of them.
+    once each (`functional._Powers`).  `plap.verify` measures E, E', phi_i
+    and the scales again, with gradient tables and `**` at every p, and
+    shares nothing with this state.
     """
 
     mesh: Mesh
@@ -408,7 +314,8 @@ class _Iterate:
         return r
 
     def tangent_project(self, v: np.ndarray) -> np.ndarray:
-        """As the standalone `tangent_project` at u."""
+        """Project a direction v onto the tangent space of the active
+        constraints at u, by removing multiples of u_plus and/or u_minus."""
         _, parts, grads = self._calculus
         for which in self.forms:
             v = _remove_normal(v, parts[which], grads[which])

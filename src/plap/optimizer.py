@@ -64,7 +64,6 @@ __all__ = [
     "SolveReport",
     "SolutionTriple",
     "SweepRow",
-    "initial_point",
     "retract",
     "descend",
     "solve_three",
@@ -223,15 +222,6 @@ def _initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     v = mesh.vertices
     lean = (v[:, 1] - v[:, 0]) * np.prod(np.sin(np.pi * v), axis=1)
     return w_pos + w_neg + K3_LEAN * apply_dirichlet(mesh, lean)
-
-
-def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                  k: KIndex, seed: int,
-                  tol_rel: float = 1e-10) -> np.ndarray:
-    """The seeded initial shape of k, retracted onto its constraint set:
-    the first iterate of the descents that `solve_three` runs."""
-    return retract(mesh, nl, params, _initial_shape(mesh, k, seed), k,
-                   tol_rel).u
 
 
 def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,

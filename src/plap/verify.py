@@ -1,28 +1,32 @@
 """Independent acceptance checks for solver outputs.
 
-Each check re-measures its quantities from the field and the mesh alone,
+Each field is measured from the field and the mesh alone (`measure`),
 so a triple written to disk can be validated without trusting anything
-the solver reported about it.
+the solver reported about it; the checks read that record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .functional import (
     Nonlinearity,
     RunParameters,
+    _p_dirichlet,
+    _squared_norms,
     energy,
     energy_residual,
     nonlin_eval,
 )
-from .mesh import LaplacePreconditioner, Mesh, integrate
-from .nehari import KIndex, _sign, constraint_phi, constraint_scale
+from .mesh import LaplacePreconditioner, Mesh, gradient_table, integrate
+from .nehari import KIndex, _sign
 
 __all__ = [
     "CheckReport",
+    "Measures",
+    "measure",
     "check_membership",
     "check_energy_chain",
     "check_sign_structure",
@@ -51,9 +55,43 @@ class CheckReport:
         return "  ".join(parts)
 
 
-def _part_mass(mesh: Mesh, u: np.ndarray, which: int) -> float:
-    """int u_s, the mass of the part of u of the sign s of phi_which."""
-    return integrate(mesh, np.maximum(_sign(which) * u, 0.0))
+@dataclass(frozen=True, eq=False)
+class Measures:
+    """What the checks read of one field u.  The dicts hold both parts
+    u_s = max(s u, 0), keyed as the constraints are: which = 1 for
+    s = +1, which = 2 for s = -1."""
+
+    u: np.ndarray
+    masses: dict            # which -> int u_s
+    scales: dict            # which -> int |grad u_s|^p
+    phis: dict              # which -> phi_which(u)
+    moment: float           # int |u|^p* + lam int f(u) u
+    energy: float
+    residual: np.ndarray    # E'(u), zeroed on the boundary
+
+
+def measure(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+            u: np.ndarray) -> Measures:
+    """The record of u: one gradient table per part and one `nonlin_eval`
+    give the part quantities and the moment; E and E' come from `energy`
+    and `energy_residual`."""
+    u = np.asarray(u, dtype=float)
+    f, _, _ = nonlin_eval(nl, u)
+    masses, scales, phis = {}, {}, {}
+    for which in (1, 2):
+        s = _sign(which)
+        part = np.maximum(s * u, 0.0)
+        masses[which] = integrate(mesh, part)
+        scales[which] = _p_dirichlet(
+            mesh, _squared_norms(gradient_table(mesh, part)), params.p)
+        phis[which] = (scales[which]
+                       - integrate(mesh, part ** params.pstar)
+                       - s * params.lam * integrate(mesh, f * part))
+    moment = integrate(mesh, np.abs(u) ** params.pstar) \
+        + params.lam * integrate(mesh, f * u)
+    return Measures(u, masses, scales, phis, moment,
+                    energy(mesh, nl, params, u),
+                    energy_residual(mesh, nl, params, u))
 
 
 def infer_kind(u: np.ndarray) -> KIndex:
@@ -66,39 +104,22 @@ def infer_kind(u: np.ndarray) -> KIndex:
     return KIndex.K3
 
 
-def _part_scales(mesh: Mesh, params: RunParameters, u: np.ndarray,
-                 scales: dict | None) -> dict:
-    """int |grad u_s|^p of both parts, from `scales` when given."""
-    if scales is not None:
-        return scales
-    return {which: constraint_scale(mesh, params, u, which)
-            for which in (1, 2)}
-
-
-def check_membership(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                     u: np.ndarray, k: KIndex, tol_rel: float = 1e-9,
-                     scales: dict | None = None) -> CheckReport:
+def check_membership(m: Measures, k: KIndex,
+                     tol_rel: float = 1e-9) -> CheckReport:
     """Sign condition (u has the sign structure of k), nontrivial part
-    mass, and constraint residual(s).
-
-    Like the other field checks, it takes the part gradient integrals
-    {1: int |grad u_plus|^p, 2: int |grad u_minus|^p} of u as `scales`
-    when a caller has them, and measures them otherwise.
-    """
-    u = np.asarray(u, dtype=float)
-    scales = _part_scales(mesh, params, u, scales)
-    measured = {"min": float(np.min(u)), "max": float(np.max(u))}
-    ok = infer_kind(u) is k
+    mass, and constraint residual(s) relative to the part's gradient
+    integral."""
+    measured = {"min": float(np.min(m.u)), "max": float(np.max(m.u))}
+    ok = infer_kind(m.u) is k
 
     for which in k.active_constraints:
-        mass = _part_mass(mesh, u, which)
+        mass = m.masses[which]
         measured[f"mass{which}"] = mass
         if not (mass > 0.0):
             ok = False
             continue
-        resid = abs(constraint_phi(mesh, nl, params, u, which))
-        scale = scales[which]
-        rel = resid / scale if scale > 0.0 else float("inf")
+        scale = m.scales[which]
+        rel = abs(m.phis[which]) / scale if scale > 0.0 else float("inf")
         measured[f"phi{which}_rel"] = rel
         if not (rel <= tol_rel):
             ok = False
@@ -106,34 +127,25 @@ def check_membership(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return CheckReport("membership", ok, tol_rel, measured, k.name)
 
 
-def check_energy_chain(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                       u: np.ndarray, k: KIndex, tol_rel: float = 1e-9,
-                       scales: dict | None = None) -> CheckReport:
+def check_energy_chain(m: Measures, k: KIndex, k2: float, p: float,
+                       tol_rel: float = 1e-9) -> CheckReport:
     """Three facts tied together by the active constraints:
 
     (a) sum of part gradient integrals = int |u|^p* + lam int f(u) u,
     (b) the energy is strictly positive,
     (c) the energy is at most (1/k2 + 1/p) int |grad u|^p.
     """
-    u = np.asarray(u, dtype=float)
-    scales = _part_scales(mesh, params, u, scales)
-    grad_parts = sum(scales[which] for which in k.active_constraints)
-    f, _, _ = nonlin_eval(nl, u)
-    rhs = integrate(mesh, np.abs(u) ** params.pstar) \
-        + params.lam * integrate(mesh, f * u)
-    identity_rel = abs(grad_parts - rhs) / grad_parts if grad_parts > 0 \
+    grad_parts = sum(m.scales[which] for which in k.active_constraints)
+    identity_rel = abs(grad_parts - m.moment) / grad_parts if grad_parts > 0 \
         else float("inf")
 
-    E = energy(mesh, nl, params, u)
-    grad_full = sum(scales[which] for which in (1, 2))
-    bound = (1.0 / nl.k2 + 1.0 / params.p) * grad_full
+    E = m.energy
+    grad_full = sum(m.scales[which] for which in (1, 2))
+    bound = (1.0 / k2 + 1.0 / p) * grad_full
 
     ok = identity_rel <= tol_rel and E > 0.0 and E <= bound
-    measured = {
-        "identity_rel": identity_rel,
-        "energy": E,
-        "upper_bound": bound,
-    }
+    measured = {"identity_rel": identity_rel, "energy": E,
+                "upper_bound": bound}
     return CheckReport("energy_chain", ok, tol_rel, measured, k.name)
 
 
@@ -143,7 +155,8 @@ def check_sign_structure(mesh: Mesh, triple_fields) -> CheckReport:
     every part its set requires."""
     fields = [np.asarray(u, dtype=float) for u in triple_fields]
     kinds = [infer_kind(u) for u in fields]
-    measured = {f"u{i}_mass{which}": _part_mass(mesh, u, which)
+    measured = {f"u{i}_mass{which}":
+                integrate(mesh, np.maximum(_sign(which) * u, 0.0))
                 for i, (u, k) in enumerate(zip(fields, kinds), start=1)
                 for which in k.active_constraints}
     ok = (sorted(k.value for k in kinds) == [1, 2, 3]
@@ -151,21 +164,16 @@ def check_sign_structure(mesh: Mesh, triple_fields) -> CheckReport:
     return CheckReport("sign_structure", ok, 0.0, measured)
 
 
-def check_euler_lagrange(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                         u: np.ndarray, tol: float,
-                         precond: LaplacePreconditioner | None = None,
-                         scales: dict | None = None) -> CheckReport:
+def check_euler_lagrange(m: Measures, tol: float,
+                         precond: LaplacePreconditioner) -> CheckReport:
     """Preconditioned dual norm of the full energy gradient at u.
 
     The zero field passes on the residual but is flagged trivial in the
     measured data, so it cannot slip through a suite that also runs the
     membership check.
     """
-    u = np.asarray(u, dtype=float)
-    P = precond if precond is not None else LaplacePreconditioner(mesh)
-    norm = P.dual_norm(energy_residual(mesh, nl, params, u))
-    scales = _part_scales(mesh, params, u, scales)
-    grad = sum(scales[which] for which in (1, 2))
+    norm = precond.dual_norm(m.residual)
+    grad = sum(m.scales[which] for which in (1, 2))
     measured = {"residual_norm": norm, "gradient_integral": grad,
                 "trivial": float(grad == 0.0)}
     return CheckReport("euler_lagrange", norm <= tol, tol, measured)
@@ -175,25 +183,20 @@ def verify_fields(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                   fields, residual_tol: float = 1e-6) -> list[CheckReport]:
     """Run the full suite on one or more fields, in any order.
 
-    Each field is checked on the set its sign gives (`infer_kind`), with
-    its two part gradient integrals measured once and shared by the
-    checks.  Three fields also get the triple-level sign-structure check,
-    which asks for one field of each kind.
+    Each field is measured once and checked on the set its sign gives
+    (`infer_kind`).  Three fields also get the triple-level
+    sign-structure check, which asks for one field of each kind.
     """
     fields = [np.asarray(u, dtype=float) for u in fields]
     P = LaplacePreconditioner(mesh)
     reports = []
     for idx, u in enumerate(fields, start=1):
+        m = measure(mesh, nl, params, u)
         k = infer_kind(u)
-        scales = _part_scales(mesh, params, u, None)
-        mem = check_membership(mesh, nl, params, u, k, scales=scales)
-        chain = check_energy_chain(mesh, nl, params, u, k, scales=scales)
-        euler = check_euler_lagrange(mesh, nl, params, u, residual_tol, P,
-                                     scales)
-        for rep in (mem, chain, euler):
-            reports.append(CheckReport(f"u{idx}_{rep.name}", rep.passed,
-                                       rep.tolerance, rep.measured,
-                                       rep.detail))
+        for rep in (check_membership(m, k),
+                    check_energy_chain(m, k, nl.k2, params.p),
+                    check_euler_lagrange(m, residual_tol, P)):
+            reports.append(replace(rep, name=f"u{idx}_{rep.name}"))
     if len(fields) == 3:
         reports.append(check_sign_structure(mesh, fields))
     return reports

@@ -1,10 +1,17 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from plap.functional import Nonlinearity, RunParameters
-from plap.mesh import build_mesh, laplace_stiffness
-from plap.optimizer import SolverConfig, solve_three
+from plap.functional import (Nonlinearity, RunParameters, _p_dirichlet,
+                             _squared_norms, nonlin_eval, p_stiffness_vector)
+from plap.mesh import (Mesh, _check_field, _template_gradients, build_mesh,
+                       gradient_table, integrate)
+from plap.nehari import KIndex, _nonzero_field, _remove_normal, _sign
+from plap.optimizer import (SolverConfig, _initial_shape, retract,
+                            solve_three)
 
 
 def reference_config() -> SolverConfig:
@@ -102,3 +109,130 @@ def two_loop_direction(pairs, r, g):
     for (s, y, _, sy), alpha in zip(pairs, reversed(alphas)):
         g += (alpha - np.dot(y, g) / sy) * s
     return g
+
+
+# Reference code that only the tests call: the mesh's assembled stiffness
+# and per-simplex hat gradients, the standalone constraint calculus that
+# `nehari._Iterate` and `plap.verify.measure` compute in fused form, the
+# fibering coefficients with their closed-form root bound, and the
+# retracted initial point.
+
+
+def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
+    """P1 stiffness matrix of -Laplace, G^T diag(vol) G, as CSR (no boundary
+    handling). Entries that cancel to exact zeros are not stored."""
+    weights = sparse.diags_array(np.repeat(mesh.volumes, mesh.dim))
+    return mesh.grad_op_t @ (weights @ mesh.grad_op)
+
+
+def shape_gradients(mesh: Mesh) -> np.ndarray:
+    """Gradient of each vertex hat function restricted to each simplex,
+    shape (n_simplices, dim+1, dim), zeros included; its nonzero
+    entries are those `grad_op` stores.  Built read-only on each
+    call from the cell templates: the solver reads `grad_op` only,
+    so a mesh does not hold this table."""
+    m = mesh.cells_per_side
+    grads = np.tile(m * _template_gradients(mesh.dim).astype(float),
+                    (m ** mesh.dim, 1, 1))
+    grads.flags.writeable = False
+    return grads
+
+
+def plus_minus_parts(u: np.ndarray):
+    """Nodal positive and negative parts: u = plus - minus, both >= 0."""
+    u = np.asarray(u, dtype=float)
+    return np.maximum(u, 0.0), np.maximum(-u, 0.0)
+
+
+@dataclass(frozen=True)
+class FiberingCoefficients:
+    """Integrals entering the fibering map of a shape w:
+    A = int |grad w|^p, B = int |w|^p*, C = int |w|^q."""
+
+    A: float
+    B: float
+    C: float
+
+
+def constraint_phi(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                   u: np.ndarray, which: int) -> float:
+    """Evaluate phi1 (which=1) or phi2 (which=2) at u."""
+    u = _check_field(mesh, u)
+    s = _sign(which)
+    part = np.maximum(s * u, 0.0)
+    f, _, _ = nonlin_eval(nl, u)
+    return (_p_dirichlet(mesh, _squared_norms(gradient_table(mesh, part)),
+                         params.p)
+            - integrate(mesh, part ** params.pstar)
+            - s * params.lam * integrate(mesh, f * part))
+
+
+def constraint_scale(mesh: Mesh, params: RunParameters, u: np.ndarray,
+                     which: int) -> float:
+    """Natural scale of phi_which at u: the part's gradient integral
+    int |grad u_s|^p.  Used to make constraint tolerances relative."""
+    part = np.maximum(_sign(which) * _check_field(mesh, u), 0.0)
+    return _p_dirichlet(
+        mesh, _squared_norms(gradient_table(mesh, part)), params.p)
+
+
+def fibering_coefficients(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                          w: np.ndarray) -> FiberingCoefficients:
+    """A, B, C for the shape w.  Homogeneous of degree p, p*, q in w."""
+    w = _nonzero_field(mesh, w)
+    aw = np.abs(w)
+    A = _p_dirichlet(mesh, _squared_norms(gradient_table(mesh, w)), params.p)
+    return FiberingCoefficients(A, integrate(mesh, aw ** params.pstar),
+                                integrate(mesh, aw ** nl.q))
+
+
+def fibering_upper_bound(A: float, c3: float, lam: float, C: float,
+                         q: float, p: float) -> float:
+    """t1 = (A / (c3 lam C))^(1/(q-p)), an upper bound for the root
+    whenever the source term dominates c3 |u|^q."""
+    return (A / (c3 * lam * C)) ** (1.0 / (q - p))
+
+
+def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                        u: np.ndarray, which: int) -> np.ndarray:
+    """Nodal gradient of phi_which at u, zeroed on the boundary.
+
+    The positive/negative part is differentiated with the almost-everywhere
+    chain rule: the variation of u_plus in direction v is v on {u > 0} and
+    0 elsewhere, so every entry at a node of the opposite sign vanishes
+    identically, making the K3 cross-pairings exact zeros.
+    """
+    u = _check_field(mesh, u)
+    s = _sign(which)
+    part = np.maximum(s * u, 0.0)
+    chi = (s * u > 0.0).astype(float)
+    p, pstar, lam = params.p, params.pstar, params.lam
+    f, _, fu = nonlin_eval(nl, u)
+    M = mesh.lumped_mass
+    part_stiff = p_stiffness_vector(mesh, gradient_table(mesh, part), p,
+                                    params.eps)
+    out = (s * (p * chi * part_stiff - pstar * M * part ** (pstar - 1.0))
+           - lam * M * (f * chi + s * fu * part))
+    out[mesh.boundary] = 0.0
+    return out
+
+
+def tangent_project(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                    u: np.ndarray, v: np.ndarray, k: KIndex) -> np.ndarray:
+    """Project a direction v onto the tangent space of the active
+    constraints at u, by removing multiples of u_plus and/or u_minus."""
+    u = _check_field(mesh, u)
+    out = _check_field(mesh, v)
+    for which in k.active_constraints:
+        out = _remove_normal(out, np.maximum(_sign(which) * u, 0.0),
+                             constraint_gradient(mesh, nl, params, u, which))
+    return out
+
+
+def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                  k: KIndex, seed: int,
+                  tol_rel: float = 1e-10) -> np.ndarray:
+    """The seeded initial shape of k, retracted onto its constraint set:
+    the first iterate of the descents that `solve_three` runs."""
+    return retract(mesh, nl, params, _initial_shape(mesh, k, seed), k,
+                   tol_rel).u

@@ -14,14 +14,13 @@ from plap.functional import (Nonlinearity, RunParameters, energy,
                              energy_residual, sobolev_constant,
                              sobolev_threshold)
 from plap.mesh import apply_dirichlet, build_mesh, gradient_table, integrate
-from plap.nehari import (KIndex, constraint_gradient, fibering_coefficients,
-                         fibering_upper_bound, scale_to_manifold,
-                         tangent_project)
+from plap.nehari import KIndex, scale_to_manifold
 from plap.optimizer import solve_three
-from plap.verify import check_energy_chain
-from plap.functional import plus_minus_parts
+from plap.verify import check_energy_chain, measure
 
-from conftest import interior_bump, reference_config
+from conftest import (constraint_gradient, fibering_coefficients,
+                      fibering_upper_bound, interior_bump, plus_minus_parts,
+                      reference_config, tangent_project)
 
 ROOT_UNIT = 0.7861513777574233
 ROOT_QUAD = 0.48586827175664576
@@ -122,7 +121,9 @@ def test_criterion_4_constraint_identity(reference_run):
     worst = max(rep.max_constraint_residual for rep in triple.reports)
     chain_ok = True
     for u, k in zip(triple.fields(), (KIndex.K1, KIndex.K2, KIndex.K3)):
-        rep = check_energy_chain(mesh, config.nonlin, config.params, u, k)
+        rep = check_energy_chain(
+            measure(mesh, config.nonlin, config.params, u), k,
+            config.nonlin.k2, config.params.p)
         chain_ok = chain_ok and rep.passed
     _criterion(
         4, "constraint identity along iterates",

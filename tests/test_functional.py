@@ -10,11 +10,10 @@ from plap.errors import ConfigurationError
 from plap.functional import (Nonlinearity, RunParameters, _Powers,
                              _source_derivatives, energy, energy_parts,
                              energy_residual, nonlin_eval, p_stiffness_vector,
-                             plus_minus_parts, sobolev_constant,
-                             sobolev_threshold)
+                             sobolev_constant, sobolev_threshold)
 from plap.mesh import apply_dirichlet, build_mesh, gradient_table, integrate
 
-from conftest import interior_bump
+from conftest import interior_bump, plus_minus_parts, shape_gradients
 
 
 def params_2d(lam=20.0, eps=1e-8):
@@ -378,7 +377,7 @@ def _scatter_p_stiffness(mesh, g, p, eps):
     else:
         w = (g2 + eps * eps) ** expo
     coef = mesh.volumes * w
-    contrib = coef[:, None] * np.einsum("sd,sid->si", g, mesh.shape_gradients)
+    contrib = coef[:, None] * np.einsum("sd,sid->si", g, shape_gradients(mesh))
     out = np.zeros(mesh.n_vertices)
     np.add.at(out, mesh.simplices.ravel(), contrib.ravel())
     return out

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from plap.errors import ConfigurationError, DimensionMismatchError
 from plap.functional import _p_dirichlet, _squared_norms
 from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
-                       gradient_table, integrate, laplace_apply,
-                       laplace_stiffness)
+                       gradient_table, integrate, laplace_apply)
 
-from conftest import _LUPreconditioner
+from conftest import _LUPreconditioner, laplace_stiffness, shape_gradients
 
 
 def test_counts_2d():
@@ -146,7 +145,7 @@ def test_mesh_arrays_are_frozen():
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
-        mesh.shape_gradients[0, 0, 0] = 5.0
+        shape_gradients(mesh)[0, 0, 0] = 5.0
     for op in (mesh.grad_op, mesh.grad_op_t):
         for arr in (op.data, op.indices, op.indptr):
             with pytest.raises(ValueError):
@@ -208,17 +207,19 @@ def test_build_matches_cell_loop(dim, m):
     mesh = build_mesh(dim, m)
     want = _loop_mesh(dim, m)
     for name in want:
-        assert getattr(mesh, name).dtype == want[name].dtype, name
+        got = (shape_gradients(mesh) if name == "shape_gradients"
+               else getattr(mesh, name))
+        assert got.dtype == want[name].dtype, name
     for name in ("vertices", "simplices", "boundary"):
         assert np.array_equal(getattr(mesh, name), want[name]), name
     vol = 1.0 / (m ** dim * math.factorial(dim))
     assert np.all(mesh.volumes == vol)
     assert np.allclose(mesh.volumes, want["volumes"], rtol=1e-15, atol=0)
-    unit = mesh.shape_gradients / m
+    unit = shape_gradients(mesh) / m
     assert np.array_equal(unit, np.rint(unit))
     assert set(np.unique(unit)) <= {-1.0, 0.0, 1.0}
-    assert np.array_equal(mesh.shape_gradients, m * unit)
-    assert np.allclose(mesh.shape_gradients, want["shape_gradients"],
+    assert np.array_equal(shape_gradients(mesh), m * unit)
+    assert np.allclose(shape_gradients(mesh), want["shape_gradients"],
                        rtol=0, atol=1e-15 * m)
     # a vertex's weight is vol/(dim+1) from each simplex that holds it,
     # rounded once; the loop sums up to 24 inexact shares and lands up to
@@ -241,9 +242,9 @@ def test_gradient_operator_layout(dim, m):
     assert np.all(G.data != 0.0)
     assert np.all(np.diff(G.indptr) == 2)
     # oracle: the full table, zeros included, assembled through COO
-    ns, nloc, _ = mesh.shape_gradients.shape
+    ns, nloc, _ = shape_gradients(mesh).shape
     coo = sparse.coo_array(
-        (mesh.shape_gradients.transpose(0, 2, 1).ravel(),
+        (shape_gradients(mesh).transpose(0, 2, 1).ravel(),
          (np.repeat(np.arange(ns * dim), nloc),
           np.repeat(mesh.simplices, dim, axis=0).ravel())),
         shape=G.shape)
@@ -267,14 +268,14 @@ def test_gradient_table_matches_gather(dim, m):
     # oracle: the per-simplex gather of nodal values
     mesh = build_mesh(dim, m)
     u = np.random.default_rng(3).standard_normal(mesh.n_vertices)
-    gather = np.einsum("sid,si->sd", mesh.shape_gradients, u[mesh.simplices])
+    gather = np.einsum("sid,si->sd", shape_gradients(mesh), u[mesh.simplices])
     assert np.array_equal(gradient_table(mesh, u), gather)
 
 
 def _coo_stiffness(mesh):
     """Per-simplex local matrices summed through COO, kept as the oracle."""
-    ns, nloc, dim = mesh.shape_gradients.shape
-    local = np.einsum("sid,sjd->sij", mesh.shape_gradients, mesh.shape_gradients)
+    ns, nloc, dim = shape_gradients(mesh).shape
+    local = np.einsum("sid,sjd->sij", shape_gradients(mesh), shape_gradients(mesh))
     local *= mesh.volumes[:, None, None]
     rows = np.repeat(mesh.simplices, nloc, axis=1).ravel()
     cols = np.tile(mesh.simplices, (1, nloc)).ravel()

@@ -13,16 +13,17 @@ from plap.errors import ConfigurationError, LostSignError, NoRootError
 from plap.functional import (Nonlinearity, RunParameters, energy,
                              sobolev_threshold)
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
-from plap.nehari import (KIndex, constraint_phi, constraint_scale,
-                         fibering_coefficients)
+from plap.nehari import KIndex
 from plap.optimizer import (ARMIJO_C, BACKTRACK, LBFGS_COSINE, LBFGS_PAIRS,
                             MAX_BACKTRACKS, STEP_INIT, SolverConfig,
                             _initial_shape, _LbfgsMemory, descend,
-                            initial_point, lambda_sweep, reference_bump,
-                            retract, solve_three)
-from plap.verify import check_membership, verify_fields
+                            lambda_sweep, reference_bump, retract,
+                            solve_three)
+from plap.verify import check_membership, measure, verify_fields
 
-from conftest import _LUPreconditioner, coarse_config, two_loop_direction
+from conftest import (_LUPreconditioner, coarse_config, constraint_phi,
+                      constraint_scale, fibering_coefficients, initial_point,
+                      two_loop_direction)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -478,8 +479,8 @@ class TestDescend:
             assert np.isclose(hist[-1], rep.energy, rtol=0, atol=0.0)
             assert rep.max_constraint_residual <= 1e-9
             kind = KIndex[rep.kind]
-            check = check_membership(mesh, config.nonlin, config.params,
-                                     u, kind)
+            check = check_membership(
+                measure(mesh, config.nonlin, config.params, u), kind)
             assert check.passed
             below = rep.energy < sobolev_threshold(config.params)
             assert rep.below_threshold == below

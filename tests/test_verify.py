@@ -1,16 +1,21 @@
+import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-import plap.verify
-from plap.functional import Nonlinearity, RunParameters
-from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
+from plap.functional import (Nonlinearity, RunParameters, energy,
+                             energy_residual)
+from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
+                       integrate)
 from plap.nehari import KIndex
-from plap.optimizer import initial_point
-from plap.verify import (CheckReport, check_energy_chain,
-                         check_euler_lagrange, check_membership,
-                         check_sign_structure, infer_kind, verify_fields)
+from plap.verify import (check_energy_chain, check_euler_lagrange,
+                         check_membership, check_sign_structure, infer_kind,
+                         measure, verify_fields)
+
+from conftest import (constraint_phi, constraint_scale, initial_point,
+                      plus_minus_parts)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -27,23 +32,25 @@ class TestMembership:
     def test_constructed_member_passes(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert check_membership(mesh, NL2, P2, u, KIndex.K1).passed
+        assert check_membership(measure(mesh, NL2, P2, u), KIndex.K1).passed
 
     def test_zero_field_fails(self):
         mesh = build_mesh(2, 8)
-        rep = check_membership(mesh, NL2, P2, np.zeros(mesh.n_vertices),
-                               KIndex.K1)
+        rep = check_membership(
+            measure(mesh, NL2, P2, np.zeros(mesh.n_vertices)), KIndex.K1)
         assert not rep.passed
 
     def test_rescaled_member_fails_on_residual(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert not check_membership(mesh, NL2, P2, 1.1 * u, KIndex.K1).passed
+        assert not check_membership(measure(mesh, NL2, P2, 1.1 * u),
+                                    KIndex.K1).passed
 
     def test_wrong_sign_fails(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert not check_membership(mesh, NL2, P2, -u, KIndex.K1).passed
+        assert not check_membership(measure(mesh, NL2, P2, -u),
+                                    KIndex.K1).passed
 
 
 class TestEnergyChain:
@@ -52,20 +59,24 @@ class TestEnergyChain:
         for seed in range(10):
             for k in (KIndex.K1, KIndex.K2, KIndex.K3):
                 u = initial_point(mesh, NL2, P2, k, seed=seed)
-                rep = check_energy_chain(mesh, NL2, P2, u, k)
+                rep = check_energy_chain(measure(mesh, NL2, P2, u), k,
+                                         NL2.k2, P2.p)
                 assert rep.passed
                 assert rep.measured["energy"] > 0.0
 
     def test_off_constraint_field_fails_identity(self):
         mesh = build_mesh(2, 8)
         u = 1.2 * initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert not check_energy_chain(mesh, NL2, P2, u, KIndex.K1).passed
+        assert not check_energy_chain(measure(mesh, NL2, P2, u), KIndex.K1,
+                                      NL2.k2, P2.p).passed
 
     def test_reference_triple(self, reference_run):
         config, mesh, triple = reference_run
         kinds = (KIndex.K1, KIndex.K2, KIndex.K3)
         for u, k in zip(triple.fields(), kinds):
-            rep = check_energy_chain(mesh, config.nonlin, config.params, u, k)
+            rep = check_energy_chain(
+                measure(mesh, config.nonlin, config.params, u), k,
+                config.nonlin.k2, config.params.p)
             assert rep.passed
 
 
@@ -105,8 +116,9 @@ class TestEulerLagrange:
         config, mesh, triple = reference_run
         P = LaplacePreconditioner(mesh)
         for u in triple.fields():
-            rep = check_euler_lagrange(mesh, config.nonlin, config.params,
-                                       u, tol=1e-6, precond=P)
+            rep = check_euler_lagrange(
+                measure(mesh, config.nonlin, config.params, u), tol=1e-6,
+                precond=P)
             assert rep.passed
             assert rep.measured["residual_norm"] <= 1e-6
             assert rep.measured["trivial"] == 0.0
@@ -115,14 +127,16 @@ class TestEulerLagrange:
         mesh = build_mesh(2, 8)
         rng = np.random.default_rng(0)
         u = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
-        rep = check_euler_lagrange(mesh, NL2, P2, u, tol=1e-6)
+        rep = check_euler_lagrange(measure(mesh, NL2, P2, u), tol=1e-6,
+                                   precond=LaplacePreconditioner(mesh))
         assert not rep.passed
         assert rep.measured["residual_norm"] > 1e-3
 
     def test_zero_field_flagged_trivial(self):
         mesh = build_mesh(2, 8)
-        rep = check_euler_lagrange(mesh, NL2, P2, np.zeros(mesh.n_vertices),
-                                   tol=1e-6)
+        rep = check_euler_lagrange(
+            measure(mesh, NL2, P2, np.zeros(mesh.n_vertices)), tol=1e-6,
+            precond=LaplacePreconditioner(mesh))
         assert rep.measured["residual_norm"] == 0.0
         assert rep.measured["trivial"] == 1.0
 
@@ -146,35 +160,46 @@ class TestSuite:
         assert details["u2_membership"] == "K1"
         assert details["u3_membership"] == "K2"
 
-    def test_part_scales_measured_once_per_field(self, reference_run,
-                                                  monkeypatch):
-        # the checks share each field's two part gradient integrals and
-        # report what the standalone checks report
+    @pytest.mark.parametrize("order", [(0,), (1,), (2,), (2, 0, 1)],
+                             ids=["u1", "u2", "u3", "u3-u1-u2"])
+    def test_one_measurement_per_field(self, reference_run, monkeypatch,
+                                       order):
+        # per field one gradient table per part and one nonlin_eval,
+        # besides those of energy and energy_residual; the suite reports
+        # what the checks report on each field's record
         config, mesh, triple = reference_run
         nl, params = config.nonlin, config.params
-        fields = (triple.u3, triple.u1, triple.u2)
+        fields = [triple.fields()[i] for i in order]
         P = LaplacePreconditioner(mesh)
         want = []
         for idx, u in enumerate(fields, start=1):
-            k = infer_kind(u)
-            for rep in (check_membership(mesh, nl, params, u, k),
-                        check_energy_chain(mesh, nl, params, u, k),
-                        check_euler_lagrange(mesh, nl, params, u, 1e-6, P)):
-                want.append(CheckReport(f"u{idx}_{rep.name}", rep.passed,
-                                        rep.tolerance, rep.measured,
-                                        rep.detail))
-        want.append(check_sign_structure(mesh, fields))
+            m, k = measure(mesh, nl, params, u), infer_kind(u)
+            for rep in (check_membership(m, k),
+                        check_energy_chain(m, k, nl.k2, params.p),
+                        check_euler_lagrange(m, 1e-6, P)):
+                want.append(dataclasses.replace(rep,
+                                                name=f"u{idx}_{rep.name}"))
+        if len(fields) == 3:
+            want.append(check_sign_structure(mesh, fields))
 
-        scale = plap.verify.constraint_scale
-        calls = []
+        calls = {"gradient_table": 0, "nonlin_eval": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return scale(*args)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(plap.verify, "constraint_scale", counted)
+        modules = [mod for key, mod in sys.modules.items()
+                   if key.startswith("plap.")]
+        for name in calls:
+            for mod in modules:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name,
+                                        counted(name, getattr(mod, name)))
         got = verify_fields(mesh, nl, params, fields, residual_tol=1e-6)
-        assert len(calls) <= 2 * len(fields)
+        assert calls["gradient_table"] <= 4 * len(fields)
+        assert calls["nonlin_eval"] <= 3 * len(fields)
         assert got == want
 
     def test_zero_field_reported_not_raised(self):
@@ -185,6 +210,30 @@ class TestSuite:
     def test_line_format(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        line = check_membership(mesh, NL2, P2, u, KIndex.K1).line()
+        line = check_membership(measure(mesh, NL2, P2, u), KIndex.K1).line()
         assert "PASS" in line or "FAIL" in line
         assert line.split(":")[0]
+
+
+# (dim, p, q, r, cells per side): the regularized p < 2 path in 2D and
+# the p = 2 cube
+MEASURE_CASES = [(2, 1.5, 3.0, 2.5, 8), (3, 2.0, 4.0, 3.0, 4)]
+
+
+@pytest.mark.parametrize("family", ["signed", "pospart"])
+@pytest.mark.parametrize("dim, p, q, r, m", MEASURE_CASES)
+@pytest.mark.parametrize("k", list(KIndex))
+def test_measure_matches_reference_functions(k, dim, p, q, r, m, family):
+    # bit for bit: the record takes the same operations in the same order
+    mesh = build_mesh(dim, m)
+    params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-8)
+    nl = Nonlinearity(family=family, q=q, r=r)
+    u = initial_point(mesh, nl, params, k, seed=0)
+    assert infer_kind(u) is k
+    got = measure(mesh, nl, params, u)
+    for which, part in zip((1, 2), plus_minus_parts(u)):
+        assert got.masses[which] == integrate(mesh, part)
+        assert got.scales[which] == constraint_scale(mesh, params, u, which)
+        assert got.phis[which] == constraint_phi(mesh, nl, params, u, which)
+    assert got.energy == energy(mesh, nl, params, u)
+    assert np.array_equal(got.residual, energy_residual(mesh, nl, params, u))
