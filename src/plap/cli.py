@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .functional import Nonlinearity, RunParameters, sobolev_threshold
 from .mesh import build_mesh
-from .optimizer import SolverConfig, lambda_sweep, solve_three
+from .optimizer import SolverConfig, coupling_list, lambda_sweep, solve_three
 from .verify import verify_fields
 
 __all__ = ["RunConfig", "parse_config_text", "load_config", "main"]
@@ -104,7 +104,8 @@ def parse_config_text(text: str) -> RunConfig:
         max_iters=max_iters, grad_tol=grad_tol,
         constraint_tol=constraint_tol, seed=seed,
     )
-    return RunConfig(solver, lambda_list, Path(raw.get("out-dir", ".")))
+    return RunConfig(solver, coupling_list(lambda_list),
+                     Path(raw.get("out-dir", ".")))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -158,11 +159,19 @@ def _read_field_csv(path: Path, mesh) -> np.ndarray:
     return values
 
 
+def _make_out_dir(cfg: RunConfig) -> Path:
+    """Create the artifact directory, before any computation starts."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create out-dir: {exc}") from exc
+    return cfg.out_dir
+
+
 def cmd_solve(cfg: RunConfig) -> int:
+    out = _make_out_dir(cfg)
     mesh = build_mesh(cfg.solver.params.dim, cfg.solver.cells_per_side)
     triple = solve_three(cfg.solver, mesh)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
 
     template = _coordinate_columns(mesh)
     for name, values in zip(("u1.csv", "u2.csv", "u3.csv"), triple.fields()):
@@ -208,9 +217,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.lambda_list:
         raise ConfigurationError("sweep requires a nonempty lambda-list")
+    out = _make_out_dir(cfg)
     rows = lambda_sweep(cfg.solver, cfg.lambda_list)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
 
     def flag(value) -> str:
         return "nan" if value is None else str(int(value))

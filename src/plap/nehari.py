@@ -24,7 +24,7 @@ exactly one positive root, which `fibering_root` finds.  When the source
 term dominates c3 |u|^q, the root is bounded above by
 t1 = (A / (c3 lam C))^(1/(q-p)) with C = int |w|^q.  The descent reads
 the calculus of a scaled field (E, E', phi_i, grad phi_i and the tangent
-projection) from one private state per iterate, `_Iterate`.
+projection) from the private state `_Iterate` that `retract` returns.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     DegenerateConstraintError,
     DegenerateInputError,
+    LostSignError,
     NoRootError,
     SignError,
 )
@@ -51,13 +52,14 @@ from .functional import (
     _source_derivatives,
     source_power_terms,
 )
-from .mesh import Mesh, _check_field, integrate
+from .mesh import Mesh, _check_field, apply_dirichlet, integrate
 
 __all__ = [
     "KIndex",
     "ScaleResult",
     "fibering_root",
     "scale_to_manifold",
+    "retract",
 ]
 
 MAX_NEWTON = 100
@@ -204,10 +206,10 @@ def _remove_normal(v: np.ndarray, along: np.ndarray,
 @dataclass(eq=False)
 class _Iterate:
     """One retracted field u of constraint set k with everything the
-    descent reads.
+    descent reads; `retract` is its only builder.
 
     The energy, the constraint values phi_i and their scales
-    int |grad u_s|^p are set on construction from the Dirichlet term
+    int |grad u_s|^p come from `retract`, from the Dirichlet term
     (`functional._dirichlet_form`) of each active part s u_s; that of u
     itself is their sum, since u = u_plus - u_minus.  At p = 2 the term
     is the stencil image K (s u_s), whose sum K u is the p-stiffness
@@ -231,37 +233,6 @@ class _Iterate:
     energy: float
     phis: dict              # which -> phi_which(u)
     scales: dict            # which -> int |grad u_s|^p
-
-    @classmethod
-    def scaled(cls, mesh, nl, params, k, scaled):
-        """State of u = sum_i t_i w_i from the scalings of its parts.
-
-        `scaled` maps each active constraint to its sign-definite shape w_i
-        and the ScaleResult of w_i.  The parts have disjoint supports, so
-        every nodal integral splits into t_i^e times a moment of w_i that
-        the scaling already holds, and so does the Dirichlet term of
-        t_i w_i; only int |grad u|^p on K3 reads the summed term.
-        """
-        p = params.p
-        u = np.zeros(mesh.n_vertices)
-        forms, phis, scales = {}, {}, {}
-        nodal = 0.0                 # (1/p*) int |u|^p* + lam int F(u)
-        for which, (w, res) in scaled.items():
-            t = res.t
-            u += t * w
-            forms[which] = res.form.scaled(t)
-            scales[which] = t ** p * res.A
-            phis[which] = scales[which] - sum(c * t ** e
-                                              for e, c in res.terms)
-            nodal += sum(c * t ** e / e for e, c in res.terms)
-        if k is KIndex.K3:
-            form = forms[1].plus(forms[2])
-            grad = form.integral(mesh, params)
-        else:
-            (which, form), = forms.items()
-            grad = scales[which]
-        return cls(mesh, nl, params, u, forms, form, grad / p - nodal,
-                   phis, scales)
 
     @property
     def relative_residuals(self) -> tuple[float, ...]:
@@ -296,9 +267,6 @@ class _Iterate:
         """E'(u) as a nodal co-vector, zeroed on the boundary."""
         return self._calculus[0]
 
-    def constraint_gradient(self, which: int) -> np.ndarray:
-        return self._calculus[2][which]
-
     def remove_multipliers(self, r: np.ndarray) -> np.ndarray:
         """The co-vector r less its constraint-normal components.
 
@@ -320,3 +288,47 @@ class _Iterate:
         for which in self.forms:
             v = _remove_normal(v, parts[which], grads[which])
         return v
+
+
+def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+            u: np.ndarray, k: KIndex, tol_rel: float = 1e-10) -> _Iterate:
+    """Map an arbitrary field back onto the constraint set of k.
+
+    Each active part is clipped to its sign, zeroed on the boundary and
+    scaled once onto its own constraint.  phi1 reads only the nodes where
+    u > 0 and phi2 only those where u < 0, so on K3 the two scalings do
+    not interact and one pass leaves both residuals within tol_rel.
+    Returns the state of the retracted field sum_i t_i w_i; its `.u` is
+    the field.  The parts have disjoint supports, so every nodal integral
+    splits into t_i^e times a moment of w_i that the scaling already
+    holds, and so does the Dirichlet term of t_i w_i; on K3 only the
+    field's int |grad|^p reads the summed term.  Raises LostSignError when
+    clipping removes a whole active part.
+    """
+    p = params.p
+    out = np.zeros(mesh.n_vertices)
+    forms, phis, scales = {}, {}, {}
+    nodal = 0.0                 # (1/p*) int |out|^p* + lam int F(out)
+    for which in k.active_constraints:
+        s = _sign(which)
+        # s u_s = max(u, 0) or min(u, 0), clipped in one pass
+        clip = np.maximum if s > 0.0 else np.minimum
+        w = apply_dirichlet(mesh, clip(u, 0.0))
+        if not np.any(w):
+            raise LostSignError(
+                f"clipping removed the whole part of sign {s:+g}")
+        res = scale_to_manifold(mesh, nl, params, w, which, tol_rel)
+        t = res.t
+        out += t * w
+        forms[which] = res.form.scaled(t)
+        scales[which] = t ** p * res.A
+        phis[which] = scales[which] - sum(c * t ** e for e, c in res.terms)
+        nodal += sum(c * t ** e / e for e, c in res.terms)
+    if k is KIndex.K3:
+        form = forms[1].plus(forms[2])
+        grad = form.integral(mesh, params)
+    else:
+        (which, form), = forms.items()
+        grad = scales[which]
+    return _Iterate(mesh, nl, params, out, forms, form, grad / p - nodal,
+                    phis, scales)

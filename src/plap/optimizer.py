@@ -2,11 +2,11 @@
 
 The minimizing sequence for each constraint set is generated by a
 Sobolev-gradient loop.  It starts from the retraction of a given field,
-so every iterate, the first included, is the state of a retraction
-(`nehari._Iterate`): E, E', phi_i, grad phi_i and the constraint scales
-of the field, all read from one Dirichlet term per active part (at
-p = 2 the part's stencil image K w, otherwise its gradient table).  One
-pass:
+so every iterate, the first included, is the state that
+`nehari.retract` builds (`nehari._Iterate`): E, E', phi_i, grad phi_i
+and the constraint scales of the field, all read from one Dirichlet
+term per active part (at p = 2 the part's stencil image K w, otherwise
+its gradient table).  One pass:
 
     1. take the energy gradient from the state and remove its
        constraint-normal components (the multipliers),
@@ -16,9 +16,9 @@ pass:
        solve,
     3. project that direction onto the constraint tangent, with the
        state's constraint gradients,
-    4. retract trial steps with `retract` (clip each part to its sign,
-       scale it once onto its constraint) and backtrack from t = 1 until
-       the Armijo test holds, searching once more along the Laplace
+    4. retract trial steps with `nehari.retract` (clip each part to its
+       sign, scale it once onto its constraint) and backtrack from t = 1
+       until the Armijo test holds, searching once more along the Laplace
        solve with the memory cleared when the L-BFGS direction finds no
        step; each retraction returns the state of its field, whose
        energy comes from the scaling's term list and the Dirichlet term
@@ -57,14 +57,14 @@ from .errors import (
 )
 from .functional import Nonlinearity, RunParameters, sobolev_threshold
 from .mesh import LaplacePreconditioner, Mesh, apply_dirichlet, build_mesh
-from .nehari import KIndex, _Iterate, _sign, scale_to_manifold
+from .nehari import KIndex, _Iterate, retract, scale_to_manifold
 
 __all__ = [
     "SolverConfig",
     "SolveReport",
     "SolutionTriple",
     "SweepRow",
-    "retract",
+    "coupling_list",
     "descend",
     "solve_three",
     "lambda_sweep",
@@ -222,32 +222,6 @@ def _initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     v = mesh.vertices
     lean = (v[:, 1] - v[:, 0]) * np.prod(np.sin(np.pi * v), axis=1)
     return w_pos + w_neg + K3_LEAN * apply_dirichlet(mesh, lean)
-
-
-def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-            u: np.ndarray, k: KIndex, tol_rel: float = 1e-10) -> _Iterate:
-    """Map an arbitrary field back onto the constraint set of k.
-
-    Each active part is clipped to its sign, zeroed on the boundary and
-    scaled once onto its own constraint.  phi1 reads only the nodes where
-    u > 0 and phi2 only those where u < 0, so on K3 the two scalings do
-    not interact and one pass leaves both residuals within tol_rel.
-    Returns the state of the retracted field (`nehari._Iterate`); its
-    `.u` is the field.  Raises LostSignError when clipping removes a
-    whole active part.
-    """
-    scaled = {}
-    for which in k.active_constraints:
-        s = _sign(which)
-        # s u_s = max(u, 0) or min(u, 0), clipped in one pass
-        clip = np.maximum if s > 0.0 else np.minimum
-        part = apply_dirichlet(mesh, clip(u, 0.0))
-        if not np.any(part):
-            raise LostSignError(
-                f"clipping removed the whole part of sign {s:+g}")
-        scaled[which] = (part, scale_to_manifold(mesh, nl, params, part,
-                                                 which, tol_rel))
-    return _Iterate.scaled(mesh, nl, params, k, scaled)
 
 
 class _LbfgsMemory:
@@ -465,21 +439,28 @@ def reference_bump(mesh: Mesh, seed: int) -> np.ndarray:
     return _jittered(mesh, np.prod(np.sin(np.pi * mesh.vertices), axis=1), seed)
 
 
+def coupling_list(values) -> tuple[float, ...]:
+    """The couplings of a sweep as floats, or ConfigurationError unless
+    each is positive and finite and they strictly increase."""
+    lams = tuple(float(x) for x in values)
+    if not all(0.0 < x < math.inf for x in lams):
+        raise ConfigurationError("sweep couplings must be positive and finite")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ConfigurationError("sweep couplings must be strictly increasing")
+    return lams
+
+
 def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
     """Scale a fixed reference bump and minimize on all three sets for each
-    coupling value.  Couplings must be positive and strictly increasing.
+    coupling value; the couplings are a nonempty `coupling_list`.
     Only a converged descent gives a critical level: one that stops
     without converging (at the iteration cap or on an error) is recorded
     as a nan level and a None threshold flag.  As in `solve_three`, the
     K2 level of an odd f is K1's, with no K2 descent, unless K1 stopped
     on an error."""
-    lams = [float(x) for x in lambdas]
+    lams = coupling_list(lambdas)
     if not lams:
         raise ConfigurationError("lambda sweep needs at least one value")
-    if not all(0.0 < x < math.inf for x in lams):
-        raise ConfigurationError("sweep couplings must be positive and finite")
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ConfigurationError("sweep couplings must be strictly increasing")
 
     mesh = build_mesh(config.params.dim, config.cells_per_side)
     P = LaplacePreconditioner(mesh)

@@ -62,6 +62,7 @@ class Measures:
     s = +1, which = 2 for s = -1."""
 
     u: np.ndarray
+    kind: KIndex            # the set of u's sign structure, `infer_kind`
     masses: dict            # which -> int u_s
     scales: dict            # which -> int |grad u_s|^p
     phis: dict              # which -> phi_which(u)
@@ -72,9 +73,9 @@ class Measures:
 
 def measure(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
             u: np.ndarray) -> Measures:
-    """The record of u: one gradient table per part and one `nonlin_eval`
-    give the part quantities and the moment; E and E' come from `energy`
-    and `energy_residual`."""
+    """The record of u: its kind by sign; one gradient table per part and
+    one `nonlin_eval` give the part quantities and the moment; E and E'
+    come from `energy` and `energy_residual`."""
     u = np.asarray(u, dtype=float)
     f, _, _ = nonlin_eval(nl, u)
     masses, scales, phis = {}, {}, {}
@@ -89,7 +90,7 @@ def measure(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                        - s * params.lam * integrate(mesh, f * part))
     moment = integrate(mesh, np.abs(u) ** params.pstar) \
         + params.lam * integrate(mesh, f * u)
-    return Measures(u, masses, scales, phis, moment,
+    return Measures(u, infer_kind(u), masses, scales, phis, moment,
                     energy(mesh, nl, params, u),
                     energy_residual(mesh, nl, params, u))
 
@@ -110,7 +111,7 @@ def check_membership(m: Measures, k: KIndex,
     mass, and constraint residual(s) relative to the part's gradient
     integral."""
     measured = {"min": float(np.min(m.u)), "max": float(np.max(m.u))}
-    ok = infer_kind(m.u) is k
+    ok = m.kind is k
 
     for which in k.active_constraints:
         mass = m.masses[which]
@@ -149,17 +150,14 @@ def check_energy_chain(m: Measures, k: KIndex, k2: float, p: float,
     return CheckReport("energy_chain", ok, tol_rel, measured, k.name)
 
 
-def check_sign_structure(mesh: Mesh, triple_fields) -> CheckReport:
+def check_sign_structure(records) -> CheckReport:
     """One field of each kind, in any order: a nonnegative, a nonpositive
-    and a sign-changing one (`infer_kind`), each with nontrivial mass in
-    every part its set requires."""
-    fields = [np.asarray(u, dtype=float) for u in triple_fields]
-    kinds = [infer_kind(u) for u in fields]
-    measured = {f"u{i}_mass{which}":
-                integrate(mesh, np.maximum(_sign(which) * u, 0.0))
-                for i, (u, k) in enumerate(zip(fields, kinds), start=1)
-                for which in k.active_constraints}
-    ok = (sorted(k.value for k in kinds) == [1, 2, 3]
+    and a sign-changing one (`Measures.kind`), each with nontrivial mass
+    in every part its set requires."""
+    measured = {f"u{i}_mass{which}": m.masses[which]
+                for i, m in enumerate(records, start=1)
+                for which in m.kind.active_constraints}
+    ok = (sorted(m.kind.value for m in records) == [1, 2, 3]
           and all(mass > 0.0 for mass in measured.values()))
     return CheckReport("sign_structure", ok, 0.0, measured)
 
@@ -184,19 +182,17 @@ def verify_fields(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     """Run the full suite on one or more fields, in any order.
 
     Each field is measured once and checked on the set its sign gives
-    (`infer_kind`).  Three fields also get the triple-level
+    (`Measures.kind`).  Three fields also get the triple-level
     sign-structure check, which asks for one field of each kind.
     """
-    fields = [np.asarray(u, dtype=float) for u in fields]
     P = LaplacePreconditioner(mesh)
+    records = [measure(mesh, nl, params, u) for u in fields]
     reports = []
-    for idx, u in enumerate(fields, start=1):
-        m = measure(mesh, nl, params, u)
-        k = infer_kind(u)
-        for rep in (check_membership(m, k),
-                    check_energy_chain(m, k, nl.k2, params.p),
+    for idx, m in enumerate(records, start=1):
+        for rep in (check_membership(m, m.kind),
+                    check_energy_chain(m, m.kind, nl.k2, params.p),
                     check_euler_lagrange(m, residual_tol, P)):
             reports.append(replace(rep, name=f"u{idx}_{rep.name}"))
-    if len(fields) == 3:
-        reports.append(check_sign_structure(mesh, fields))
+    if len(records) == 3:
+        reports.append(check_sign_structure(records))
     return reports

@@ -9,9 +9,9 @@ from plap.functional import (Nonlinearity, RunParameters, _p_dirichlet,
                              _squared_norms, nonlin_eval, p_stiffness_vector)
 from plap.mesh import (Mesh, _check_field, _template_gradients, build_mesh,
                        gradient_table, integrate)
-from plap.nehari import KIndex, _nonzero_field, _remove_normal, _sign
-from plap.optimizer import (SolverConfig, _initial_shape, retract,
-                            solve_three)
+from plap.nehari import (KIndex, _nonzero_field, _remove_normal, _sign,
+                         retract)
+from plap.optimizer import SolverConfig, _initial_shape, solve_three
 
 
 def reference_config() -> SolverConfig:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import plap.optimizer
 from plap.cli import (_KEYS, _REQUIRED, SWEEP_HEADER, _coordinate_columns,
                       _write_field_csv, main, parse_config_text)
 from plap.errors import ConfigurationError
@@ -217,6 +218,15 @@ class TestSolveCommand:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_lambda_list_exits_2_without_artifacts(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "artifacts"
+        cfg = write_config(tmp_path, extra="lambda-list = nan, -1\n"
+                                           f"out-dir = {out}\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -287,6 +297,22 @@ class TestSweepCommand:
     def test_missing_list_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, base=BASE_2D)
         assert main(["sweep", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_out_dir_naming_a_file_exits_2_before_any_descent(
+        tmp_path, monkeypatch, capsys, command):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran")
+
+    monkeypatch.setattr(plap.optimizer, "descend", no_descent)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = write_config(tmp_path, base=BASE_2D,
+                       extra=f"lambda-list = 1,2\nout-dir = {taken}\n")
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create out-dir")
+    assert taken.read_text() == "not a directory\n"
 
 
 class TestVerifyCommand:

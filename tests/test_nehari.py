@@ -9,8 +9,7 @@ from plap.errors import (DegenerateConstraintError, DegenerateInputError,
 from plap.functional import (Nonlinearity, RunParameters, energy,
                              energy_residual, nonlin_eval)
 from plap.mesh import apply_dirichlet, build_mesh, integrate
-from plap.nehari import KIndex, fibering_root, scale_to_manifold
-from plap.optimizer import retract
+from plap.nehari import KIndex, fibering_root, retract, scale_to_manifold
 
 from conftest import (constraint_gradient, constraint_phi, constraint_scale,
                       fibering_coefficients, fibering_upper_bound,
@@ -481,7 +480,7 @@ def assert_state_matches(state, mesh, nl, params, k, phi_atol=0.0):
         close(state.scales[which], scale)
         close(state.phis[which], constraint_phi(mesh, nl, params, u, which),
               phi_atol * scale)
-        close(state.constraint_gradient(which),
+        close(state._calculus[2][which],
               constraint_gradient(mesh, nl, params, u, which))
 
 

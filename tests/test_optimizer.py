@@ -13,12 +13,11 @@ from plap.errors import ConfigurationError, LostSignError, NoRootError
 from plap.functional import (Nonlinearity, RunParameters, energy,
                              sobolev_threshold)
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
-from plap.nehari import KIndex
+from plap.nehari import KIndex, retract
 from plap.optimizer import (ARMIJO_C, BACKTRACK, LBFGS_COSINE, LBFGS_PAIRS,
                             MAX_BACKTRACKS, STEP_INIT, SolverConfig,
                             _initial_shape, _LbfgsMemory, descend,
-                            lambda_sweep, reference_bump, retract,
-                            solve_three)
+                            lambda_sweep, reference_bump, solve_three)
 from plap.verify import check_membership, measure, verify_fields
 
 from conftest import (_LUPreconditioner, coarse_config, constraint_phi,
@@ -728,6 +727,14 @@ class TestSolveThree:
     def test_odd_family_negation_symmetry(self, coarse_run):
         _, _, triple = coarse_run
         assert np.array_equal(triple.u2, -triple.u1)
+
+    def test_reference_levels_at_seed_0(self, reference_run):
+        # the critical levels recorded for the reference run at seed 0;
+        # u2 is the mirror of u1
+        _, _, triple = reference_run
+        want = (0.33017257511936166, 0.33017257511936166, 0.7561816218596282)
+        for rep, level in zip(triple.reports, want):
+            assert abs(rep.energy - level) <= 1e-10 * level, rep.kind
 
     def test_failed_initial_point_reports_every_constraint(self,
                                                            monkeypatch):

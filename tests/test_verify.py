@@ -80,35 +80,45 @@ class TestEnergyChain:
             assert rep.passed
 
 
+def records(run, fields):
+    """The `measure` record of each field on the run's mesh."""
+    config, mesh, _ = run
+    return [measure(mesh, config.nonlin, config.params, u) for u in fields]
+
+
 class TestSignStructure:
     def test_valid_triple(self, coarse_run):
-        _, mesh, triple = coarse_run
-        assert check_sign_structure(mesh, triple.fields()).passed
+        _, _, triple = coarse_run
+        assert check_sign_structure(records(coarse_run,
+                                            triple.fields())).passed
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_valid_triple_in_any_order(self, coarse_run, order):
-        _, mesh, triple = coarse_run
+        _, _, triple = coarse_run
         fields = triple.fields()
-        rep = check_sign_structure(mesh, [fields[i] for i in order])
+        rep = check_sign_structure(records(coarse_run,
+                                           [fields[i] for i in order]))
         assert rep.passed
 
     @pytest.mark.parametrize("order", [(2, 0, 2), (1, 2, 3)])
     def test_permuted_degenerate_triple(self, coarse_run, order):
         _, mesh, triple = coarse_run
         fields = (*triple.fields(), np.zeros(mesh.n_vertices))
-        rep = check_sign_structure(mesh, [fields[i] for i in order])
+        rep = check_sign_structure(records(coarse_run,
+                                           [fields[i] for i in order]))
         assert not rep.passed
 
     def test_missing_negative_part(self, coarse_run):
-        _, mesh, triple = coarse_run
-        rep = check_sign_structure(mesh, (triple.u1, triple.u2, triple.u1))
+        _, _, triple = coarse_run
+        rep = check_sign_structure(records(
+            coarse_run, (triple.u1, triple.u2, triple.u1)))
         assert not rep.passed
 
     def test_trivial_first_field(self, coarse_run):
         _, mesh, triple = coarse_run
         zero = np.zeros(mesh.n_vertices)
-        assert not check_sign_structure(mesh, (zero, triple.u2,
-                                               triple.u3)).passed
+        assert not check_sign_structure(records(
+            coarse_run, (zero, triple.u2, triple.u3))).passed
 
 
 class TestEulerLagrange:
@@ -171,16 +181,17 @@ class TestSuite:
         nl, params = config.nonlin, config.params
         fields = [triple.fields()[i] for i in order]
         P = LaplacePreconditioner(mesh)
-        want = []
+        want, ms = [], []
         for idx, u in enumerate(fields, start=1):
             m, k = measure(mesh, nl, params, u), infer_kind(u)
+            ms.append(m)
             for rep in (check_membership(m, k),
                         check_energy_chain(m, k, nl.k2, params.p),
                         check_euler_lagrange(m, 1e-6, P)):
                 want.append(dataclasses.replace(rep,
                                                 name=f"u{idx}_{rep.name}"))
         if len(fields) == 3:
-            want.append(check_sign_structure(mesh, fields))
+            want.append(check_sign_structure(ms))
 
         calls = {"gradient_table": 0, "nonlin_eval": 0}
 
@@ -231,6 +242,7 @@ def test_measure_matches_reference_functions(k, dim, p, q, r, m, family):
     u = initial_point(mesh, nl, params, k, seed=0)
     assert infer_kind(u) is k
     got = measure(mesh, nl, params, u)
+    assert got.kind is k
     for which, part in zip((1, 2), plus_minus_parts(u)):
         assert got.masses[which] == integrate(mesh, part)
         assert got.scales[which] == constraint_scale(mesh, params, u, which)
