@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,9 +135,14 @@ def _read_field_csv(path: Path, mesh) -> np.ndarray:
     if not path.is_file():
         raise ConfigurationError(f"field file not found: {path}")
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a file with no data rows is reported below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigurationError(f"{path}: unreadable field file: {exc}")
+    if rows.size == 0:
+        raise ConfigurationError(f"{path}: the file holds no field values")
     expected_cols = mesh.dim + 1
     if rows.shape[1] != expected_cols:
         raise ConfigurationError(

@@ -35,11 +35,10 @@ accepted iterate is on its constraint set up to the retraction
 tolerance, so the recorded energies decrease monotonically along the
 constrained path.
 
-`solve_three` and `lambda_sweep` descend on K1, K2 and K3 in turn.  When
-f is odd, E(-u) = E(u) and K2 = -K1, and the K2 start is the negated K1
-start, so the K2 descent is the K1 descent negated to the last bit: it
-is not run, and u2 is the negation of u1 with a report marked
-`mirror_of="K1"`, unless the K1 descent stopped on an error.
+`solve_three` is the one driver of the three descents: it builds the
+Laplace solve and the seeded starts, and descends on K1, K2 and K3 in
+turn; when f is odd it mirrors K1 for K2 instead of descending.
+`lambda_sweep` runs it once per coupling on one mesh.
 """
 
 from __future__ import annotations
@@ -290,8 +289,7 @@ def _armijo_search(mesh: Mesh, config: SolverConfig, k: KIndex,
 
 
 def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
-            initial: np.ndarray,
-            precond: LaplacePreconditioner | None = None):
+            initial: np.ndarray, P: LaplacePreconditioner):
     """Run the constrained descent from the retraction of `initial`.
 
     Returns (final field, SolveReport).  A descent that cannot go on (no
@@ -300,7 +298,8 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     constraint) stops at its last iterate, and the report of that iterate
     says why in `error`.  If `initial` itself cannot be retracted, the
     field is zero, the energy and residuals are nan and the error starts
-    with "initial point failed".
+    with "initial point failed".  `P` is the mesh's Laplace solve, the
+    metric of the descent.
     """
     nl, params = config.nonlin, config.params
     tol_rel = config.constraint_tol
@@ -314,7 +313,6 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             max_constraint_residual=nan, projected_norm=nan,
             below_threshold=False, energy_history=(),
             error=f"initial point failed: {exc}")
-    P = precond if precond is not None else LaplacePreconditioner(mesh)
 
     history = [state.energy]
     steps, backtracks = [], []
@@ -394,42 +392,37 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     )
 
 
-def _descend_three(mesh: Mesh, config: SolverConfig, shapes,
-                   P: LaplacePreconditioner):
-    """Descend on K1, K2 and K3 from `shapes[k]`; returns the three
-    (field, report) pairs.
+def solve_three(config: SolverConfig, mesh: Mesh) -> SolutionTriple:
+    """Minimize on K1, K2 and K3, each from its seeded start
+    (`_initial_shape`) with one Laplace solve for all three, and return the
+    three fields with reports; `mesh` is the config's
+    `build_mesh(params.dim, cells_per_side)`.
 
-    For odd f, E(-u) = E(u), and the K2 shape is the exact negation of
-    the K1 shape, so the K2 descent would retrace K1's, negated, bit for
+    For odd f, E(-u) = E(u), and the K2 start is the exact negation of
+    the K1 start, so the K2 descent would retrace K1's, negated, bit for
     bit.  It is not run: u2 is 0 - u1 (which, unlike -u1, writes +0 where
     u1 vanishes, as the descent does) and its report is K1's with kind K2
     and `mirror_of="K1"`.  A K1 descent that stopped on an error is not
     mirrored: error texts name the sign of a part ("part of sign +1"),
-    so K2 runs its own descent and reports its own error.
+    so K2 runs its own descent and reports its own error.  When no
+    descent stopped on an error, the fields must be distinct
+    (`SolutionTriple.validate_distinct`).
     """
-    u1, rep1 = descend(mesh, config, KIndex.K1, shapes[KIndex.K1], P)
+    P = LaplacePreconditioner(mesh)
+
+    def run(k: KIndex):
+        start = _initial_shape(mesh, k, config.seed)
+        return descend(mesh, config, k, start, P)
+
+    u1, rep1 = run(KIndex.K1)
     if config.nonlin.odd and rep1.error is None:
-        second = (0.0 - u1, replace(rep1, kind=KIndex.K2.name,
-                                    mirror_of=KIndex.K1.name))
+        u2, rep2 = 0.0 - u1, replace(rep1, kind=KIndex.K2.name,
+                                     mirror_of=KIndex.K1.name)
     else:
-        second = descend(mesh, config, KIndex.K2, shapes[KIndex.K2], P)
-    return ((u1, rep1), second,
-            descend(mesh, config, KIndex.K3, shapes[KIndex.K3], P))
-
-
-def solve_three(config: SolverConfig, mesh: Mesh | None = None) -> SolutionTriple:
-    """Minimize on K1, K2 and K3 and return the three fields with reports.
-
-    When f is odd and the K1 descent ends without an error, u2 is the
-    negation of u1 and no K2 descent runs (see `_descend_three`).
-    """
-    if mesh is None:
-        mesh = build_mesh(config.params.dim, config.cells_per_side)
-    shapes = {k: _initial_shape(mesh, k, config.seed) for k in KIndex}
-    fields, reports = zip(*_descend_three(mesh, config, shapes,
-                                          LaplacePreconditioner(mesh)))
-    triple = SolutionTriple(*fields, reports)
-    if all(rep.error is None for rep in reports):
+        u2, rep2 = run(KIndex.K2)
+    u3, rep3 = run(KIndex.K3)
+    triple = SolutionTriple(u1, u2, u3, (rep1, rep2, rep3))
+    if all(rep.error is None for rep in triple.reports):
         triple.validate_distinct()
     return triple
 
@@ -451,40 +444,30 @@ def coupling_list(values) -> tuple[float, ...]:
 
 
 def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
-    """Scale a fixed reference bump and minimize on all three sets for each
-    coupling value; the couplings are a nonempty `coupling_list`.
+    """Scale a fixed reference bump and run `solve_three` at each coupling
+    value, on one mesh; the couplings are a nonempty `coupling_list`.
     Only a converged descent gives a critical level: one that stops
     without converging (at the iteration cap or on an error) is recorded
-    as a nan level and a None threshold flag.  As in `solve_three`, the
-    K2 level of an odd f is K1's, with no K2 descent, unless K1 stopped
-    on an error."""
+    as a nan level and a None threshold flag.  The K2 level of an odd f
+    is K1's, mirrored by `solve_three`."""
     lams = coupling_list(lambdas)
     if not lams:
         raise ConfigurationError("lambda sweep needs at least one value")
 
     mesh = build_mesh(config.params.dim, config.cells_per_side)
-    P = LaplacePreconditioner(mesh)
     w_ref = reference_bump(mesh, config.seed)
-    shapes = {k: _initial_shape(mesh, k, config.seed) for k in KIndex}
-    nl = config.nonlin
     rows = []
     for lam in lams:
         params = replace(config.params, lam=lam)
-        cfg = replace(config, params=params)
         try:
-            t_lam = scale_to_manifold(mesh, nl, params, w_ref, 1,
+            t_lam = scale_to_manifold(mesh, config.nonlin, params, w_ref, 1,
                                       config.constraint_tol).t
         except NoRootError:
             t_lam = float("nan")
-        energies = []
-        flags = []
-        for _, rep in _descend_three(mesh, cfg, shapes, P):
-            if rep.converged:
-                energies.append(rep.energy)
-                flags.append(rep.below_threshold)
-            else:
-                energies.append(float("nan"))
-                flags.append(None)
-        rows.append(SweepRow(lam, t_lam, energies[0], energies[1],
-                             energies[2], flags[0], flags[1], flags[2]))
+        reports = solve_three(replace(config, params=params), mesh).reports
+        levels = [rep.energy if rep.converged else float("nan")
+                  for rep in reports]
+        flags = [rep.below_threshold if rep.converged else None
+                 for rep in reports]
+        rows.append(SweepRow(lam, t_lam, *levels, *flags))
     return rows

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,21 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert f"{bad}, line 301: non-finite" in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    @pytest.mark.parametrize("text", ["x,y,value\n", ""])
+    def test_empty_field_file_exits_2(self, tmp_path, capsys, text):
+        # a header with no rows, and a zero-byte file
+        cfg = write_config(tmp_path, BASE_2D.replace("res = 6", "res = 4"))
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", cfg, str(empty)]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {empty}: the file holds no field values\n")
+        assert captured.out == ""
 
     def test_no_fields_exits_2(self, solved):
         _, cfg, _ = solved

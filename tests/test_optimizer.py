@@ -415,7 +415,8 @@ class TestSpectralStep:
                               max_iters=500)
         mesh = build_mesh(3, 4)
         u0 = initial_point(mesh, nl, params, KIndex.K1, config.seed)
-        _, rep = descend(mesh, config, KIndex.K1, u0)
+        _, rep = descend(mesh, config, KIndex.K1, u0,
+                         LaplacePreconditioner(mesh))
         return rep
 
     def test_failed_search_is_retried_along_g(self, monkeypatch):
@@ -528,7 +529,7 @@ class TestDescend:
                             counted("trials", plap.optimizer.retract))
         monkeypatch.setattr(LaplacePreconditioner, "solve",
                             counted("solve", LaplacePreconditioner.solve))
-        _, rep = descend(mesh, config, k, u0)
+        _, rep = descend(mesh, config, k, u0, LaplacePreconditioner(mesh))
         assert rep.error is None and rep.iterations > 0
         parts = len(k.active_constraints)
         passes = rep.iterations + 1
@@ -572,7 +573,8 @@ class TestDescend:
         nl, params = config.nonlin, config.params
         mesh = build_mesh(2, config.cells_per_side)
         u0 = initial_point(mesh, nl, params, KIndex.K1, 0)
-        u, rep = descend(mesh, config, KIndex.K1, 1.3 * u0)
+        u, rep = descend(mesh, config, KIndex.K1, 1.3 * u0,
+                         LaplacePreconditioner(mesh))
         assert rep.converged
         assert np.all(u >= 0.0)
         E0 = energy(mesh, nl, params, retract(mesh, nl, params, 1.3 * u0,
@@ -602,7 +604,8 @@ class TestDescend:
                 raise
 
         monkeypatch.setattr(plap.optimizer, "retract", counted)
-        _, rep = descend(mesh, config, KIndex.K1, u0)
+        _, rep = descend(mesh, config, KIndex.K1, u0,
+                         LaplacePreconditioner(mesh))
         assert rep.converged and rep.error is None
         assert len(calls) >= len(rep.energy_history) > 1
         assert len(lost) == 1
@@ -662,7 +665,8 @@ class TestDescend:
                               grad_tol=1e-6, max_iters=1000, seed=seed)
         mesh = build_mesh(2, config.cells_per_side)
         u, rep = descend(mesh, config, KIndex.K3,
-                         _initial_shape(mesh, KIndex.K3, seed))
+                         _initial_shape(mesh, KIndex.K3, seed),
+                         LaplacePreconditioner(mesh))
         assert rep.converged and rep.error is None
         assert rep.iterations < 320
         assert rep.energy == pytest.approx(1.4319544064, rel=1e-9)
@@ -682,7 +686,8 @@ class TestDescend:
             config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=4,
                                   grad_tol=1e-6, max_iters=200, seed=seed)
             _, rep = descend(mesh, config, KIndex.K3,
-                             _initial_shape(mesh, KIndex.K3, seed))
+                             _initial_shape(mesh, KIndex.K3, seed),
+                             LaplacePreconditioner(mesh))
             assert rep.converged and rep.error is None, seed
 
     @pytest.mark.parametrize("exc, error", [
@@ -706,7 +711,8 @@ class TestDescend:
             return retract_state(*args)
 
         monkeypatch.setattr(plap.optimizer, "retract", failing)
-        u, rep = descend(mesh, config, KIndex.K1, u0)
+        u, rep = descend(mesh, config, KIndex.K1, u0,
+                         LaplacePreconditioner(mesh))
         assert rep.error == error and not rep.converged
         assert rep.iterations == len(rep.energy_history) - 1 > 0
         assert len(rep.step_history) == len(rep.backtracks) == rep.iterations
@@ -747,7 +753,9 @@ class TestSolveThree:
             return shape(mesh, k, seed)
 
         monkeypatch.setattr(plap.optimizer, "_initial_shape", one_signed)
-        rep = solve_three(coarse_config()).reports[2]
+        config = coarse_config()
+        mesh = build_mesh(2, config.cells_per_side)
+        rep = solve_three(config, mesh).reports[2]
         assert rep.error.startswith("initial point failed")
         assert len(rep.constraint_residuals) == 2
         assert all(np.isnan(x) for x in rep.constraint_residuals)
@@ -798,7 +806,7 @@ class TestK2Mirror:
         config = replace(coarse_config(), nonlin=Nonlinearity(
             family="pospart", q=3.0, r=3.0))
         kinds = _spy_descend(monkeypatch)
-        triple = solve_three(config)
+        triple = solve_three(config, build_mesh(2, config.cells_per_side))
         assert kinds == ["K1", "K2", "K3"]
         assert all(rep.mirror_of is None for rep in triple.reports)
 
@@ -809,7 +817,8 @@ class TestK2Mirror:
         config = coarse_config()
         mesh = build_mesh(2, config.cells_per_side)
         u2, rep2 = descend(mesh, config, KIndex.K2,
-                           _initial_shape(mesh, KIndex.K2, config.seed))
+                           _initial_shape(mesh, KIndex.K2, config.seed),
+                           LaplacePreconditioner(mesh))
         kinds = _spy_descend(monkeypatch)
         triple = solve_three(config, mesh)
         assert kinds == ["K1", "K2", "K3"]
@@ -875,6 +884,28 @@ class TestLambdaSweep:
             for got, want in ((row.t_lambda, t), (row.c1, c12), (row.c3, c3)):
                 assert abs(got - want) <= 1e-10 * abs(want)
             assert [row.threshold1, row.threshold2, row.threshold3] == flags
+
+    @pytest.mark.parametrize("params, q, m, lams", [
+        (P2, 3.0, 6, [1.0, 2.0, 4.0, 8.0]),
+        (P3, 4.0, 4, [10.0, 20.0, 40.0]),
+    ])
+    def test_pospart_k2_level_is_the_k1_level_at_half_the_coupling(
+            self, monkeypatch, params, q, m, lams):
+        # with r = q, f(u) = |u|^(q-2) u + max(u, 0)^(q-1) is 2 u^(q-1) for
+        # u > 0 and -|u|^(q-1) for u < 0, so the K2 problem at 2 lam is the
+        # negated K1 problem at lam; each coupling runs its own K2 descent
+        config = SolverConfig(
+            params=params, cells_per_side=m, grad_tol=1e-6,
+            nonlin=Nonlinearity(family="pospart", q=q, r=q))
+        kinds = _spy_descend(monkeypatch)
+        rows = lambda_sweep(config, lams)
+        assert kinds == ["K1", "K2", "K3"] * len(lams)
+        c1 = {row.lam: row.c1 for row in rows}
+        for row in rows:
+            assert all(np.isfinite((row.c1, row.c2, row.c3)))
+            if row.lam / 2 in c1:
+                want = c1[row.lam / 2]
+                assert abs(row.c2 - want) <= 1e-12 * want, row.lam
 
     @pytest.mark.parametrize("lams", [[], [2.0, 1.0], [-1.0], [1.0, 1.0],
                                       [1.0, math.inf], [math.nan]])

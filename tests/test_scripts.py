@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from plap.cli import load_config
+from plap.mesh import build_mesh
 from plap.optimizer import solve_three
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -65,9 +66,10 @@ def test_seed_scan_prints_one_line_per_seed(seed_scan, tmp_path, capsys):
     assert [int(row[0]) for row in rows] == [0, 1, 2]
     # each line is the K3 descent of solve_three at that seed
     config = load_config(cfg).solver
+    mesh = build_mesh(2, config.cells_per_side)
     for row in rows:
         seed = int(row[0])
-        triple = solve_three(dataclasses.replace(config, seed=seed))
+        triple = solve_three(dataclasses.replace(config, seed=seed), mesh)
         rep = triple.reports[2]
         assert row[1:] == [str(rep.iterations), "1",
                            f"{rep.energy:.12g}", "-"]
