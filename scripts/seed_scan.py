@@ -25,7 +25,7 @@ from plap.cli import load_config
 from plap.errors import ConfigurationError
 from plap.mesh import LaplacePreconditioner, build_mesh
 from plap.nehari import KIndex
-from plap.optimizer import _initial_shape, descend
+from plap.optimizer import descend, initial_shape
 
 RANDOM_RNG = 2026           # generator seed of the --random draws
 RANDOM_RANGE = (1000, 2**31)
@@ -58,7 +58,7 @@ def scan(config, k: KIndex, seeds):
     for seed in seeds:
         cfg = dataclasses.replace(config, seed=seed)
         # the start solve_three gives this k at this seed
-        _, rep = descend(mesh, cfg, k, _initial_shape(mesh, k, seed), P)
+        _, rep = descend(mesh, cfg, k, initial_shape(mesh, k, seed), P)
         yield seed, rep
 
 

@@ -18,13 +18,13 @@ its gradient table).  One pass:
        state's constraint gradients,
     4. retract trial steps with `nehari.retract` (clip each part to its
        sign, scale it once onto its constraint) and backtrack from t = 1
-       until the Armijo test holds, searching once more along the Laplace
-       solve with the memory cleared when the L-BFGS direction finds no
-       step; each retraction returns the state of its field, whose
-       energy comes from the scaling's term list and the Dirichlet term
-       of each part: one stencil application K w per part at p = 2,
-       where the descent reads no gradient table, one gradient table per
-       part otherwise,
+       until the Armijo test holds, searching along the Laplace solve
+       instead, with the memory cleared, when the L-BFGS direction does
+       not descend or finds no step; each retraction returns the state
+       of its field, whose energy comes from the scaling's term list and
+       the Dirichlet term of each part: one stencil application K w per
+       part at p = 2, where the descent reads no gradient table, one
+       gradient table per part otherwise,
     5. keep the accepted trial's state as the next iterate; its E' and
        grad phi_i are evaluated when step 1 first reads them.
 
@@ -36,8 +36,9 @@ tolerance, so the recorded energies decrease monotonically along the
 constrained path.
 
 `solve_three` is the one driver of the three descents: it builds the
-Laplace solve and the seeded starts, and descends on K1, K2 and K3 in
-turn; when f is odd it mirrors K1 for K2 instead of descending.
+Laplace solve and the seeded starts (`initial_shape`), and descends on
+K1, K2 and K3 in turn; when f is odd it mirrors K1 for K2 instead of
+descending.
 `lambda_sweep` runs it once per coupling on one mesh.
 """
 
@@ -65,6 +66,7 @@ __all__ = [
     "SweepRow",
     "coupling_list",
     "descend",
+    "initial_shape",
     "solve_three",
     "lambda_sweep",
 ]
@@ -165,38 +167,16 @@ class SweepRow:
     threshold3: bool | None
 
 
-def _mirror_first_axis(mesh: Mesh) -> np.ndarray:
-    """Vertex permutation realizing x_1 -> 1 - x_1 on the structured grid."""
-    side = mesh.cells_per_side + 1
-    grid = np.arange(mesh.n_vertices).reshape((side,) * mesh.dim)
-    return grid[::-1].reshape(-1)
-
-
-def _transverse_profile(mesh: Mesh) -> np.ndarray:
-    """prod_{i >= 2} sin(pi x_i); constant 1 in the first axis."""
-    prof = np.ones(mesh.n_vertices)
-    for axis in range(1, mesh.dim):
-        prof *= np.sin(np.pi * mesh.vertices[:, axis])
-    return prof
-
-
-def _jittered(mesh: Mesh, profile: np.ndarray, seed: int) -> np.ndarray:
-    """profile times a seeded multiplicative jitter in [1, 1.1), zeroed
-    on the boundary."""
-    rng = np.random.default_rng(seed)
-    jitter = 1.0 + 0.1 * rng.random(mesh.n_vertices)
-    return apply_dirichlet(mesh, profile * jitter)
-
-
-def _initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
+def initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     """Seeded smooth bump(s) for the constraint set of k, not yet retracted.
 
-    K1 uses `reference_bump`, a positive product-of-sines bump with a mild
-    multiplicative jitter; K2 is its exact negation drawn from the same
-    seed, so the two runs start from mirror images.  K3 places one bump in
-    each half {x_1 < 1/2}, {x_1 > 1/2} (requires at least 4 cells per
-    side), the negative one being the mirrored negation of the positive
-    one, and adds K3_LEAN times (x_2 - x_1) prod sin(pi x_i).
+    K1 is the positive bump prod sin(pi x_i) times a seeded multiplicative
+    jitter in [1, 1.1), zeroed on the boundary; K2 is its exact negation,
+    so the two runs start from mirror images, and the sweep scales the K1
+    shape.  K3 places one bump in each half {x_1 < 1/2}, {x_1 > 1/2}
+    (requires at least 4 cells per side), the negative one being the
+    mirrored negation of the positive one, and adds K3_LEAN times
+    (x_2 - x_1) prod sin(pi x_i).
 
     Without that lean the pair is a saddle on the square (p = 1.5), and
     the seed's jitter tips the descent toward either diagonal nodal line.
@@ -205,21 +185,24 @@ def _initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     kink of the clip retraction at vertices with u = 0 and is none.  The
     lean tips the start toward x_1 = x_2 by far more than the jitter does.
     """
+    v = mesh.vertices
+    jitter = 1.0 + 0.1 * np.random.default_rng(seed).random(mesh.n_vertices)
+    bump = np.prod(np.sin(np.pi * v), axis=1)
     if k is not KIndex.K3:
-        w = reference_bump(mesh, seed)
+        w = apply_dirichlet(mesh, bump * jitter)
         return w if k is KIndex.K1 else -w
 
     if mesh.cells_per_side < 4:
         raise ConfigurationError(
             "sign-changing initial data needs at least 4 cells per side"
         )
-    x1 = mesh.vertices[:, 0]
-    left = np.where(x1 < 0.5, np.sin(2.0 * np.pi * x1), 0.0)
-    w_pos = np.maximum(_jittered(mesh, left * _transverse_profile(mesh), seed),
-                       0.0)
-    w_neg = -w_pos[_mirror_first_axis(mesh)]
-    v = mesh.vertices
-    lean = (v[:, 1] - v[:, 0]) * np.prod(np.sin(np.pi * v), axis=1)
+    left = np.where(v[:, 0] < 0.5, np.sin(2.0 * np.pi * v[:, 0]), 0.0)
+    transverse = np.prod(np.sin(np.pi * v[:, 1:]), axis=1)
+    w_pos = apply_dirichlet(mesh, left * transverse * jitter)
+    # x_1 -> 1 - x_1 reverses the first axis of the C-ordered vertex grid
+    grid = (mesh.cells_per_side + 1,) * mesh.dim
+    w_neg = -w_pos.reshape(grid)[::-1].reshape(-1)
+    lean = (v[:, 1] - v[:, 0]) * bump
     return w_pos + w_neg + K3_LEAN * apply_dirichlet(mesh, lean)
 
 
@@ -293,13 +276,12 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     """Run the constrained descent from the retraction of `initial`.
 
     Returns (final field, SolveReport).  A descent that cannot go on (no
-    acceptable step, a direction that does not descend, every trial step
-    clipping away a required part, a missing fibering root or a degenerate
-    constraint) stops at its last iterate, and the report of that iterate
-    says why in `error`.  If `initial` itself cannot be retracted, the
-    field is zero, the energy and residuals are nan and the error starts
-    with "initial point failed".  `P` is the mesh's Laplace solve, the
-    metric of the descent.
+    acceptable step, every trial step clipping away a required part, a
+    missing fibering root or a degenerate constraint) stops at its last
+    iterate, and the report of that iterate says why in `error`.  If
+    `initial` itself cannot be retracted, the field is zero, the energy
+    and residuals are nan and the error starts with "initial point
+    failed".  `P` is the mesh's Laplace solve, the metric of the descent.
     """
     nl, params = config.nonlin, config.params
     tol_rel = config.constraint_tol
@@ -343,23 +325,21 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
                         max(float(np.dot(y, ky)), 0.0)):
                     memory.append(s, y, ky, sy)
             prev = (state.u, r_proj, g)
-            # a failed search along an L-BFGS direction is retried along g
-            # with the memory cleared; with no pairs the direction is g
+            # an L-BFGS direction that does not descend, or along which the
+            # search fails, is replaced by g with the memory cleared; with
+            # no pairs the direction is g, whose slope is pnorm**2 > 0
             for d in (memory.direction(r_proj, g), g):
                 # <r, gt> collapses to the positive form <r_proj, H r_proj>:
                 # gt is tangent, and r_proj pairs to zero with the part
                 # directions.
                 slope = float(np.dot(r_proj, d))
-                if slope <= 0.0:
-                    break
-                cand, t, rejected, lost = _armijo_search(
-                    mesh, config, k, state, state.tangent_project(d), slope)
-                if cand is not None or d is g:
-                    break
+                if slope > 0.0:
+                    cand, t, rejected, lost = _armijo_search(
+                        mesh, config, k, state, state.tangent_project(d),
+                        slope)
+                    if cand is not None or d is g:
+                        break
                 memory.clear()
-            if slope <= 0.0:
-                error = "projected direction is not a descent direction"
-                break
             if cand is None:
                 error = ("every trial step clipped away a required part"
                          if lost == MAX_BACKTRACKS else
@@ -394,7 +374,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
 
 def solve_three(config: SolverConfig, mesh: Mesh) -> SolutionTriple:
     """Minimize on K1, K2 and K3, each from its seeded start
-    (`_initial_shape`) with one Laplace solve for all three, and return the
+    (`initial_shape`) with one Laplace solve for all three, and return the
     three fields with reports; `mesh` is the config's
     `build_mesh(params.dim, cells_per_side)`.
 
@@ -411,7 +391,7 @@ def solve_three(config: SolverConfig, mesh: Mesh) -> SolutionTriple:
     P = LaplacePreconditioner(mesh)
 
     def run(k: KIndex):
-        start = _initial_shape(mesh, k, config.seed)
+        start = initial_shape(mesh, k, config.seed)
         return descend(mesh, config, k, start, P)
 
     u1, rep1 = run(KIndex.K1)
@@ -427,11 +407,6 @@ def solve_three(config: SolverConfig, mesh: Mesh) -> SolutionTriple:
     return triple
 
 
-def reference_bump(mesh: Mesh, seed: int) -> np.ndarray:
-    """The unscaled nonnegative bump shape used by sweeps, fixed per seed."""
-    return _jittered(mesh, np.prod(np.sin(np.pi * mesh.vertices), axis=1), seed)
-
-
 def coupling_list(values) -> tuple[float, ...]:
     """The couplings of a sweep as floats, or ConfigurationError unless
     each is positive and finite and they strictly increase."""
@@ -444,18 +419,18 @@ def coupling_list(values) -> tuple[float, ...]:
 
 
 def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
-    """Scale a fixed reference bump and run `solve_three` at each coupling
-    value, on one mesh; the couplings are a nonempty `coupling_list`.
-    Only a converged descent gives a critical level: one that stops
-    without converging (at the iteration cap or on an error) is recorded
-    as a nan level and a None threshold flag.  The K2 level of an odd f
-    is K1's, mirrored by `solve_three`."""
+    """Scale K1's seeded start (`initial_shape`) onto K1 and run
+    `solve_three` at each coupling value, on one mesh; the couplings are
+    a nonempty `coupling_list`.  Only a converged descent gives a
+    critical level: one that stops without converging (at the iteration
+    cap or on an error) is recorded as a nan level and a None threshold
+    flag.  The K2 level of an odd f is K1's, mirrored by `solve_three`."""
     lams = coupling_list(lambdas)
     if not lams:
         raise ConfigurationError("lambda sweep needs at least one value")
 
     mesh = build_mesh(config.params.dim, config.cells_per_side)
-    w_ref = reference_bump(mesh, config.seed)
+    w_ref = initial_shape(mesh, KIndex.K1, config.seed)
     rows = []
     for lam in lams:
         params = replace(config.params, lam=lam)

@@ -11,7 +11,7 @@ from plap.mesh import (Mesh, _check_field, _template_gradients, build_mesh,
                        gradient_table, integrate)
 from plap.nehari import (KIndex, _nonzero_field, _remove_normal, _sign,
                          retract)
-from plap.optimizer import SolverConfig, _initial_shape, solve_three
+from plap.optimizer import SolverConfig, initial_shape, solve_three
 
 
 def reference_config() -> SolverConfig:
@@ -234,5 +234,5 @@ def initial_point(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                   tol_rel: float = 1e-10) -> np.ndarray:
     """The seeded initial shape of k, retracted onto its constraint set:
     the first iterate of the descents that `solve_three` runs."""
-    return retract(mesh, nl, params, _initial_shape(mesh, k, seed), k,
+    return retract(mesh, nl, params, initial_shape(mesh, k, seed), k,
                    tol_rel).u

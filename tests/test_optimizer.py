@@ -15,9 +15,9 @@ from plap.functional import (Nonlinearity, RunParameters, energy,
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import KIndex, retract
 from plap.optimizer import (ARMIJO_C, BACKTRACK, LBFGS_COSINE, LBFGS_PAIRS,
-                            MAX_BACKTRACKS, STEP_INIT, SolverConfig,
-                            _initial_shape, _LbfgsMemory, descend,
-                            lambda_sweep, reference_bump, solve_three)
+                            K3_LEAN, MAX_BACKTRACKS, STEP_INIT,
+                            SolverConfig, _LbfgsMemory, descend,
+                            initial_shape, lambda_sweep, solve_three)
 from plap.verify import check_membership, measure, verify_fields
 
 from conftest import (_LUPreconditioner, coarse_config, constraint_phi,
@@ -111,6 +111,33 @@ class TestInitialPoint:
         mesh = build_mesh(2, 3)
         with pytest.raises(ConfigurationError):
             initial_point(mesh, NL2, P2, KIndex.K3, seed=0)
+
+
+class TestInitialShape:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
+    def test_k2_start_is_the_negated_k1_start(self, dim, m, seed):
+        mesh = build_mesh(dim, m)
+        w1 = initial_shape(mesh, KIndex.K1, seed)
+        w2 = initial_shape(mesh, KIndex.K2, seed)
+        assert np.all(w1 >= 0.0) and np.any(w1 > 0.0)
+        assert w2.tobytes() == (-w1).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dim, m", [(2, 16), (3, 8)])
+    def test_k3_start_less_its_lean_is_odd_in_x1(self, dim, m, seed):
+        mesh = build_mesh(dim, m)
+        v = mesh.vertices
+        lean = apply_dirichlet(mesh, (v[:, 1] - v[:, 0])
+                               * np.prod(np.sin(np.pi * v), axis=1))
+        w = initial_shape(mesh, KIndex.K3, seed) - K3_LEAN * lean
+        # x_1 -> 1 - x_1 as a vertex permutation, read from the coordinates
+        lattice = np.rint(v * m).astype(int)
+        index = {tuple(x): i for i, x in enumerate(lattice.tolist())}
+        lattice[:, 0] = m - lattice[:, 0]
+        mirror = np.array([index[tuple(x)] for x in lattice.tolist()])
+        assert np.any(w > 0.0) and np.any(w < 0.0)
+        assert np.max(np.abs(w + w[mirror])) <= 1e-15 * np.max(np.abs(w))
 
 
 class TestRetract:
@@ -366,7 +393,7 @@ class TestSpectralStep:
         mesh = build_mesh(2, 8)
         P = LaplacePreconditioner(mesh)
         _, rep = descend(mesh, config, KIndex.K3,
-                         _initial_shape(mesh, KIndex.K3, 0), P)
+                         initial_shape(mesh, KIndex.K3, 0), P)
         assert rep.converged and any(rep.backtracks)
         assert len(memories) == rep.iterations
         assert max(map(len, memories)) == LBFGS_PAIRS
@@ -438,6 +465,40 @@ class TestSpectralStep:
         assert rep.error == (f"no acceptable step in {MAX_BACKTRACKS} "
                              "backtracks")
         assert len(passes) == 1 and passes[0][0] == [] and slopes == []
+
+    @pytest.mark.parametrize("k", [KIndex.K1, KIndex.K3])
+    def test_non_descending_direction_is_replaced_by_g(self, monkeypatch,
+                                                        coarse_run, k):
+        # a negated L-BFGS direction has <r, d> < 0; the pass searches along
+        # g = K^-1 r instead, with the memory cleared, as after a failed
+        # search, so each pass holds at most the pair of the last step and
+        # the descent reaches the level of the unpatched one
+        passes, slopes = [], []
+        direction = _LbfgsMemory.direction
+        search = plap.optimizer._armijo_search
+
+        def negated(memory, r, g):
+            passes.append((len(held_pairs(memory)), r, g))
+            d = direction(memory, r, g)
+            return -d if passes[-1][0] else d
+
+        def recorded(mesh, config, k, state, gt, slope):
+            slopes.append(slope)
+            return search(mesh, config, k, state, gt, slope)
+
+        monkeypatch.setattr(_LbfgsMemory, "direction", negated)
+        monkeypatch.setattr(plap.optimizer, "_armijo_search", recorded)
+        config, mesh, triple = coarse_run
+        _, rep = descend(mesh, config, k,
+                         initial_shape(mesh, k, config.seed),
+                         LaplacePreconditioner(mesh))
+        assert rep.converged and rep.error is None
+        assert len(passes) == rep.iterations
+        assert any(pairs for pairs, _, _ in passes)
+        assert all(pairs <= 1 for pairs, _, _ in passes)
+        assert slopes == [float(np.dot(r, g)) for _, r, g in passes]
+        want = triple.reports[list(KIndex).index(k)].energy
+        assert abs(rep.energy - want) <= 1e-9 * want
 
     @pytest.mark.parametrize("k, share", [(KIndex.K1, 0.5),
                                           (KIndex.K3, 0.8)])
@@ -665,7 +726,7 @@ class TestDescend:
                               grad_tol=1e-6, max_iters=1000, seed=seed)
         mesh = build_mesh(2, config.cells_per_side)
         u, rep = descend(mesh, config, KIndex.K3,
-                         _initial_shape(mesh, KIndex.K3, seed),
+                         initial_shape(mesh, KIndex.K3, seed),
                          LaplacePreconditioner(mesh))
         assert rep.converged and rep.error is None
         assert rep.iterations < 320
@@ -686,7 +747,7 @@ class TestDescend:
             config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=4,
                                   grad_tol=1e-6, max_iters=200, seed=seed)
             _, rep = descend(mesh, config, KIndex.K3,
-                             _initial_shape(mesh, KIndex.K3, seed),
+                             initial_shape(mesh, KIndex.K3, seed),
                              LaplacePreconditioner(mesh))
             assert rep.converged and rep.error is None, seed
 
@@ -744,7 +805,7 @@ class TestSolveThree:
 
     def test_failed_initial_point_reports_every_constraint(self,
                                                            monkeypatch):
-        shape = plap.optimizer._initial_shape
+        shape = plap.optimizer.initial_shape
 
         def one_signed(mesh, k, seed):
             # retracting onto K3 clips away the missing negative part
@@ -752,7 +813,7 @@ class TestSolveThree:
                 return np.abs(shape(mesh, k, seed))
             return shape(mesh, k, seed)
 
-        monkeypatch.setattr(plap.optimizer, "_initial_shape", one_signed)
+        monkeypatch.setattr(plap.optimizer, "initial_shape", one_signed)
         config = coarse_config()
         mesh = build_mesh(2, config.cells_per_side)
         rep = solve_three(config, mesh).reports[2]
@@ -792,7 +853,7 @@ class TestK2Mirror:
         mesh = build_mesh(params.dim, m)
         P = LaplacePreconditioner(mesh)
         u2, rep2 = descend(mesh, config, KIndex.K2,
-                           _initial_shape(mesh, KIndex.K2, seed), P)
+                           initial_shape(mesh, KIndex.K2, seed), P)
         kinds = _spy_descend(monkeypatch)
         triple = solve_three(config, mesh)
         assert kinds == ["K1", "K3"]
@@ -817,7 +878,7 @@ class TestK2Mirror:
         config = coarse_config()
         mesh = build_mesh(2, config.cells_per_side)
         u2, rep2 = descend(mesh, config, KIndex.K2,
-                           _initial_shape(mesh, KIndex.K2, config.seed),
+                           initial_shape(mesh, KIndex.K2, config.seed),
                            LaplacePreconditioner(mesh))
         kinds = _spy_descend(monkeypatch)
         triple = solve_three(config, mesh)
@@ -836,7 +897,7 @@ class TestLambdaSweep:
         ts = [row.t_lambda for row in rows]
         assert all(b <= a + 1e-15 for a, b in zip(ts, ts[1:]))
         mesh = build_mesh(2, config.cells_per_side)
-        w = reference_bump(mesh, config.seed)
+        w = initial_shape(mesh, KIndex.K1, config.seed)
         for row in rows:
             params = RunParameters(p=P2.p, dim=2, lam=row.lam, eps=P2.eps)
             c = fibering_coefficients(mesh, config.nonlin, params, w)
@@ -845,6 +906,29 @@ class TestLambdaSweep:
             assert row.t_lambda <= bound * (1 + 1e-12)
             for e in (row.c1, row.c2, row.c3):
                 assert np.isfinite(e)
+
+    def test_sweep_scales_the_k1_start_of_the_solve(self, monkeypatch):
+        # t_lambda w is the retraction of K1's start w, bit for bit, and w
+        # is the start of every K1 descent the sweep runs
+        config = coarse_config()
+        starts = []
+        real = plap.optimizer.descend
+
+        def spy(mesh, config, k, initial, P):
+            if k is KIndex.K1:
+                starts.append(initial)
+            return real(mesh, config, k, initial, P)
+
+        monkeypatch.setattr(plap.optimizer, "descend", spy)
+        rows = lambda_sweep(config, [1.0, 4.0])
+        mesh = build_mesh(2, config.cells_per_side)
+        w = initial_shape(mesh, KIndex.K1, config.seed)
+        assert [start.tobytes() for start in starts] == [w.tobytes()] * 2
+        for row in rows:
+            params = replace(config.params, lam=row.lam)
+            u = retract(mesh, config.nonlin, params, w, KIndex.K1,
+                        config.constraint_tol).u
+            assert (row.t_lambda * w).tobytes() == u.tobytes()
 
     def test_unconverged_descents_give_no_level(self):
         # three iterations reach no critical point on any constraint set

@@ -3,7 +3,8 @@
 A name in the `__all__` of `plap.mesh`, `functional`, `nehari`,
 `optimizer`, `verify` or `cli` must be read somewhere in `src/plap` or
 `scripts/` outside its own definition.  Reference code that only the
-tests call lives in `tests/conftest.py` instead.
+tests call lives in `tests/conftest.py` instead.  The scripts import no
+underscore name from `plap`.
 """
 
 import ast
@@ -66,3 +67,32 @@ def test_every_public_name_has_a_caller(module):
     public = importlib.import_module(f"plap.{module}").__all__
     unread = [name for name in public if _reads(module, name) == 0]
     assert not unread, f"plap.{module} exports names nothing reads: {unread}"
+
+
+def _private_imports(tree) -> list[str]:
+    """Underscore names, or modules on an underscore path, that `tree`
+    imports from plap."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules, names = [alias.name for alias in node.names], []
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] != "plap":
+                continue
+            if any(part.startswith("_") for part in module.split(".")):
+                found.append(module)
+            found += [f"{module}.{name}" for name in names
+                      if name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_scripts_import_no_private_name(path):
+    private = _private_imports(TREES[path])
+    assert not private, f"{path.name} imports private names: {private}"
