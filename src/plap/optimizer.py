@@ -14,19 +14,31 @@ its gradient table).  One pass:
        H0 of the L-BFGS direction (`_LbfgsMemory`) of the last
        LBFGS_PAIRS changes of iterate and residual, which needs no other
        solve,
-    3. project that direction onto the constraint tangent, with the
-       state's constraint gradients,
+    3. on K3 of an odd f, keep the inversion-odd part of that direction
+       (see below), then project it onto the constraint tangent, with
+       the state's constraint gradients,
     4. retract trial steps with `nehari.retract` (clip each part to its
        sign, scale it once onto its constraint) and backtrack from t = 1
        until the Armijo test holds, searching along the Laplace solve
-       instead, with the memory cleared, when the L-BFGS direction does
-       not descend or finds no step; each retraction returns the state
+       (its odd part on K3 of an odd f) instead, with the memory
+       cleared, when the L-BFGS direction does not descend or finds no
+       step; each retraction returns the state
        of its field, whose energy comes from the scaling's term list and
        the Dirichlet term of each part: one stencil application K w per
        part at p = 2, where the descent reads no gradient table, one
        gradient table per part otherwise,
     5. keep the accepted trial's state as the next iterate; its E' and
        grad phi_i are evaluated when step 1 first reads them.
+
+For odd f, K3 is solved in the inversion-odd class {T u = u}, with
+T u = -u(1 - x): the start and every search direction are replaced by
+their part (v + T v) / 2 (`_inversion_odd_part`).  T maps the mesh, the
+energy and the retraction onto themselves, so a critical point of E on
+the class is one of E (Palais, Comm. Math. Phys. 69 (1979)); the class
+removes a soft symmetry-breaking mode that the seed's jitter and
+rounding feed into the unrestricted K3 descent.  K1 and K2 are not
+restricted, since T maps each onto the other, and neither is K3 of a
+non-odd f, whose energy T does not keep.
 
 The iteration stops when the preconditioned projected-residual norm drops
 below grad_tol, at the iteration cap, or when it cannot go on; in every
@@ -79,6 +91,7 @@ STEP_INIT = 1.0         # first trial step of every line search
 ARMIJO_C = 1e-4         # sufficient-decrease fraction of the slope
 BACKTRACK = 0.5         # step factor per rejected trial
 K3_LEAN = 0.05          # weight of the x_1 = x_2 mode in the K3 start
+INVERSION_ODD = "inversion-odd"     # the K3 class of an odd f
 
 # failures that end a descent at its last iterate
 _STOPS = (LostSignError, NoRootError, DegenerateConstraintError)
@@ -129,6 +142,7 @@ class SolveReport:
     backtracks: tuple[int, ...] = ()          # rejected trials per iteration
     error: str | None = None
     mirror_of: str | None = None    # kind whose descent this one negates
+    symmetry: str | None = None     # class the descent was solved in
 
 
 @dataclass(frozen=True)
@@ -204,6 +218,19 @@ def initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     w_neg = -w_pos.reshape(grid)[::-1].reshape(-1)
     lean = (v[:, 1] - v[:, 0]) * bump
     return w_pos + w_neg + K3_LEAN * apply_dirichlet(mesh, lean)
+
+
+def _inversion_odd_part(v: np.ndarray) -> np.ndarray:
+    """The part (v + T v) / 2 = (v - v(1 - x)) / 2 of a nodal field or
+    co-vector that the inversion T v = -v(1 - x) keeps.
+
+    The vertices are C-ordered on the (m+1)^dim grid, so x -> 1 - x is
+    the flat reversal i -> n - 1 - i.  It maps the Kuhn mesh onto itself
+    (each simplex is a monotone path along the axes, and walked backwards
+    it is the same simplex) and fixes the boundary, the lumped mass and
+    the stencil.  The result is odd bit for bit: a - b = -(b - a).
+    """
+    return 0.5 * (v - v[::-1])
 
 
 class _LbfgsMemory:
@@ -282,11 +309,15 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     `initial` itself cannot be retracted, the field is zero, the energy
     and residuals are nan and the error starts with "initial point
     failed".  `P` is the mesh's Laplace solve, the metric of the descent.
+    On K3 of an odd f the descent runs in the inversion-odd class, from
+    the odd part of `initial`, and its report's `symmetry` names it.
     """
     nl, params = config.nonlin, config.params
     tol_rel = config.constraint_tol
+    symmetry = INVERSION_ODD if k is KIndex.K3 and nl.odd else None
+    anti = _inversion_odd_part if symmetry else (lambda v: v)
     try:
-        state = retract(mesh, nl, params, initial, k, tol_rel)
+        state = retract(mesh, nl, params, anti(initial), k, tol_rel)
     except _STOPS as exc:
         nan = float("nan")
         return np.zeros(mesh.n_vertices), SolveReport(
@@ -294,7 +325,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             constraint_residuals=(nan,) * len(k.active_constraints),
             max_constraint_residual=nan, projected_norm=nan,
             below_threshold=False, energy_history=(),
-            error=f"initial point failed: {exc}")
+            error=f"initial point failed: {exc}", symmetry=symmetry)
 
     history = [state.energy]
     steps, backtracks = [], []
@@ -329,13 +360,14 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             # search fails, is replaced by g with the memory cleared; with
             # no pairs the direction is g, whose slope is pnorm**2 > 0
             for d in (memory.direction(r_proj, g), g):
-                # <r, gt> collapses to the positive form <r_proj, H r_proj>:
-                # gt is tangent, and r_proj pairs to zero with the part
-                # directions.
-                slope = float(np.dot(r_proj, d))
+                # <r, gt> collapses to <r_proj, ds>, outside the class the
+                # positive form <r_proj, H r_proj>: gt is tangent, and
+                # r_proj pairs to zero with the part directions.
+                ds = anti(d)    # the direction searched
+                slope = float(np.dot(r_proj, ds))
                 if slope > 0.0:
                     cand, t, rejected, lost = _armijo_search(
-                        mesh, config, k, state, state.tangent_project(d),
+                        mesh, config, k, state, state.tangent_project(ds),
                         slope)
                     if cand is not None or d is g:
                         break
@@ -369,6 +401,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
         step_history=tuple(steps),
         backtracks=tuple(backtracks),
         error=error,
+        symmetry=symmetry,
     )
 
 

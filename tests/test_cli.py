@@ -175,6 +175,15 @@ class TestSolveCommand:
         assert reports["u1"]["mirror_of"] is None
         assert reports["u3"]["mirror_of"] is None
 
+    def test_reports_name_the_class_of_u3(self, solved):
+        # the signed family is odd, so K3 is solved in the inversion-odd
+        # class; K1 (and its K2 mirror) is not restricted
+        _, _, out = solved
+        reports = json.loads((out / "triple.json").read_text())["reports"]
+        assert reports["u3"]["symmetry"] == "inversion-odd"
+        assert reports["u1"]["symmetry"] is None
+        assert reports["u2"]["symmetry"] is None
+
     def test_field_csv_parses_back(self, solved):
         _, _, out = solved
         mesh = build_mesh(3, 8)

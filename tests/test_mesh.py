@@ -359,3 +359,34 @@ def test_sine_preconditioner_matches_lu(dim, m):
     if m == 1:
         assert not np.any(got)
         assert P.dual_norm(r) == 0.0 and P.norm(v) == 0.0
+
+
+# x -> 1 - x is the flat reversal of the C-ordered vertex grid; the K3
+# descent of an odd f is solved in the class it makes (optimizer)
+INVERSION_MESHES = [(dim, m) for dim in (2, 3) for m in range(4, 10)]
+
+
+@pytest.mark.parametrize("dim, m", INVERSION_MESHES)
+def test_inversion_maps_the_mesh_onto_itself(dim, m):
+    mesh = build_mesh(dim, m)
+    n = mesh.n_vertices
+    assert np.max(np.abs(mesh.vertices[::-1] + mesh.vertices - 1.0)) <= 1e-15
+    # each simplex walked backwards is a simplex of the mesh
+    simplices = {tuple(sorted(s)) for s in mesh.simplices.tolist()}
+    inverted = {tuple(sorted(n - 1 - s)) for s in mesh.simplices}
+    assert inverted == simplices
+    assert mesh.lumped_mass[::-1].tobytes() == mesh.lumped_mass.tobytes()
+    assert np.array_equal(mesh.boundary[::-1], mesh.boundary)
+
+
+@pytest.mark.parametrize("dim, m", INVERSION_MESHES)
+def test_laplace_operators_commute_with_the_inversion(dim, m):
+    mesh = build_mesh(dim, m)
+    P = LaplacePreconditioner(mesh)
+    rng = np.random.default_rng(13)
+    u = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
+    r = rng.standard_normal(mesh.n_vertices)
+    for op, v in ((lambda x: laplace_apply(mesh, x), u), (P.solve, r)):
+        want = op(v)[::-1]
+        got = op(v[::-1])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -14,10 +14,11 @@ from plap.functional import (Nonlinearity, RunParameters, energy,
                              sobolev_threshold)
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import KIndex, retract
-from plap.optimizer import (ARMIJO_C, BACKTRACK, LBFGS_COSINE, LBFGS_PAIRS,
-                            K3_LEAN, MAX_BACKTRACKS, STEP_INIT,
-                            SolverConfig, _LbfgsMemory, descend,
-                            initial_shape, lambda_sweep, solve_three)
+from plap.optimizer import (ARMIJO_C, BACKTRACK, INVERSION_ODD, LBFGS_COSINE,
+                            LBFGS_PAIRS, K3_LEAN, MAX_BACKTRACKS, STEP_INIT,
+                            SolverConfig, _inversion_odd_part, _LbfgsMemory,
+                            descend, initial_shape, lambda_sweep,
+                            solve_three)
 from plap.verify import check_membership, measure, verify_fields
 
 from conftest import (_LUPreconditioner, coarse_config, constraint_phi,
@@ -385,12 +386,12 @@ class TestSpectralStep:
     def test_memory_bound_and_reset(self, monkeypatch):
         # the memory fills up to its bound, keeps only pairs that pass the
         # cosine test, and is empty after an iteration that backtracked:
-        # the next pass sees at most the pair of that iteration's step
+        # the next pass sees at most the pair of that iteration's step.
+        # The square16-p1.5 K3 descent (97 iterations) fills the memory.
         memories = self.spy(monkeypatch)
-        config = SolverConfig(params=P2, nonlin=Nonlinearity(
-            family="signed", q=2.5, r=2.5), cells_per_side=8,
-            grad_tol=1e-6, max_iters=1000)
-        mesh = build_mesh(2, 8)
+        config = SolverConfig(params=P2, nonlin=NL2, cells_per_side=16,
+                              grad_tol=1e-6, max_iters=1000)
+        mesh = build_mesh(2, 16)
         P = LaplacePreconditioner(mesh)
         _, rep = descend(mesh, config, KIndex.K3,
                          initial_shape(mesh, KIndex.K3, 0), P)
@@ -472,7 +473,8 @@ class TestSpectralStep:
         # a negated L-BFGS direction has <r, d> < 0; the pass searches along
         # g = K^-1 r instead, with the memory cleared, as after a failed
         # search, so each pass holds at most the pair of the last step and
-        # the descent reaches the level of the unpatched one
+        # the descent reaches the level of the unpatched one.  K3 of this
+        # odd f searches the inversion-odd part of g.
         passes, slopes = [], []
         direction = _LbfgsMemory.direction
         search = plap.optimizer._armijo_search
@@ -496,7 +498,8 @@ class TestSpectralStep:
         assert len(passes) == rep.iterations
         assert any(pairs for pairs, _, _ in passes)
         assert all(pairs <= 1 for pairs, _, _ in passes)
-        assert slopes == [float(np.dot(r, g)) for _, r, g in passes]
+        searched = _inversion_odd_part if k is KIndex.K3 else (lambda g: g)
+        assert slopes == [float(np.dot(r, searched(g))) for _, r, g in passes]
         want = triple.reports[list(KIndex).index(k)].energy
         assert abs(rep.energy - want) <= 1e-9 * want
 
@@ -807,13 +810,13 @@ class TestSolveThree:
                                                            monkeypatch):
         shape = plap.optimizer.initial_shape
 
-        def one_signed(mesh, k, seed):
-            # retracting onto K3 clips away the missing negative part
+        def zero_k3(mesh, k, seed):
+            # retracting onto K3 clips away both (empty) parts
             if k is KIndex.K3:
-                return np.abs(shape(mesh, k, seed))
+                return np.zeros(mesh.n_vertices)
             return shape(mesh, k, seed)
 
-        monkeypatch.setattr(plap.optimizer, "initial_shape", one_signed)
+        monkeypatch.setattr(plap.optimizer, "initial_shape", zero_k3)
         config = coarse_config()
         mesh = build_mesh(2, config.cells_per_side)
         rep = solve_three(config, mesh).reports[2]
@@ -888,6 +891,51 @@ class TestK2Mirror:
         assert np.array_equal(triple.u2, u2)
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _off_class(u: np.ndarray) -> float:
+    """max |u + u(1 - x)| / max |u|: zero for an inversion-odd field."""
+    return float(np.max(np.abs(u + u[::-1])) / np.max(np.abs(u)))
+
+
+def _solve_script(name: str):
+    config = load_config(SCRIPTS / name).solver
+    return solve_three(config, build_mesh(config.params.dim,
+                                          config.cells_per_side))
+
+
+class TestInversionClass:
+    """For odd f, K3 is solved in the class {u(1 - x) = -u(x)}."""
+
+    @pytest.mark.parametrize("name", ["square16.cfg", "reference.cfg"])
+    def test_seed_0_u3_is_inversion_odd(self, name):
+        triple = _solve_script(name)
+        assert _off_class(triple.u3) <= 1e-12
+        assert [rep.symmetry for rep in triple.reports] == [
+            None, None, INVERSION_ODD]
+
+    def test_pospart_u3_is_unchanged_and_off_class(self):
+        # pospart is not odd, so its K3 descent is not restricted: u3 is the
+        # level recorded before the class existed, and breaks the symmetry
+        triple = _solve_script("pospart.cfg")
+        rep = triple.reports[2]
+        assert rep.converged and rep.symmetry is None
+        assert abs(rep.energy - 1.0972082409804238) <= 1e-12 * rep.energy
+        assert abs(_off_class(triple.u3) - 0.262) <= 1e-3
+
+    def test_square16_k3_converges_within_150_iterations(self):
+        # without the class, seeds 0-79 take 139-275 iterations
+        config = load_config(SCRIPTS / "square16.cfg").solver
+        mesh = build_mesh(config.params.dim, config.cells_per_side)
+        P = LaplacePreconditioner(mesh)
+        for seed in range(10):
+            _, rep = descend(mesh, replace(config, seed=seed), KIndex.K3,
+                             initial_shape(mesh, KIndex.K3, seed), P)
+            assert rep.converged and rep.iterations <= 150, seed
+            assert abs(rep.energy - 1.4319544064) <= 1e-9, seed
+
+
 class TestLambdaSweep:
     def test_rows_and_monotone_scaling(self):
         config = coarse_config()
@@ -943,21 +991,22 @@ class TestLambdaSweep:
 
     def test_sweep_script_rows(self, monkeypatch):
         # rows of scripts/sweep.cfg recorded with a K2 descent of its own
-        # at every coupling; the sweep now runs K1 and K3 only
+        # at every coupling; the sweep now runs K1 and K3 only.  c3 is the
+        # level of the inversion-odd class, 2.9e-10 to 1.3e-8 relative above
+        # the symmetry-broken K3 minimizer of this coarse mesh.
         recorded = [
-            (1.0, 1.8979829976925324, 2.216122522406975, 4.593440376281563,
+            (1.0, 1.8979829976925324, 2.216122522406975, 4.593440377615968,
              True, True, False),
-            (2.0, 1.7286697412758265, 2.044281176634273, 4.254022318137791,
+            (2.0, 1.7286697412758265, 2.044281176634273, 4.25402231984377,
              True, True, False),
-            (4.0, 1.4155530625002701, 1.9155995366503982, 3.653033844229766,
+            (4.0, 1.4155530625002701, 1.9155995366503982, 3.6530338469973036,
              True, True, False),
             (8.0, 0.9944077968130882, 1.0821463652038696,
-             2.7265453143725527, True, True, True),
+             2.726545321094207, True, True, True),
             (16.0, 0.6402846961720454, 0.5527085307987462,
-             1.661301219757605, True, True, True),
+             1.6613012414609512, True, True, True),
         ]
-        cfg = load_config(Path(__file__).resolve().parents[1] / "scripts"
-                          / "sweep.cfg")
+        cfg = load_config(SCRIPTS / "sweep.cfg")
         kinds = _spy_descend(monkeypatch)
         rows = lambda_sweep(cfg.solver, cfg.lambda_list)
         assert kinds == ["K1", "K3"] * len(recorded)
