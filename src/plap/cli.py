@@ -43,6 +43,11 @@ _KEYS = {
     "eps", "grad-tol", "constraint-tol", "max-iters", "seed", "out-dir",
 }
 _REQUIRED = ("dim", "res", "p", "q", "lambda")
+# optional keys that set the dataclass field of the same name, dashes read
+# as underscores; an unset key leaves the field at its dataclass default
+_PARAMS_KEYS = {"eps": float}
+_SOLVER_KEYS = {"grad-tol": float, "constraint-tol": float, "max-iters": int,
+                "seed": int}
 
 SWEEP_HEADER = "lambda,t_lambda,c1,c2,c3,threshold1,threshold2,threshold3"
 
@@ -58,6 +63,11 @@ class RunConfig:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _fields_set(raw: dict[str, str], keys) -> dict:
+    return {key.replace("-", "_"): kind(raw[key])
+            for key, kind in keys.items() if key in raw}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -86,11 +96,8 @@ def parse_config_text(text: str) -> RunConfig:
         q = float(raw["q"])
         r = float(raw.get("r", raw["q"]))
         lam = float(raw["lambda"])
-        eps = float(raw.get("eps", "1e-8"))
-        grad_tol = float(raw.get("grad-tol", "1e-7"))
-        constraint_tol = float(raw.get("constraint-tol", "1e-10"))
-        max_iters = int(raw.get("max-iters", "5000"))
-        seed = int(raw.get("seed", "0"))
+        params_set = _fields_set(raw, _PARAMS_KEYS)
+        solver_set = _fields_set(raw, _SOLVER_KEYS)
         lambda_list = tuple(
             float(tok) for tok in raw.get("lambda-list", "").split(",") if tok.strip()
         )
@@ -98,13 +105,10 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigurationError(f"malformed numeric value: {exc}") from exc
 
     family = raw.get("family", "signed")
-    params = RunParameters(p=p, dim=dim, lam=lam, eps=eps)
+    params = RunParameters(p=p, dim=dim, lam=lam, **params_set)
     nonlin = Nonlinearity(family=family, q=q, r=r)
-    solver = SolverConfig(
-        params=params, nonlin=nonlin, cells_per_side=res,
-        max_iters=max_iters, grad_tol=grad_tol,
-        constraint_tol=constraint_tol, seed=seed,
-    )
+    solver = SolverConfig(params=params, nonlin=nonlin, cells_per_side=res,
+                          **solver_set)
     return RunConfig(solver, coupling_list(lambda_list),
                      Path(raw.get("out-dir", ".")))
 
@@ -174,6 +178,12 @@ def _make_out_dir(cfg: RunConfig) -> Path:
     return cfg.out_dir
 
 
+def _checks(cfg: RunConfig, mesh, fields):
+    """`verify_fields` with the Euler-Lagrange bound at 10 grad-tol."""
+    return verify_fields(mesh, cfg.solver.nonlin, cfg.solver.params, fields,
+                         residual_tol=10.0 * cfg.solver.grad_tol)
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     out = _make_out_dir(cfg)
     mesh = build_mesh(cfg.solver.params.dim, cfg.solver.cells_per_side)
@@ -183,10 +193,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     for name, values in zip(("u1.csv", "u2.csv", "u3.csv"), triple.fields()):
         _write_field_csv(out / name, template, values)
 
-    checks = verify_fields(
-        mesh, cfg.solver.nonlin, cfg.solver.params, triple.fields(),
-        residual_tol=10.0 * cfg.solver.grad_tol,
-    )
+    checks = _checks(cfg, mesh, triple.fields())
     threshold = sobolev_threshold(cfg.solver.params)
     payload = {
         "dim": cfg.solver.params.dim,
@@ -247,10 +254,7 @@ def cmd_verify(cfg: RunConfig, field_paths) -> int:
         raise ConfigurationError("verify requires at least one field file")
     mesh = build_mesh(cfg.solver.params.dim, cfg.solver.cells_per_side)
     fields = [_read_field_csv(Path(p), mesh) for p in field_paths]
-    checks = verify_fields(
-        mesh, cfg.solver.nonlin, cfg.solver.params, fields,
-        residual_tol=10.0 * cfg.solver.grad_tol,
-    )
+    checks = _checks(cfg, mesh, fields)
     for rep in checks:
         print(rep.line())
     return 0 if all(rep.passed for rep in checks) else 1

@@ -13,20 +13,19 @@ its gradient table).  One pass:
     2. precondition it with one discrete Dirichlet-Laplace solve, the
        H0 of the L-BFGS direction (`_LbfgsMemory`) of the last
        LBFGS_PAIRS changes of iterate and residual, which needs no other
-       solve,
+       solve; each kept pair has <s, y> > 0, so H is positive definite
+       and the direction descends up to round-off,
     3. on K3 of an odd f, keep the inversion-odd part of that direction
        (see below), then project it onto the constraint tangent, with
        the state's constraint gradients,
-    4. retract trial steps with `nehari.retract` (clip each part to its
-       sign, scale it once onto its constraint) and backtrack from t = 1
-       until the Armijo test holds, searching along the Laplace solve
-       (its odd part on K3 of an odd f) instead, with the memory
-       cleared, when the L-BFGS direction does not descend or finds no
-       step; each retraction returns the state
-       of its field, whose energy comes from the scaling's term list and
-       the Dirichlet term of each part: one stencil application K w per
-       part at p = 2, where the descent reads no gradient table, one
-       gradient table per part otherwise,
+    4. backtrack along that one direction from t = 1 until the Armijo
+       test holds, retracting each trial with `nehari.retract` (clip each
+       part to its sign, scale it once onto its constraint), and clear
+       the memory after an iteration that backtracked; each retraction
+       returns the state of its field, whose energy comes from the
+       scaling's term list and the Dirichlet term of each part: one
+       stencil application K w per part at p = 2, where the descent reads
+       no gradient table, one gradient table per part otherwise,
     5. keep the accepted trial's state as the next iterate; its E' and
        grad phi_i are evaluated when step 1 first reads them.
 
@@ -302,10 +301,11 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             initial: np.ndarray, P: LaplacePreconditioner):
     """Run the constrained descent from the retraction of `initial`.
 
-    Returns (final field, SolveReport).  A descent that cannot go on (no
-    acceptable step, every trial step clipping away a required part, a
-    missing fibering root or a degenerate constraint) stops at its last
-    iterate, and the report of that iterate says why in `error`.  If
+    Returns (final field, SolveReport).  A descent that cannot go on (a
+    search direction that does not descend, no acceptable step, every
+    trial step clipping away a required part, a missing fibering root or
+    a degenerate constraint) stops at its last iterate, and the report of
+    that iterate says why in `error`.  If
     `initial` itself cannot be retracted, the field is zero, the energy
     and residuals are nan and the error starts with "initial point
     failed".  `P` is the mesh's Laplace solve, the metric of the descent.
@@ -356,22 +356,17 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
                         max(float(np.dot(y, ky)), 0.0)):
                     memory.append(s, y, ky, sy)
             prev = (state.u, r_proj, g)
-            # an L-BFGS direction that does not descend, or along which the
-            # search fails, is replaced by g with the memory cleared; with
-            # no pairs the direction is g, whose slope is pnorm**2 > 0
-            for d in (memory.direction(r_proj, g), g):
-                # <r, gt> collapses to <r_proj, ds>, outside the class the
-                # positive form <r_proj, H r_proj>: gt is tangent, and
-                # r_proj pairs to zero with the part directions.
-                ds = anti(d)    # the direction searched
-                slope = float(np.dot(r_proj, ds))
-                if slope > 0.0:
-                    cand, t, rejected, lost = _armijo_search(
-                        mesh, config, k, state, state.tangent_project(ds),
-                        slope)
-                    if cand is not None or d is g:
-                        break
-                memory.clear()
+            # <r, gt> collapses to <r_proj, ds>: gt is tangent, and r_proj
+            # pairs to zero with the part directions.  H is positive
+            # definite, so only round-off makes it nonpositive, and then
+            # the Armijo test would accept an energy increase.
+            ds = anti(memory.direction(r_proj, g))
+            slope = float(np.dot(r_proj, ds))
+            if slope <= 0.0:
+                error = "search direction does not descend"
+                break
+            cand, t, rejected, lost = _armijo_search(
+                mesh, config, k, state, state.tangent_project(ds), slope)
             if cand is None:
                 error = ("every trial step clipped away a required part"
                          if lost == MAX_BACKTRACKS else
