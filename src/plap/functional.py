@@ -273,6 +273,12 @@ class _TableForm(NamedTuple):
         table = self.table + other.table
         return _TableForm(table, _squared_norms(table))
 
+    def mirrored(self, mesh: Mesh) -> "_TableForm":
+        """The form of -u(1 - x): its gradient on a simplex is that of u
+        on the simplex the inversion maps it onto."""
+        sigma = mesh.simplex_reversal
+        return _TableForm(self.table[sigma], self.sq_norms[sigma])
+
     def integral(self, mesh: Mesh, params: RunParameters) -> float:
         """int |grad u|^p."""
         return _p_dirichlet(mesh, self.sq_norms, params.p)
@@ -299,6 +305,10 @@ class _StencilForm(NamedTuple):
         return _StencilForm(self.field + other.field,
                             self.image + other.image)
 
+    def mirrored(self, mesh: Mesh) -> "_StencilForm":
+        """The form of -u(1 - x): K commutes with the inversion."""
+        return _StencilForm(-self.field[::-1], -self.image[::-1])
+
     def integral(self, mesh: Mesh, params: RunParameters) -> float:
         return float(np.dot(self.field, self.image))
 
@@ -313,9 +323,10 @@ def _dirichlet_form(mesh: Mesh, params: RunParameters, u: np.ndarray):
 
     Both forms give int |grad u|^p (`integral`) and the p-stiffness
     co-vector (`covector`, exact on the interior rows), scale with u
-    (`scaled`) and add over fields (`plus`).  `energy`, `energy_residual`
-    and `plap.verify` keep the table at every p, so they check the
-    stencil independently.
+    (`scaled`), add over fields (`plus`) and give the form of the
+    inverted field -u(1 - x) with no kernel call (`mirrored`).  `energy`,
+    `energy_residual` and `plap.verify` keep the table at every p, so
+    they check the stencil independently.
     """
     if params.p == 2.0:
         return _StencilForm(u, laplace_apply(mesh, u))

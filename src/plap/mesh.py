@@ -41,6 +41,7 @@ fields are integrated exactly and nodal nonlinearities at second order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,6 +107,23 @@ class Mesh:
     @property
     def n_simplices(self) -> int:
         return self.simplices.shape[0]
+
+    @functools.cached_property
+    def simplex_reversal(self) -> np.ndarray:
+        """The simplex sigma(s) that the inversion x -> 1 - x maps simplex
+        s onto, an involution.  The inversion reverses the vertex order,
+        so `gradient_table(v[::-1]) == -gradient_table(v)[sigma]`.
+
+        It maps cell c onto cell n_cells - 1 - c and walks each path
+        backwards: the two square templates swap, and the cube path along
+        axes (a, b, c) becomes (c, b, a) in the sorted template order.
+        """
+        flip = np.array([1, 0] if self.dim == 2 else [5, 3, 4, 1, 2, 0])
+        n_cells = self.n_simplices // len(flip)
+        sigma = (np.arange(n_cells - 1, -1, -1)[:, None] * len(flip)
+                 + flip).ravel()
+        sigma.flags.writeable = False
+        return sigma
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:

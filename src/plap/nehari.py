@@ -185,9 +185,10 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     return ScaleResult(t, A, terms, form)
 
 
-def _remove_normal(v: np.ndarray, along: np.ndarray,
-                   against: np.ndarray) -> np.ndarray:
-    """v minus the multiple of `along` that pairs to zero with `against`.
+def _normal_coefficient(v: np.ndarray, along: np.ndarray,
+                        against: np.ndarray) -> float:
+    """The multiple c of `along` for which v - c along pairs to zero with
+    `against`.
 
     Serves both the tangent projector (along = field part, against =
     constraint gradient) and its transpose, the multiplier removal on
@@ -200,7 +201,13 @@ def _remove_normal(v: np.ndarray, along: np.ndarray,
         raise DegenerateConstraintError(
             "constraint gradient pairs degenerately with the field part"
         )
-    return v - (float(np.dot(against, v)) / denom) * along
+    return float(np.dot(against, v)) / denom
+
+
+def _remove_normal(v: np.ndarray, along: np.ndarray,
+                   against: np.ndarray) -> np.ndarray:
+    """v minus the multiple of `along` that pairs to zero with `against`."""
+    return v - _normal_coefficient(v, along, against) * along
 
 
 @dataclass(eq=False)
@@ -222,6 +229,14 @@ class _Iterate:
     once each (`functional._Powers`).  `plap.verify` measures E, E', phi_i
     and the scales again, with gradient tables and `**` at every p, and
     shares nothing with this state.
+
+    In the inversion-odd class (`inversion_odd`: K3 of an odd f), u is
+    odd under T u = -u(1 - x) bit for bit, so u_minus is u_plus reversed,
+    and T keeps E and maps phi_1 onto phi_2.  Part 2's quantities are
+    part 1's read through T: the same phi and scale, the part reversed,
+    and its co-vector and constraint gradient reversed and negated.  Only
+    part 1's are computed, so K3 takes two scatters (u, u_plus), and each
+    projection one coefficient.
     """
 
     mesh: Mesh
@@ -233,6 +248,7 @@ class _Iterate:
     energy: float
     phis: dict              # which -> phi_which(u)
     scales: dict            # which -> int |grad u_s|^p
+    inversion_odd: bool = False     # part 2 is T of part 1
 
     @property
     def relative_residuals(self) -> tuple[float, ...]:
@@ -255,11 +271,13 @@ class _Iterate:
         # grad phi_s: p K(s u_s) less this term where s u > 0, else 0
         nodal = M * (pstar * crit + lam * (f + fu * u))
         parts, grads = {}, {}
-        for which, form in self.forms.items():
+        for which in (1,) if self.inversion_odd else self.forms:
             parts[which] = part = np.maximum(_sign(which) * u, 0.0)
             part_stiff = (stiff if len(self.forms) == 1
-                          else form.covector(mesh, params))
+                          else self.forms[which].covector(mesh, params))
             grads[which] = np.where(part > 0.0, p * part_stiff - nodal, 0.0)
+        if self.inversion_odd:
+            parts[2], grads[2] = parts[1][::-1], -grads[1][::-1]
         return residual, parts, grads
 
     @property
@@ -274,24 +292,34 @@ class _Iterate:
         that `tangent_project` removes, so the result pairs to zero with
         u_plus and/or u_minus.  Preconditioned, it gives a direction whose
         slope is a positive quadratic form, which certifies the Armijo
-        decrease in the descent.
+        decrease in the descent.  In the inversion-odd class the two
+        multipliers are equal for an odd r, and part 1 gives them.
         """
         _, parts, grads = self._calculus
+        if self.inversion_odd:
+            c = _normal_coefficient(r, grads[1], parts[1])
+            return r - c * (grads[1] + grads[2])
         for which in self.forms:
             r = _remove_normal(r, grads[which], parts[which])
         return r
 
     def tangent_project(self, v: np.ndarray) -> np.ndarray:
         """Project a direction v onto the tangent space of the active
-        constraints at u, by removing multiples of u_plus and/or u_minus."""
+        constraints at u, by removing multiples of u_plus and/or u_minus.
+        In the inversion-odd class the multiple of u_minus is minus that
+        of u_plus for an odd v, so the two combine to u_plus - u_minus = u,
+        and an odd v stays odd bit for bit."""
         _, parts, grads = self._calculus
+        if self.inversion_odd:
+            return v - _normal_coefficient(v, parts[1], grads[1]) * self.u
         for which in self.forms:
             v = _remove_normal(v, parts[which], grads[which])
         return v
 
 
 def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-            u: np.ndarray, k: KIndex, tol_rel: float = 1e-10) -> _Iterate:
+            u: np.ndarray, k: KIndex, tol_rel: float = 1e-10, *,
+            inversion_odd: bool = False) -> _Iterate:
     """Map an arbitrary field back onto the constraint set of k.
 
     Each active part is clipped to its sign, zeroed on the boundary and
@@ -304,12 +332,21 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     holds, and so does the Dirichlet term of t_i w_i; on K3 only the
     field's int |grad|^p reads the summed term.  Raises LostSignError when
     clipping removes a whole active part.
+
+    `inversion_odd` retracts in the inversion-odd class of K3 for an odd
+    f, and then u must be odd under T u = -u(1 - x) bit for bit,
+    u == -u[::-1].  Its negative part is T of its positive part, and T
+    keeps E, so only the positive part is clipped and scaled: the
+    negative part takes its root, A and term list, and the mirrored
+    Dirichlet term.  The retracted field is odd bit for bit again.
     """
+    if inversion_odd and not (k is KIndex.K3 and nl.odd):
+        raise ValueError("the inversion-odd class is a class of K3 for odd f")
     p = params.p
     out = np.zeros(mesh.n_vertices)
     forms, phis, scales = {}, {}, {}
     nodal = 0.0                 # (1/p*) int |out|^p* + lam int F(out)
-    for which in k.active_constraints:
+    for which in (1,) if inversion_odd else k.active_constraints:
         s = _sign(which)
         # s u_s = max(u, 0) or min(u, 0), clipped in one pass
         clip = np.maximum if s > 0.0 else np.minimum
@@ -324,6 +361,12 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         scales[which] = t ** p * res.A
         phis[which] = scales[which] - sum(c * t ** e for e, c in res.terms)
         nodal += sum(c * t ** e / e for e, c in res.terms)
+    if inversion_odd:
+        # the parts t w and T (t w) are disjoint, so this is exact
+        out = out - out[::-1]
+        forms[2] = forms[1].mirrored(mesh)
+        scales[2], phis[2] = scales[1], phis[1]
+        nodal += nodal
     if k is KIndex.K3:
         form = forms[1].plus(forms[2])
         grad = form.integral(mesh, params)
@@ -331,4 +374,4 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         (which, form), = forms.items()
         grad = scales[which]
     return _Iterate(mesh, nl, params, out, forms, form, grad / p - nodal,
-                    phis, scales)
+                    phis, scales, inversion_odd)

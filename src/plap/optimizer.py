@@ -25,7 +25,9 @@ its gradient table).  One pass:
        returns the state of its field, whose energy comes from the
        scaling's term list and the Dirichlet term of each part: one
        stencil application K w per part at p = 2, where the descent reads
-       no gradient table, one gradient table per part otherwise,
+       no gradient table, one gradient table per part otherwise; in the
+       inversion-odd class only the positive part is clipped and scaled,
+       and the negative part is its mirror image,
     5. keep the accepted trial's state as the next iterate; its E' and
        grad phi_i are evaluated when step 1 first reads them.
 
@@ -35,9 +37,13 @@ their part (v + T v) / 2 (`_inversion_odd_part`).  T maps the mesh, the
 energy and the retraction onto themselves, so a critical point of E on
 the class is one of E (Palais, Comm. Math. Phys. 69 (1979)); the class
 removes a soft symmetry-breaking mode that the seed's jitter and
-rounding feed into the unrestricted K3 descent.  K1 and K2 are not
-restricted, since T maps each onto the other, and neither is K3 of a
-non-odd f, whose energy T does not keep.
+rounding feed into the unrestricted K3 descent.  Every class iterate is
+odd bit for bit, so its negative part is T of its positive part, and
+the state reads the quantities of the one from those of the other
+(`retract(..., inversion_odd=True)`): one scaling per trial, one part
+scatter per pass at p != 2, one coefficient per projection.  K1 and K2
+are not restricted, since T maps each onto the other, and neither is K3
+of a non-odd f, whose energy T does not keep.
 
 The iteration stops when the preconditioned projected-residual norm drops
 below grad_tol, at the iteration cap, or when it cannot go on; in every
@@ -280,14 +286,16 @@ class _LbfgsMemory:
 def _armijo_search(mesh: Mesh, config: SolverConfig, k: KIndex,
                    state: _Iterate, gt: np.ndarray, slope: float):
     """Backtrack from t = STEP_INIT along -gt until the retracted trial
-    meets the Armijo test.  Returns (trial state, t, rejected trials,
-    trials that clipped away a part); the state is None when all
-    MAX_BACKTRACKS trials were rejected."""
+    meets the Armijo test; each trial is retracted in the class of
+    `state`.  Returns (trial state, t, rejected trials, trials that
+    clipped away a part); the state is None when all MAX_BACKTRACKS
+    trials were rejected."""
     t, lost = STEP_INIT, 0
     for rejected in range(MAX_BACKTRACKS):
         try:
             cand = retract(mesh, config.nonlin, config.params,
-                           state.u - t * gt, k, config.constraint_tol)
+                           state.u - t * gt, k, config.constraint_tol,
+                           inversion_odd=state.inversion_odd)
         except LostSignError:
             lost += 1
         else:
@@ -314,10 +322,12 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     """
     nl, params = config.nonlin, config.params
     tol_rel = config.constraint_tol
-    symmetry = INVERSION_ODD if k is KIndex.K3 and nl.odd else None
-    anti = _inversion_odd_part if symmetry else (lambda v: v)
+    odd = k is KIndex.K3 and nl.odd
+    symmetry = INVERSION_ODD if odd else None
+    anti = _inversion_odd_part if odd else (lambda v: v)
     try:
-        state = retract(mesh, nl, params, anti(initial), k, tol_rel)
+        state = retract(mesh, nl, params, anti(initial), k, tol_rel,
+                        inversion_odd=odd)
     except _STOPS as exc:
         nan = float("nan")
         return np.zeros(mesh.n_vertices), SolveReport(

@@ -95,6 +95,19 @@ def measure(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                     energy_residual(mesh, nl, params, u))
 
 
+def _negated(m: Measures, u: np.ndarray) -> Measures:
+    """The record of u = -m.u for an odd f, read from m: E(-u) = E(u) and
+    E'(-u) = -E'(u), so the energy and the moment stay, the residual
+    changes sign, and the parts swap, phi_1(-u) = phi_2(u) among them.
+    Every entry is the one `measure` gives, bit for bit: each is a sum of
+    the same terms, some of them negated (0 - x keeps the residual's
+    zeroed boundary +0, as -x would not)."""
+    def swap(d):
+        return {1: d[2], 2: d[1]}
+    return Measures(u, infer_kind(u), swap(m.masses), swap(m.scales),
+                    swap(m.phis), m.moment, m.energy, 0.0 - m.residual)
+
+
 def infer_kind(u: np.ndarray) -> KIndex:
     """Classify a field by nodal sign: nonnegative -> K1, nonpositive -> K2,
     mixed -> K3.  The zero field lands in K1 and fails nontriviality."""
@@ -182,11 +195,19 @@ def verify_fields(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     """Run the full suite on one or more fields, in any order.
 
     Each field is measured once and checked on the set its sign gives
-    (`Measures.kind`).  Three fields also get the triple-level
+    (`Measures.kind`).  For an odd f, a field that is the negation of one
+    measured before it (the u2 = 0 - u1 of every solve) takes that
+    record, negated (`_negated`).  Three fields also get the triple-level
     sign-structure check, which asks for one field of each kind.
     """
     P = LaplacePreconditioner(mesh)
-    records = [measure(mesh, nl, params, u) for u in fields]
+    records = []
+    for u in fields:
+        u = np.asarray(u, dtype=float)
+        seen = next((m for m in records
+                     if nl.odd and np.array_equal(u, -m.u)), None)
+        records.append(measure(mesh, nl, params, u) if seen is None
+                       else _negated(seen, u))
     reports = []
     for idx, m in enumerate(records, start=1):
         for rep in (check_membership(m, m.kind),

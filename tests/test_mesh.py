@@ -390,3 +390,20 @@ def test_laplace_operators_commute_with_the_inversion(dim, m):
         want = op(v)[::-1]
         got = op(v[::-1])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, m", INVERSION_MESHES)
+def test_simplex_reversal_is_the_inversion_of_the_simplices(dim, m):
+    mesh = build_mesh(dim, m)
+    n, sigma = mesh.n_vertices, mesh.simplex_reversal
+    assert np.array_equal(sigma[sigma], np.arange(mesh.n_simplices))
+    # simplex sigma(s) holds the inverted vertices of simplex s
+    assert np.array_equal(np.sort(n - 1 - mesh.simplices[sigma], axis=1),
+                          np.sort(mesh.simplices, axis=1))
+    # so the gradient table of v(1 - x) is minus that of v, rows permuted,
+    # bit for bit: each row is one difference of two nodal values
+    v = np.random.default_rng(m).standard_normal(n)
+    got = gradient_table(mesh, v[::-1])
+    assert got.tobytes() == (-gradient_table(mesh, v)[sigma]).tobytes()
+    with pytest.raises(ValueError):
+        sigma[0] = 1

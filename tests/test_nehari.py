@@ -525,3 +525,64 @@ class TestIterateState:
         for got, want in zip(cand.relative_residuals,
                              fresh.relative_residuals):
             assert got <= 1e-10 and want <= 1e-10
+
+
+def _odd_fields(mesh, seed):
+    """A smooth and a rough field, each odd under u -> -u(1 - x) bit for
+    bit and zero on the boundary."""
+    rng = np.random.default_rng(seed)
+    x = mesh.vertices
+    smooth = np.sin(2.0 * np.pi * x[:, 0]) * np.prod(
+        np.sin(np.pi * x[:, 1:]), axis=1) * (1.0 + 0.1 * rng.random(len(x)))
+    rough = rng.standard_normal(len(x))
+    return [0.5 * (w - w[::-1]) for w in
+            (apply_dirichlet(mesh, smooth), apply_dirichlet(mesh, rough))]
+
+
+class TestInversionOddRetraction:
+    """The class retraction of K3 reads part 2 from part 1; on an odd field
+    it is the two-part retraction to rounding."""
+
+    @pytest.mark.parametrize("dim, p, q", [(2, 1.5, 3.0), (3, 1.5, 2.5),
+                                           (3, 2.0, 4.0), (3, 2.5, 4.0)])
+    def test_matches_the_two_part_retraction(self, dim, p, q):
+        mesh = build_mesh(dim, 8 if dim == 2 else 4)
+        params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-3)
+        nl = Nonlinearity(family="signed", q=q, r=q)
+
+        def close(got, want, scale=None):
+            scale = np.max(np.abs(want)) if scale is None else scale
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+        for u in _odd_fields(mesh, seed=dim):
+            assert np.array_equal(u, -u[::-1])
+            both = retract(mesh, nl, params, u, KIndex.K3, 1e-10)
+            odd = retract(mesh, nl, params, u, KIndex.K3, 1e-10,
+                          inversion_odd=True)
+            assert np.array_equal(odd.u, -odd.u[::-1])
+            assert odd.inversion_odd and not both.inversion_odd
+            close(odd.u, both.u)
+            close(odd.energy, both.energy)
+            close(odd.residual, both.residual)
+            _, _, grads = odd._calculus
+            for which in (1, 2):
+                scale = both.scales[which]
+                close(odd.scales[which], scale)
+                close(odd.phis[which], both.phis[which], scale)
+                close(grads[which], both._calculus[2][which])
+            # the one-coefficient projections; an odd direction stays odd
+            v = _odd_fields(mesh, seed=dim + 1)[1]
+            got = odd.tangent_project(v)
+            assert np.array_equal(got, -got[::-1])
+            close(got, both.tangent_project(v))
+            close(odd.remove_multipliers(odd.residual),
+                  both.remove_multipliers(both.residual),
+                  np.max(np.abs(both.residual)))
+
+    def test_only_for_k3_of_an_odd_f(self):
+        mesh = build_mesh(2, 8)
+        u = _odd_fields(mesh, seed=0)[0]
+        pospart = Nonlinearity(family="pospart", q=3.0, r=3.0)
+        for nl, k in ((NL2, KIndex.K1), (pospart, KIndex.K3)):
+            with pytest.raises(ValueError):
+                retract(mesh, nl, P2, u, k, inversion_odd=True)

@@ -537,17 +537,17 @@ class TestDescend:
 
     @pytest.mark.parametrize("params, nl, m, k, scatters_per_pass", [
         (P2, NL2, 8, KIndex.K1, 1),
-        (P2, NL2, 8, KIndex.K3, 3),
+        (P2, NL2, 8, KIndex.K3, 2),
         (P3, NL3, 4, KIndex.K1, 0),
         (P3, NL3, 4, KIndex.K3, 0),
     ], ids=["square-p1.5-K1", "square-p1.5-K3", "cube-p2-K1", "cube-p2-K3"])
     def test_kernel_call_budget(self, monkeypatch, params, nl, m, k,
                                 scatters_per_pass):
-        # p != 2: one gradient table per active part per retract trial, the
-        # retraction of the start included; p-stiffness scatters per pass:
-        # u alone on K1, u, u_plus and u_minus on K3.  p = 2: one stencil
-        # application per active part per trial instead, and no table or
-        # scatter at all
+        # p != 2: one gradient table per retract trial, the retraction of
+        # the start included; p-stiffness scatters per pass: u alone on K1,
+        # u and u_plus on K3 (this f is odd, so K3 runs in the inversion-odd
+        # class and u_minus is the mirror of u_plus).  p = 2: one stencil
+        # application per trial instead, and no table or scatter at all
         config = SolverConfig(params=params, nonlin=nl, cells_per_side=m,
                               grad_tol=1e-6, max_iters=200)
         mesh = build_mesh(params.dim, m)
@@ -572,16 +572,16 @@ class TestDescend:
                             counted("solve", LaplacePreconditioner.solve))
         _, rep = descend(mesh, config, k, u0, LaplacePreconditioner(mesh))
         assert rep.error is None and rep.iterations > 0
-        parts = len(k.active_constraints)
+        assert rep.symmetry == (INVERSION_ODD if k is KIndex.K3 else None)
         passes = rep.iterations + 1
         assert counts["trials"] >= rep.iterations
         if params.p == 2.0:
             assert counts["gradient_table"] == 0
             assert counts["p_stiffness_vector"] == 0
-            assert counts["laplace_apply"] == parts * counts["trials"]
+            assert counts["laplace_apply"] == counts["trials"]
         else:
             assert counts["laplace_apply"] == 0
-            assert counts["gradient_table"] <= parts * counts["trials"]
+            assert counts["gradient_table"] <= counts["trials"]
             assert (counts["p_stiffness_vector"]
                     <= scatters_per_pass * passes)
         # the L-BFGS step reads the solve each pass already makes
@@ -633,13 +633,14 @@ class TestDescend:
         retract_state = plap.optimizer.retract
         calls, lost = [], []
 
-        def counted(mesh, nl, params, u, k, tol_rel):
+        def counted(mesh, nl, params, u, k, tol_rel, **kwargs):
             calls.append(k)
             if len(calls) == 2:
                 # the first trial step, moved off the sign of K1
                 u = -np.abs(u)
             try:
-                return retract_state(mesh, nl, params, u, k, tol_rel)
+                return retract_state(mesh, nl, params, u, k, tol_rel,
+                                     **kwargs)
             except LostSignError as exc:
                 lost.append(exc)
                 raise
@@ -744,12 +745,12 @@ class TestDescend:
         retract_state = plap.optimizer.retract
         calls = []
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             # the start and three trials retract, every later trial fails
             calls.append(args)
             if len(calls) > 4:
                 raise exc
-            return retract_state(*args)
+            return retract_state(*args, **kwargs)
 
         monkeypatch.setattr(plap.optimizer, "retract", failing)
         u, rep = descend(mesh, config, KIndex.K1, u0,
@@ -887,8 +888,9 @@ class TestInversionClass:
 
     @pytest.mark.parametrize("name", ["square16.cfg", "reference.cfg"])
     def test_seed_0_u3_is_inversion_odd(self, name):
+        # every class iterate is odd bit for bit
         triple = _solve_script(name)
-        assert _off_class(triple.u3) <= 1e-12
+        assert _off_class(triple.u3) == 0.0
         assert [rep.symmetry for rep in triple.reports] == [
             None, None, INVERSION_ODD]
 
@@ -912,11 +914,12 @@ class TestInversionClass:
             assert rep.converged and rep.iterations <= 150, seed
             assert abs(rep.energy - 1.4319544064) <= 1e-9, seed
 
-    @pytest.mark.parametrize("seed", [4, 13, 17])
+    @pytest.mark.parametrize("seed", [13])
     def test_square16_round_off_stop_at_grad_tol_1e_7(self, seed):
         # near grad-tol 1e-7 the predicted decrease t <r, H r> falls below
-        # the round-off of E, so no Armijo test passes; of seeds 0-39 these
-        # three stop there, at the converged level
+        # the round-off of E, so no Armijo test passes; of seeds 0-39 this
+        # one stops there, at the converged level (seeds 4 and 17 stopped
+        # too while the class iterates were odd only to round-off)
         config = replace(load_config(SCRIPTS / "square16.cfg").solver,
                          grad_tol=1e-7, seed=seed)
         mesh = build_mesh(config.params.dim, config.cells_per_side)

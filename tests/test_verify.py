@@ -5,12 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+import plap.verify
 from plap.functional import (Nonlinearity, RunParameters, energy,
                              energy_residual)
 from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
                        integrate)
 from plap.nehari import KIndex
-from plap.verify import (check_energy_chain, check_euler_lagrange,
+from plap.verify import (_negated, check_energy_chain, check_euler_lagrange,
                          check_membership, check_sign_structure, infer_kind,
                          measure, verify_fields)
 
@@ -249,3 +250,67 @@ def test_measure_matches_reference_functions(k, dim, p, q, r, m, family):
         assert got.phis[which] == constraint_phi(mesh, nl, params, u, which)
     assert got.energy == energy(mesh, nl, params, u)
     assert np.array_equal(got.residual, energy_residual(mesh, nl, params, u))
+
+
+@pytest.mark.parametrize("dim, p, q, r, m", MEASURE_CASES)
+@pytest.mark.parametrize("k", list(KIndex))
+def test_negated_record_is_the_measure(k, dim, p, q, r, m):
+    # for an odd f the record of -u read from that of u is measure(-u),
+    # array for array and bit for bit
+    mesh = build_mesh(dim, m)
+    params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-8)
+    nl = Nonlinearity(family="signed", q=q, r=r)
+    u = initial_point(mesh, nl, params, k, seed=0)
+    v = 0.0 - u
+    got, want = _negated(measure(mesh, nl, params, u), v), measure(
+        mesh, nl, params, v)
+    assert got.u is v
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def _spy_measure(monkeypatch):
+    measured = []
+    real = plap.verify.measure
+
+    def spy(mesh, nl, params, u):
+        measured.append(u)
+        return real(mesh, nl, params, u)
+
+    monkeypatch.setattr(plap.verify, "measure", spy)
+    return measured
+
+
+@pytest.mark.parametrize("order, measured_ones", [
+    ((0, 1, 2), (0, 2)), ((1, 2, 0, 1), (1, 2))],
+    ids=["u1-u2-u3", "u2-u3-u1-u2"])
+def test_suite_measures_a_negated_field_once(reference_run, monkeypatch,
+                                             order, measured_ones):
+    # u2 = 0 - u1 and u1 are one measurement, in either order; the
+    # reports are those of measuring every field
+    config, mesh, triple = reference_run
+    nl, params = config.nonlin, config.params
+    fields = [triple.fields()[i] for i in order]
+    with monkeypatch.context() as m:
+        m.setattr(plap.verify, "_negated",
+                  lambda _, u: measure(mesh, nl, params, u))
+        want = verify_fields(mesh, nl, params, fields)
+    measured = _spy_measure(monkeypatch)
+    assert verify_fields(mesh, nl, params, fields) == want
+    assert [id(u) for u in measured] == [id(triple.fields()[i])
+                                         for i in measured_ones]
+
+
+def test_pospart_never_mirrors(monkeypatch):
+    # pospart is not odd: E(-u) is not E(u), so every field is measured
+    mesh = build_mesh(2, 8)
+    nl = Nonlinearity(family="pospart", q=3.0, r=3.0)
+    u = initial_point(mesh, nl, P2, KIndex.K1, seed=0)
+    fields = [u, 0.0 - u]
+    measured = _spy_measure(monkeypatch)
+    verify_fields(mesh, nl, P2, fields)
+    assert [id(x) for x in measured] == [id(x) for x in fields]
