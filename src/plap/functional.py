@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import Mesh, _check_field, gradient_table, integrate, laplace_apply
+from .mesh import Mesh, gradient_table, laplace_apply
 
 __all__ = [
     "FAMILIES",
@@ -33,9 +33,6 @@ __all__ = [
     "RunParameters",
     "nonlin_eval",
     "source_power_terms",
-    "energy",
-    "energy_parts",
-    "energy_residual",
     "sobolev_constant",
     "sobolev_threshold",
 ]
@@ -219,25 +216,6 @@ def _p_dirichlet(mesh: Mesh, g2: np.ndarray, p: float) -> float:
     return float(np.dot(mesh.volumes, g2 ** (p / 2.0)))
 
 
-def energy_parts(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                 u: np.ndarray):
-    """The three quadrature terms of the energy:
-    (1/p) int |grad u|^p,  (1/p*) int |u|^p*,  lam int F(u)."""
-    u = _check_field(mesh, u)
-    g2 = _squared_norms(gradient_table(mesh, u))
-    grad_term = _p_dirichlet(mesh, g2, params.p) / params.p
-    crit_term = integrate(mesh, np.abs(u) ** params.pstar) / params.pstar
-    _, F, _ = nonlin_eval(nl, u)
-    source_term = params.lam * integrate(mesh, F)
-    return grad_term, crit_term, source_term
-
-
-def energy(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-           u: np.ndarray) -> float:
-    grad_term, crit_term, source_term = energy_parts(mesh, nl, params, u)
-    return grad_term - crit_term - source_term
-
-
 def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float, eps: float,
                        *, sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Nodal co-vector of the regularized p-Dirichlet term of the field u
@@ -324,32 +302,14 @@ def _dirichlet_form(mesh: Mesh, params: RunParameters, u: np.ndarray):
     Both forms give int |grad u|^p (`integral`) and the p-stiffness
     co-vector (`covector`, exact on the interior rows), scale with u
     (`scaled`), add over fields (`plus`) and give the form of the
-    inverted field -u(1 - x) with no kernel call (`mirrored`).  `energy`,
-    `energy_residual` and `plap.verify` keep the table at every p, so
-    they check the stencil independently.
+    inverted field -u(1 - x) with no kernel call (`mirrored`).
+    `plap.verify` keeps the table at every p, so it checks the stencil
+    independently.
     """
     if params.p == 2.0:
         return _StencilForm(u, laplace_apply(mesh, u))
     table = gradient_table(mesh, u)
     return _TableForm(table, _squared_norms(table))
-
-
-def energy_residual(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                    u: np.ndarray) -> np.ndarray:
-    """Nodal gradient of the energy, zeroed on the boundary.
-
-    With eps = 0 this is the exact gradient of `energy`; with eps > 0 the
-    p-Dirichlet weight |grad u|^(p-2) is replaced by
-    (|grad u|^2 + eps^2)^((p-2)/2), which only matters for p < 2.
-    """
-    u = _check_field(mesh, u)
-    res = p_stiffness_vector(mesh, gradient_table(mesh, u), params.p,
-                             params.eps)
-    f, _, _ = nonlin_eval(nl, u)
-    crit = np.sign(u) * np.abs(u) ** (params.pstar - 1.0)
-    res -= mesh.lumped_mass * (crit + params.lam * f)
-    res[mesh.boundary] = 0.0
-    return res
 
 
 def sobolev_constant(p: float, dim: int) -> float:

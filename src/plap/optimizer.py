@@ -15,7 +15,7 @@ its gradient table).  One pass:
        LBFGS_PAIRS changes of iterate and residual, which needs no other
        solve; each kept pair has <s, y> > 0, so H is positive definite
        and the direction descends up to round-off,
-    3. on K3 of an odd f, keep the inversion-odd part of that direction
+    3. keep the part of that direction in the descent's symmetry class
        (see below), then project it onto the constraint tangent, with
        the state's constraint gradients,
     4. backtrack along that one direction from t = 1 until the Armijo
@@ -31,19 +31,34 @@ its gradient table).  One pass:
     5. keep the accepted trial's state as the next iterate; its E' and
        grad phi_i are evaluated when step 1 first reads them.
 
-For odd f, K3 is solved in the inversion-odd class {T u = u}, with
-T u = -u(1 - x): the start and every search direction are replaced by
-their part (v + T v) / 2 (`_inversion_odd_part`).  T maps the mesh, the
-energy and the retraction onto themselves, so a critical point of E on
-the class is one of E (Palais, Comm. Math. Phys. 69 (1979)); the class
-removes a soft symmetry-breaking mode that the seed's jitter and
-rounding feed into the unrestricted K3 descent.  Every class iterate is
-odd bit for bit, so its negative part is T of its positive part, and
-the state reads the quantities of the one from those of the other
+Each descent runs in a class of fields fixed by the inversion
+x -> 1 - x (`_symmetry_class`): the start and every search direction
+are replaced by their part in the class.  The vertices are C-ordered on
+the (m+1)^dim grid, so the inversion is the flat reversal i -> n - 1 - i
+of a nodal field; it maps the Kuhn mesh onto itself (each simplex is a
+monotone path along the axes, and walked backwards it is the same
+simplex) and fixes the boundary, the lumped mass and the stencil.  E
+does not depend on x, so for either family it keeps E, and
+u -> u(1 - x) maps K1 and K2 each onto itself: K1 and K2 are solved in
+the inversion-even class u(1 - x) = u(x), from the part
+(v + v(1 - x)) / 2.  For odd f, T u = -u(1 - x) keeps E as well and maps K3 onto
+itself, so K3 of an odd f is solved in the inversion-odd class T u = u,
+from the part (v + T v) / 2.  A critical point of E on either class is
+one of E (Palais, Comm. Math. Phys. 69 (1979)).  The classes remove
+soft symmetry-breaking modes that the seed's jitter and rounding feed
+into an unrestricted descent.  K3 of a non-odd f is not restricted: T
+does not keep its energy, and the even part of the sign-changing start
+is its lean alone, since the inversion maps each bump onto the other
+negated.
+
+Each class part is exact bit for bit (a + b = b + a, a - b = -(b - a)),
+and clipping, scaling, the tangent projection and the step all keep it,
+so every class iterate is even, or odd, bit for bit.  An odd iterate's
+negative part is T of its positive part, and the state reads the
+quantities of the one from those of the other
 (`retract(..., inversion_odd=True)`): one scaling per trial, one part
 scatter per pass at p != 2, one coefficient per projection.  K1 and K2
-are not restricted, since T maps each onto the other, and neither is K3
-of a non-odd f, whose energy T does not keep.
+have one part each, so the even class has no mirror to read.
 
 The iteration stops when the preconditioned projected-residual norm drops
 below grad_tol, at the iteration cap, or when it cannot go on; in every
@@ -96,6 +111,7 @@ STEP_INIT = 1.0         # first trial step of every line search
 ARMIJO_C = 1e-4         # sufficient-decrease fraction of the slope
 BACKTRACK = 0.5         # step factor per rejected trial
 K3_LEAN = 0.05          # weight of the x_1 = x_2 mode in the K3 start
+INVERSION_EVEN = "inversion-even"   # the class of K1 and K2
 INVERSION_ODD = "inversion-odd"     # the K3 class of an odd f
 
 # failures that end a descent at its last iterate
@@ -225,17 +241,17 @@ def initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     return w_pos + w_neg + K3_LEAN * apply_dirichlet(mesh, lean)
 
 
-def _inversion_odd_part(v: np.ndarray) -> np.ndarray:
-    """The part (v + T v) / 2 = (v - v(1 - x)) / 2 of a nodal field or
-    co-vector that the inversion T v = -v(1 - x) keeps.
-
-    The vertices are C-ordered on the (m+1)^dim grid, so x -> 1 - x is
-    the flat reversal i -> n - 1 - i.  It maps the Kuhn mesh onto itself
-    (each simplex is a monotone path along the axes, and walked backwards
-    it is the same simplex) and fixes the boundary, the lumped mass and
-    the stencil.  The result is odd bit for bit: a - b = -(b - a).
-    """
-    return 0.5 * (v - v[::-1])
+def _symmetry_class(k: KIndex, nl: Nonlinearity):
+    """The class the descent on k runs in, as (label, projector): the
+    inversion-even class for K1 and K2, with projector (v + v(1 - x)) / 2,
+    the inversion-odd class for K3 of an odd f, with (v - v(1 - x)) / 2,
+    and none (label None, the identity) for K3 of a non-odd f.  Either
+    part is even, or odd, bit for bit: a + b = b + a, a - b = -(b - a)."""
+    if k is not KIndex.K3:
+        return INVERSION_EVEN, lambda v: 0.5 * (v + v[::-1])
+    if nl.odd:
+        return INVERSION_ODD, lambda v: 0.5 * (v - v[::-1])
+    return None, lambda v: v
 
 
 class _LbfgsMemory:
@@ -317,17 +333,17 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     `initial` itself cannot be retracted, the field is zero, the energy
     and residuals are nan and the error starts with "initial point
     failed".  `P` is the mesh's Laplace solve, the metric of the descent.
-    On K3 of an odd f the descent runs in the inversion-odd class, from
-    the odd part of `initial`, and its report's `symmetry` names it.
+    The descent runs in the symmetry class of k (`_symmetry_class`),
+    from the class part of `initial`, and its report's `symmetry` names
+    the class: inversion-even on K1 and K2, inversion-odd on K3 of an odd
+    f, None on K3 of a non-odd f.
     """
     nl, params = config.nonlin, config.params
     tol_rel = config.constraint_tol
-    odd = k is KIndex.K3 and nl.odd
-    symmetry = INVERSION_ODD if odd else None
-    anti = _inversion_odd_part if odd else (lambda v: v)
+    symmetry, in_class = _symmetry_class(k, nl)
     try:
-        state = retract(mesh, nl, params, anti(initial), k, tol_rel,
-                        inversion_odd=odd)
+        state = retract(mesh, nl, params, in_class(initial), k, tol_rel,
+                        inversion_odd=symmetry == INVERSION_ODD)
     except _STOPS as exc:
         nan = float("nan")
         return np.zeros(mesh.n_vertices), SolveReport(
@@ -370,7 +386,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             # pairs to zero with the part directions.  H is positive
             # definite, so only round-off makes it nonpositive, and then
             # the Armijo test would accept an energy increase.
-            ds = anti(memory.direction(r_proj, g))
+            ds = in_class(memory.direction(r_proj, g))
             slope = float(np.dot(r_proj, ds))
             if slope <= 0.0:
                 error = "search direction does not descend"

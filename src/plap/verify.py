@@ -16,11 +16,16 @@ from .functional import (
     RunParameters,
     _p_dirichlet,
     _squared_norms,
-    energy,
-    energy_residual,
     nonlin_eval,
+    p_stiffness_vector,
 )
-from .mesh import LaplacePreconditioner, Mesh, gradient_table, integrate
+from .mesh import (
+    LaplacePreconditioner,
+    Mesh,
+    _check_field,
+    gradient_table,
+    integrate,
+)
 from .nehari import KIndex, _sign
 
 __all__ = [
@@ -73,26 +78,47 @@ class Measures:
 
 def measure(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
             u: np.ndarray) -> Measures:
-    """The record of u: its kind by sign; one gradient table per part and
-    one `nonlin_eval` give the part quantities and the moment; E and E'
-    come from `energy` and `energy_residual`."""
-    u = np.asarray(u, dtype=float)
-    f, _, _ = nonlin_eval(nl, u)
+    """The record of u: its kind by sign, and from one gradient table per
+    distinct input and one `nonlin_eval` the part quantities, the moment,
+    E and E'.
+
+    A one-signed u has one nonzero part, s u itself, whose table is that
+    of u negated (the same squared norms), and a zero part, whose
+    int |grad|^p is 0; so only a sign-changing u takes a table per part.
+    E is the energy of `plap.functional`, and E' the p-stiffness
+    co-vector of u's table (`p_stiffness_vector`, whose eps-regularized
+    weight makes it the exact gradient only at eps = 0) less the nodal
+    terms, zeroed on the boundary.
+    """
+    u = _check_field(mesh, u)
+    kind = infer_kind(u)
+    p, pstar, lam = params.p, params.pstar, params.lam
+    table = gradient_table(mesh, u)
+    sq_norms = _squared_norms(table)
+    grad = _p_dirichlet(mesh, sq_norms, p)
+    f, F, _ = nonlin_eval(nl, u)
     masses, scales, phis = {}, {}, {}
     for which in (1, 2):
         s = _sign(which)
         part = np.maximum(s * u, 0.0)
         masses[which] = integrate(mesh, part)
-        scales[which] = _p_dirichlet(
-            mesh, _squared_norms(gradient_table(mesh, part)), params.p)
+        if kind is KIndex.K3:
+            scales[which] = _p_dirichlet(
+                mesh, _squared_norms(gradient_table(mesh, part)), p)
+        else:
+            scales[which] = grad if which in kind.active_constraints else 0.0
         phis[which] = (scales[which]
-                       - integrate(mesh, part ** params.pstar)
-                       - s * params.lam * integrate(mesh, f * part))
-    moment = integrate(mesh, np.abs(u) ** params.pstar) \
-        + params.lam * integrate(mesh, f * u)
-    return Measures(u, infer_kind(u), masses, scales, phis, moment,
-                    energy(mesh, nl, params, u),
-                    energy_residual(mesh, nl, params, u))
+                       - integrate(mesh, part ** pstar)
+                       - s * lam * integrate(mesh, f * part))
+    critical = integrate(mesh, np.abs(u) ** pstar)
+    moment = critical + lam * integrate(mesh, f * u)
+    E = grad / p - critical / pstar - lam * integrate(mesh, F)
+    residual = p_stiffness_vector(mesh, table, p, params.eps,
+                                  sq_norms=sq_norms)
+    residual -= mesh.lumped_mass * (np.sign(u) * np.abs(u) ** (pstar - 1.0)
+                                    + lam * f)
+    residual[mesh.boundary] = 0.0
+    return Measures(u, kind, masses, scales, phis, moment, E, residual)
 
 
 def _negated(m: Measures, u: np.ndarray) -> Measures:

@@ -144,6 +144,44 @@ def plus_minus_parts(u: np.ndarray):
     return np.maximum(u, 0.0), np.maximum(-u, 0.0)
 
 
+def energy_parts(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                 u: np.ndarray):
+    """The three quadrature terms of the energy:
+    (1/p) int |grad u|^p,  (1/p*) int |u|^p*,  lam int F(u)."""
+    u = _check_field(mesh, u)
+    g2 = _squared_norms(gradient_table(mesh, u))
+    grad_term = _p_dirichlet(mesh, g2, params.p) / params.p
+    crit_term = integrate(mesh, np.abs(u) ** params.pstar) / params.pstar
+    _, F, _ = nonlin_eval(nl, u)
+    source_term = params.lam * integrate(mesh, F)
+    return grad_term, crit_term, source_term
+
+
+def energy(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+           u: np.ndarray) -> float:
+    """E(u), the reference `plap.verify.measure` is held to."""
+    grad_term, crit_term, source_term = energy_parts(mesh, nl, params, u)
+    return grad_term - crit_term - source_term
+
+
+def energy_residual(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
+                    u: np.ndarray) -> np.ndarray:
+    """Nodal gradient of the energy, zeroed on the boundary.
+
+    With eps = 0 this is the exact gradient of `energy`; with eps > 0 the
+    p-Dirichlet weight |grad u|^(p-2) is replaced by
+    (|grad u|^2 + eps^2)^((p-2)/2), which only matters for p < 2.
+    """
+    u = _check_field(mesh, u)
+    res = p_stiffness_vector(mesh, gradient_table(mesh, u), params.p,
+                             params.eps)
+    f, _, _ = nonlin_eval(nl, u)
+    crit = np.sign(u) * np.abs(u) ** (params.pstar - 1.0)
+    res -= mesh.lumped_mass * (crit + params.lam * f)
+    res[mesh.boundary] = 0.0
+    return res
+
+
 @dataclass(frozen=True)
 class FiberingCoefficients:
     """Integrals entering the fibering map of a shape w:

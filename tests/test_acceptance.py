@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 
 from plap.cli import main
-from plap.functional import (Nonlinearity, RunParameters, energy,
-                             energy_residual, sobolev_constant,
+from plap.functional import (Nonlinearity, RunParameters, sobolev_constant,
                              sobolev_threshold)
 from plap.mesh import apply_dirichlet, build_mesh, gradient_table, integrate
 from plap.nehari import KIndex, scale_to_manifold
 from plap.optimizer import solve_three
 from plap.verify import check_energy_chain, measure
 
-from conftest import (constraint_gradient, fibering_coefficients,
-                      fibering_upper_bound, interior_bump, plus_minus_parts,
-                      reference_config, tangent_project)
+from conftest import (constraint_gradient, energy, energy_residual,
+                      fibering_coefficients, fibering_upper_bound,
+                      interior_bump, plus_minus_parts, reference_config,
+                      tangent_project)
 
 ROOT_UNIT = 0.7861513777574233
 ROOT_QUAD = 0.48586827175664576

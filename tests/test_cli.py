@@ -177,12 +177,12 @@ class TestSolveCommand:
 
     def test_reports_name_the_class_of_u3(self, solved):
         # the signed family is odd, so K3 is solved in the inversion-odd
-        # class; K1 (and its K2 mirror) is not restricted
+        # class; K1 (and its K2 mirror) in the inversion-even class
         _, _, out = solved
         reports = json.loads((out / "triple.json").read_text())["reports"]
         assert reports["u3"]["symmetry"] == "inversion-odd"
-        assert reports["u1"]["symmetry"] is None
-        assert reports["u2"]["symmetry"] is None
+        assert reports["u1"]["symmetry"] == "inversion-even"
+        assert reports["u2"]["symmetry"] == "inversion-even"
 
     def test_field_csv_parses_back(self, solved):
         _, _, out = solved

@@ -8,12 +8,13 @@ from scipy.integrate import quad
 
 from plap.errors import ConfigurationError
 from plap.functional import (Nonlinearity, RunParameters, _Powers,
-                             _source_derivatives, energy, energy_parts,
-                             energy_residual, nonlin_eval, p_stiffness_vector,
-                             sobolev_constant, sobolev_threshold)
+                             _source_derivatives, nonlin_eval,
+                             p_stiffness_vector, sobolev_constant,
+                             sobolev_threshold)
 from plap.mesh import apply_dirichlet, build_mesh, gradient_table, integrate
 
-from conftest import interior_bump, plus_minus_parts, shape_gradients
+from conftest import (energy, energy_parts, energy_residual, interior_bump,
+                      plus_minus_parts, shape_gradients)
 
 
 def params_2d(lam=20.0, eps=1e-8):

@@ -6,14 +6,14 @@ from scipy.optimize import brentq
 
 from plap.errors import (DegenerateConstraintError, DegenerateInputError,
                          LostSignError, SignError)
-from plap.functional import (Nonlinearity, RunParameters, energy,
-                             energy_residual, nonlin_eval)
+from plap.functional import Nonlinearity, RunParameters, nonlin_eval
 from plap.mesh import apply_dirichlet, build_mesh, integrate
 from plap.nehari import KIndex, fibering_root, retract, scale_to_manifold
 
 from conftest import (constraint_gradient, constraint_phi, constraint_scale,
-                      fibering_coefficients, fibering_upper_bound,
-                      interior_bump, plus_minus_parts, tangent_project)
+                      energy, energy_residual, fibering_coefficients,
+                      fibering_upper_bound, interior_bump, plus_minus_parts,
+                      tangent_project)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)

@@ -10,19 +10,19 @@ import plap.nehari
 import plap.optimizer
 from plap.cli import load_config
 from plap.errors import ConfigurationError, LostSignError, NoRootError
-from plap.functional import (Nonlinearity, RunParameters, energy,
-                             sobolev_threshold)
+from plap.functional import Nonlinearity, RunParameters, sobolev_threshold
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import KIndex, retract
-from plap.optimizer import (ARMIJO_C, BACKTRACK, INVERSION_ODD, LBFGS_COSINE,
-                            LBFGS_PAIRS, K3_LEAN, MAX_BACKTRACKS, STEP_INIT,
-                            SolverConfig, _LbfgsMemory, descend,
+from plap.optimizer import (ARMIJO_C, BACKTRACK, INVERSION_EVEN, INVERSION_ODD,
+                            LBFGS_COSINE, LBFGS_PAIRS, K3_LEAN,
+                            MAX_BACKTRACKS, STEP_INIT, SolverConfig,
+                            _LbfgsMemory, _symmetry_class, descend,
                             initial_shape, lambda_sweep, solve_three)
 from plap.verify import check_membership, measure, verify_fields
 
 from conftest import (_LUPreconditioner, coarse_config, constraint_phi,
-                      constraint_scale, fibering_coefficients, initial_point,
-                      two_loop_direction)
+                      constraint_scale, energy, fibering_coefficients,
+                      initial_point, two_loop_direction)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -33,17 +33,19 @@ NL3 = Nonlinearity(family="signed", q=4.0, r=4.0)
 def _fixed_step_descent(mesh, config, k, initial, P):
     """The descent along the preconditioned residual with the same
     Armijo backtracking from t = STEP_INIT, kept as the oracle for the
-    critical level the L-BFGS direction of `descend` reaches.  Returns
-    (final energy, iterations)."""
+    critical level the L-BFGS direction of `descend` reaches; the start
+    and each direction pass through the projector of the class `descend`
+    runs in.  Returns (final energy, iterations)."""
     nl, params, tol = config.nonlin, config.params, config.constraint_tol
-    state = retract(mesh, nl, params, initial, k, tol)
+    _, in_class = _symmetry_class(k, nl)
+    state = retract(mesh, nl, params, in_class(initial), k, tol)
     for iterations in range(config.max_iters):
         r = state.remove_multipliers(state.residual)
         g = P.solve(r)
         slope = float(np.dot(r, g))
         if math.sqrt(max(slope, 0.0)) <= config.grad_tol:
             return state.energy, iterations
-        gt = state.tangent_project(g)
+        gt = state.tangent_project(in_class(g))
         t = STEP_INIT
         for _ in range(plap.optimizer.MAX_BACKTRACKS):
             cand = retract(mesh, nl, params, state.u - t * gt, k, tol)
@@ -572,7 +574,8 @@ class TestDescend:
                             counted("solve", LaplacePreconditioner.solve))
         _, rep = descend(mesh, config, k, u0, LaplacePreconditioner(mesh))
         assert rep.error is None and rep.iterations > 0
-        assert rep.symmetry == (INVERSION_ODD if k is KIndex.K3 else None)
+        assert rep.symmetry == (INVERSION_ODD if k is KIndex.K3
+                                else INVERSION_EVEN)
         passes = rep.iterations + 1
         assert counts["trials"] >= rep.iterations
         if params.p == 2.0:
@@ -618,7 +621,9 @@ class TestDescend:
                          LaplacePreconditioner(mesh))
         assert rep.converged
         assert np.all(u >= 0.0)
-        E0 = energy(mesh, nl, params, retract(mesh, nl, params, 1.3 * u0,
+        _, in_class = _symmetry_class(KIndex.K1, nl)
+        E0 = energy(mesh, nl, params, retract(mesh, nl, params,
+                                              in_class(1.3 * u0),
                                               KIndex.K1).u)
         assert abs(rep.energy_history[0] - E0) <= 1e-12 * abs(E0)
 
@@ -884,7 +889,45 @@ def _solve_script(name: str):
 
 
 class TestInversionClass:
-    """For odd f, K3 is solved in the class {u(1 - x) = -u(x)}."""
+    """K1 and K2 are solved in the class {u(1 - x) = u(x)}; for odd f, K3
+    is solved in the class {u(1 - x) = -u(x)}."""
+
+    @pytest.mark.parametrize("name, index", [
+        ("square16.cfg", 0), ("reference.cfg", 0), ("pospart.cfg", 1)],
+        ids=["square16-u1", "reference-u1", "pospart-u2"])
+    def test_seed_0_one_signed_field_is_inversion_even(self, name, index):
+        # every class iterate is even bit for bit; the pospart u2 is a
+        # descent of its own, not the mirror of u1
+        triple = _solve_script(name)
+        u = triple.fields()[index]
+        assert np.array_equal(u, u[::-1])
+        assert triple.reports[index].symmetry == INVERSION_EVEN
+        assert triple.reports[index].mirror_of is None
+
+    # (dim, p, q, r, cells per side): the regularized p < 2 path in 2D and
+    # 3D, and the p = 2 cube
+    @pytest.mark.parametrize("dim, p, q, r, m", [
+        (2, 1.5, 3.0, 2.5, 8), (3, 1.5, 2.8, 2.5, 4), (3, 2.0, 4.0, 3.0, 4)])
+    @pytest.mark.parametrize("family", ["signed", "pospart"])
+    @pytest.mark.parametrize("k", [KIndex.K1, KIndex.K2])
+    def test_even_class_level_is_the_unrestricted_level(
+            self, monkeypatch, dim, p, q, r, m, family, k):
+        # oracle: the same descent from the same start with no class
+        config = SolverConfig(
+            params=RunParameters(p=p, dim=dim, lam=20.0, eps=1e-8),
+            nonlin=Nonlinearity(family=family, q=q, r=r), cells_per_side=m)
+        mesh = build_mesh(dim, m)
+        P = LaplacePreconditioner(mesh)
+        start = initial_shape(mesh, k, config.seed)
+        u, rep = descend(mesh, config, k, start, P)
+        monkeypatch.setattr(plap.optimizer, "_symmetry_class",
+                            lambda k, nl: (None, lambda v: v))
+        free_u, free = descend(mesh, config, k, start, P)
+        assert rep.converged and free.converged
+        assert rep.symmetry == INVERSION_EVEN and free.symmetry is None
+        assert np.array_equal(u, u[::-1])
+        assert not np.array_equal(free_u, free_u[::-1])
+        assert abs(rep.energy - free.energy) <= 1e-10 * free.energy
 
     @pytest.mark.parametrize("name", ["square16.cfg", "reference.cfg"])
     def test_seed_0_u3_is_inversion_odd(self, name):
@@ -892,7 +935,7 @@ class TestInversionClass:
         triple = _solve_script(name)
         assert _off_class(triple.u3) == 0.0
         assert [rep.symmetry for rep in triple.reports] == [
-            None, None, INVERSION_ODD]
+            INVERSION_EVEN, INVERSION_EVEN, INVERSION_ODD]
 
     def test_pospart_u3_is_unchanged_and_off_class(self):
         # pospart is not odd, so its K3 descent is not restricted: u3 is the

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 import plap.verify
-from plap.functional import (Nonlinearity, RunParameters, energy,
-                             energy_residual)
+import plap.functional
+from plap.functional import Nonlinearity, RunParameters, nonlin_eval
 from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
                        integrate)
 from plap.nehari import KIndex
-from plap.verify import (_negated, check_energy_chain, check_euler_lagrange,
-                         check_membership, check_sign_structure, infer_kind,
-                         measure, verify_fields)
+from plap.verify import (Measures, _negated, check_energy_chain,
+                         check_euler_lagrange, check_membership,
+                         check_sign_structure, infer_kind, measure,
+                         verify_fields)
 
-from conftest import (constraint_phi, constraint_scale, initial_point,
-                      plus_minus_parts)
+from conftest import (constraint_phi, constraint_scale, energy,
+                      energy_residual, initial_point, plus_minus_parts)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -214,6 +215,26 @@ class TestSuite:
         assert calls["nonlin_eval"] <= 3 * len(fields)
         assert got == want
 
+    def test_evaluation_count_on_the_reference_triple(self, reference_run,
+                                                      monkeypatch):
+        # u1: the table of u serves its one nonzero part; u2 = 0 - u1 is
+        # read from u1's record; u3: the tables of u and of both parts
+        config, mesh, triple = reference_run
+        calls = {"gradient_table": 0, "nonlin_eval": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            for mod in (plap.functional, plap.verify):
+                monkeypatch.setattr(mod, name,
+                                    counted(name, getattr(mod, name)))
+        verify_fields(mesh, config.nonlin, config.params, triple.fields())
+        assert calls == {"gradient_table": 4, "nonlin_eval": 2}
+
     def test_zero_field_reported_not_raised(self):
         mesh = build_mesh(2, 8)
         checks = verify_fields(mesh, NL2, P2, [np.zeros(mesh.n_vertices)])
@@ -250,6 +271,46 @@ def test_measure_matches_reference_functions(k, dim, p, q, r, m, family):
         assert got.phis[which] == constraint_phi(mesh, nl, params, u, which)
     assert got.energy == energy(mesh, nl, params, u)
     assert np.array_equal(got.residual, energy_residual(mesh, nl, params, u))
+
+
+def _measure_per_evaluation(mesh, nl, params, u):
+    """The record of u from a gradient table per part and E and E' from
+    the reference functions, which take u's table and `nonlin_eval`
+    again: what `measure` gives from one evaluation."""
+    u = np.asarray(u, dtype=float)
+    f, _, _ = nonlin_eval(nl, u)
+    masses, scales, phis = {}, {}, {}
+    for which, part in zip((1, 2), plus_minus_parts(u)):
+        masses[which] = integrate(mesh, part)
+        scales[which] = constraint_scale(mesh, params, u, which)
+        phis[which] = constraint_phi(mesh, nl, params, u, which)
+    moment = (integrate(mesh, np.abs(u) ** params.pstar)
+              + params.lam * integrate(mesh, f * u))
+    return Measures(u, infer_kind(u), masses, scales, phis, moment,
+                    energy(mesh, nl, params, u),
+                    energy_residual(mesh, nl, params, u))
+
+
+@pytest.mark.parametrize("family", ["signed", "pospart"])
+@pytest.mark.parametrize("dim, p, q, r, m", MEASURE_CASES)
+@pytest.mark.parametrize("k", [*KIndex, None],
+                         ids=["K1", "K2", "K3", "zero"])
+def test_measure_is_the_record_of_separate_evaluations(k, dim, p, q, r, m,
+                                                       family):
+    # array for array and bit for bit, the zero field included
+    mesh = build_mesh(dim, m)
+    params = RunParameters(p=p, dim=dim, lam=20.0, eps=1e-8)
+    nl = Nonlinearity(family=family, q=q, r=r)
+    u = (np.zeros(mesh.n_vertices) if k is None
+         else initial_point(mesh, nl, params, k, seed=0))
+    got = measure(mesh, nl, params, u)
+    want = _measure_per_evaluation(mesh, nl, params, u)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 @pytest.mark.parametrize("dim, p, q, r, m", MEASURE_CASES)
