@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import warnings
@@ -122,17 +123,38 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _coordinate_columns(mesh) -> str:
     """%-template of a field CSV on the mesh: the header, then per row the
-    `x,y[,z],` prefix and `%.17g`.  Shared by all fields written on it;
-    each distinct grid coordinate (m + 1 of them) is formatted once."""
+    `x,y[,z],` prefix and a `%s` for the formatted value.  Shared by all
+    fields written on it.  The vertices are the C-ordered grid of the
+    m + 1 axis values, so each row prefix is one tuple of the product of
+    their labels, and each label is formatted once."""
     header = "x,y,value" if mesh.dim == 2 else "x,y,z,value"
-    coords, index = np.unique(mesh.vertices, return_inverse=True)
-    labels = np.array([_fmt(c) + "," for c in coords.tolist()], dtype=object)
-    rows = labels[index.reshape(mesh.vertices.shape)].sum(1) + "%.17g\n"
-    return header + "\n" + "".join(rows.tolist())
+    axis = mesh.vertices[: mesh.cells_per_side + 1, -1]
+    labels = [_fmt(c) + "," for c in axis.tolist()]
+    rows = ["".join(prefix) + "%s\n"
+            for prefix in itertools.product(labels, repeat=mesh.dim)]
+    return header + "\n" + "".join(rows)
 
 
-def _write_field_csv(path: Path, template: str, values) -> None:
-    path.write_text(template % tuple(np.asarray(values, float).tolist()))
+def _write_field_csvs(paths, template: str, fields) -> None:
+    """Write field i into `template` at paths[i], each value as `%.17g`.
+
+    The fields share most magnitudes (for odd f, u2 = 0 - u1, u1 is
+    inversion-even and u3 inversion-odd), so each distinct |value| is
+    formatted once, in one `%` call, and the sign is put back from its
+    sign bit.  `%.17g` prints a NaN of either sign as `nan`, so a NaN
+    gets no sign."""
+    fields = [np.asarray(values, float) for values in fields]
+    values = np.concatenate(fields)
+    mags, where = np.unique(np.abs(values), return_inverse=True)
+    digits = np.array(("\n".join(["%.17g"] * mags.size)
+                       % tuple(mags.tolist())).split("\n"), dtype=object)
+    negative = np.signbit(values) & ~np.isnan(values)
+    signed = np.concatenate([digits, "-" + digits])
+    text = signed[where + mags.size * negative].tolist()
+    start = 0
+    for path, field in zip(paths, fields):
+        path.write_text(template % tuple(text[start:start + field.size]))
+        start += field.size
 
 
 def _read_field_csv(path: Path, mesh) -> np.ndarray:
@@ -157,7 +179,8 @@ def _read_field_csv(path: Path, mesh) -> np.ndarray:
             f"{path}: {rows.shape[0]} rows for a mesh with "
             f"{mesh.n_vertices} vertices"
         )
-    if not np.allclose(rows[:, : mesh.dim], mesh.vertices, rtol=0, atol=1e-12):
+    # written as not (... <= ...), so that a NaN coordinate is rejected
+    if not (np.max(np.abs(rows[:, : mesh.dim] - mesh.vertices)) <= 1e-12):
         raise ConfigurationError(f"{path}: vertex coordinates do not match mesh")
     values = rows[:, mesh.dim]
     bad = np.flatnonzero(~np.isfinite(values))
@@ -167,6 +190,13 @@ def _read_field_csv(path: Path, mesh) -> np.ndarray:
             f"{path}, line {bad[0] + 2}: non-finite field value {values[bad[0]]}"
         )
     return values
+
+
+def _shallow_dict(report) -> dict:
+    """The fields of a report dataclass by name, without the deep copy of
+    `dataclasses.asdict`: JSON serializes the same tuples and dicts."""
+    return {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report)}
 
 
 def _make_out_dir(cfg: RunConfig) -> Path:
@@ -189,9 +219,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     mesh = build_mesh(cfg.solver.params.dim, cfg.solver.cells_per_side)
     triple = solve_three(cfg.solver, mesh)
 
-    template = _coordinate_columns(mesh)
-    for name, values in zip(("u1.csv", "u2.csv", "u3.csv"), triple.fields()):
-        _write_field_csv(out / name, template, values)
+    _write_field_csvs([out / name for name in ("u1.csv", "u2.csv", "u3.csv")],
+                      _coordinate_columns(mesh), triple.fields())
 
     checks = _checks(cfg, mesh, triple.fields())
     threshold = sobolev_threshold(cfg.solver.params)
@@ -205,9 +234,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         "lambda": cfg.solver.params.lam,
         "seed": cfg.solver.seed,
         "threshold": threshold,
-        "reports": {f"u{i + 1}": dataclasses.asdict(rep)
+        "reports": {f"u{i + 1}": _shallow_dict(rep)
                     for i, rep in enumerate(triple.reports)},
-        "checks": [dataclasses.asdict(rep) for rep in checks],
+        "checks": [_shallow_dict(rep) for rep in checks],
     }
     (out / "triple.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -1,13 +1,15 @@
 """Uniform simplicial meshes of the unit square and cube with P1 plumbing.
 
-A mesh stores, besides vertices and simplices, everything the nonlinear
-solver needs repeatedly: per-simplex volumes, a boundary mask, the lumped
-vertex weights used by the nodal quadrature rule
+A mesh stores, besides its vertices, everything the nonlinear solver
+needs repeatedly: per-simplex volumes, a boundary mask, the lumped vertex
+weights used by the nodal quadrature rule
 
     integral(u) ~ sum_T vol(T) * mean(u at vertices of T),
 
-and the P1 gradient as one sparse operator G (and its transpose), whose
-row (T, k) holds the k-th partial derivative of each hat function of T.
+and the P1 gradient as one sparse operator G, whose row (T, k) holds the
+k-th partial derivative of each hat function of T.  G^T is a CSC view of
+G's own arrays, not a second copy.  The simplex table itself is built
+only on first read: no solver kernel reads it.
 
 Each square cell holds 2 triangles and each cube cell 6 tetrahedra, one
 per path from the cell's origin corner to its opposite corner (Kuhn,
@@ -16,9 +18,11 @@ IBM J. Res. Dev. 4, 1960).  Every simplex is thus a translate of one of
 template's: the volume is h^dim / dim!, and each hat gradient is m times
 an integer vector with entries -1, 0 and 1.  These are computed once per
 template, so the gradients are exact, the volume is rounded once, and no
-per-simplex algebra is needed.  Only two hat functions of a grid simplex
-vary along each axis, so a row of G has two entries, -m and +m, and G
-stores no zeros.
+per-simplex algebra is needed.  Corner o in {0,1}^dim of a cell lies on
+|o|! (dim - |o|)! of its Kuhn paths, so the number of simplices at each
+vertex, and with it the lumped mass, is a sum of 2^dim shifted grids.
+Only two hat functions of a grid simplex vary along each axis, so a row
+of G has two entries, -m and +m, and G stores no zeros.
 
 The P1 kernels at general p are sparse products with G: the gradient
 table of u is G u, a p-stiffness co-vector is G^T applied to
@@ -73,12 +77,12 @@ class Mesh:
     cells_per_side : int
         Number of grid cells along each axis.
     vertices : ndarray, shape (n_vertices, dim)
-    simplices : ndarray, shape (n_simplices, dim+1)
-        Vertex indices; 2 triangles per square cell, 6 tetrahedra per cube.
     volumes : ndarray, shape (n_simplices,)
     boundary : ndarray of bool, shape (n_vertices,)
     lumped_mass : ndarray, shape (n_vertices,)
-        Vertex weights of the nodal quadrature rule; sums to 1.
+        Vertex weights of the nodal quadrature rule; sums to 1.  Built
+        from the simplex count per vertex, which is a sum of closed-form
+        corner counts, not a pass over `simplices`.
     grad_op : scipy.sparse.csr_array, shape (n_simplices*dim, n_vertices)
         P1 gradient operator: row s*dim + k holds d(phi_i)/dx_k of simplex
         s at column simplices[s, i], so `grad_op @ u` is the gradient table.
@@ -86,19 +90,23 @@ class Mesh:
         -m and +m (m = cells_per_side), at every resolution.  The index
         arrays are int32 below 2^31 entries, which covers every mesh that
         fits in memory.
-    grad_op_t : scipy.sparse.csr_array, shape (n_vertices, n_simplices*dim)
-        The transpose of `grad_op`, stored once as CSR.
+    grad_op_t : scipy.sparse.csc_array, shape (n_vertices, n_simplices*dim)
+        The transpose of `grad_op`: a CSC view that shares its frozen
+        `data`, `indices` and `indptr`, stored once so that no call pays
+        for a new `.T` object.
+
+    `simplices` (vertex indices, shape (n_simplices, dim+1)) is built on
+    first read; the solver never reads it.
     """
 
     dim: int
     cells_per_side: int
     vertices: np.ndarray
-    simplices: np.ndarray
     volumes: np.ndarray
     boundary: np.ndarray
     lumped_mass: np.ndarray
     grad_op: sparse.csr_array
-    grad_op_t: sparse.csr_array
+    grad_op_t: sparse.csc_array
 
     @property
     def n_vertices(self) -> int:
@@ -106,7 +114,17 @@ class Mesh:
 
     @property
     def n_simplices(self) -> int:
-        return self.simplices.shape[0]
+        return self.cells_per_side ** self.dim * math.factorial(self.dim)
+
+    @functools.cached_property
+    def simplices(self) -> np.ndarray:
+        """Vertex indices of each simplex, shape (n_simplices, dim+1): 2
+        triangles per square cell, 6 tetrahedra per cube, cell by cell in
+        C order, each in the local vertex order of its template."""
+        origin, offsets = _cell_layout(self.dim, self.cells_per_side)
+        simplices = (origin[:, None, None] + offsets).reshape(-1, self.dim + 1)
+        simplices.flags.writeable = False
+        return simplices
 
     @functools.cached_property
     def simplex_reversal(self) -> np.ndarray:
@@ -150,6 +168,16 @@ def _cell_corners(dim: int) -> np.ndarray:
          np.cumsum(steps, axis=1)], axis=1)
 
 
+def _cell_layout(dim: int, m: int):
+    """Vertex index of each cell's origin corner, shape (m^dim,), in C
+    order, and the index offset of each template vertex from it, shape
+    (simplices per cell, dim+1): simplex (c, t) holds the vertices
+    origin[c] + offsets[t]."""
+    strides = (m + 1) ** np.arange(dim - 1, -1, -1)
+    origin = np.indices((m,) * dim).reshape(dim, -1).T @ strides
+    return origin, _cell_corners(dim) @ strides
+
+
 def _template_gradients(dim: int) -> np.ndarray:
     """Hat gradients of the cell templates in grid units, shape (simplices
     per cell, dim+1, dim), with entries -1, 0 and 1.
@@ -191,16 +219,13 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
         raise ConfigurationError(f"cells_per_side must be >= 1, got {cells_per_side}")
 
     side = m + 1
-    strides = side ** np.arange(dim - 1, -1, -1)
     index = np.indices((side,) * dim).reshape(dim, -1).T   # grid index per vertex
     vertices = np.linspace(0.0, 1.0, side)[index]
     boundary = ((index == 0) | (index == m)).any(axis=1)
 
-    corners = _cell_corners(dim)
-    offsets = corners @ strides                      # (per cell, dim+1)
-    origin = np.indices((m,) * dim).reshape(dim, -1).T @ strides
-    simplices = (origin[:, None, None] + offsets).reshape(-1, dim + 1)
-    ns, n_cells = simplices.shape[0], origin.shape[0]
+    origin, offsets = _cell_layout(dim, m)
+    n_cells = origin.shape[0]
+    ns = n_cells * math.factorial(dim)
 
     unit = _template_gradients(dim)
     volumes = np.full(ns, 1.0 / (m ** dim * math.factorial(dim)))
@@ -221,17 +246,26 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
          np.arange(0, nnz + 1, 2, dtype=index)),
         shape=(ns * dim, vertices.shape[0]),
     ))
-    grad_op_t = _frozen_csr(grad_op.T.tocsr())
 
-    # a vertex's weight is vol/(dim+1) from each simplex that holds it
-    lumped = (np.bincount(simplices.ravel(), minlength=vertices.shape[0])
-              / (m ** dim * math.factorial(dim + 1)))
+    # A vertex's weight is vol/(dim+1) from each simplex that holds it.
+    # Corner o of a cell lies on |o|! (dim - |o|)! of its Kuhn paths, so
+    # the simplex count per vertex is one slice-add per corner on the
+    # vertex grid; the counts are exact integers, rounded once here.
+    count = np.zeros((side,) * dim, dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=dim):
+        steps = sum(corner)
+        count[tuple(slice(c, c + m) for c in corner)] += (
+            math.factorial(steps) * math.factorial(dim - steps))
+    lumped = count.ravel() / (m ** dim * math.factorial(dim + 1))
 
-    for arr in (vertices, simplices, volumes, boundary, lumped):
+    for arr in (vertices, volumes, boundary, lumped):
         arr.flags.writeable = False
 
-    return Mesh(dim, m, vertices, simplices, volumes,
-                boundary, lumped, grad_op, grad_op_t)
+    # G^T is a CSC view of G's own (frozen) arrays: no copy, and its
+    # matvec adds each vertex's entries in ascending row order of G, as
+    # the sorted rows of a CSR transpose would
+    return Mesh(dim, m, vertices, volumes, boundary, lumped,
+                grad_op, grad_op.T)
 
 
 def integrate(mesh: Mesh, values: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,8 +8,8 @@ from scipy.sparse.linalg import splu
 
 from plap.functional import (Nonlinearity, RunParameters, _p_dirichlet,
                              _squared_norms, nonlin_eval, p_stiffness_vector)
-from plap.mesh import (Mesh, _check_field, _template_gradients, build_mesh,
-                       gradient_table, integrate)
+from plap.mesh import (Mesh, _check_field, _frozen_csr, _template_gradients,
+                       build_mesh, gradient_table, integrate)
 from plap.nehari import (KIndex, _nonzero_field, _remove_normal, _sign,
                          retract)
 from plap.optimizer import SolverConfig, initial_shape, solve_three
@@ -123,6 +124,14 @@ def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
     handling). Entries that cancel to exact zeros are not stored."""
     weights = sparse.diags_array(np.repeat(mesh.volumes, mesh.dim))
     return mesh.grad_op_t @ (weights @ mesh.grad_op)
+
+
+def csr_transpose_mesh(mesh: Mesh) -> Mesh:
+    """The mesh with G^T held as a CSR copy of G's transpose, with sorted
+    rows: the oracle for the CSC view of G's own arrays that `build_mesh`
+    stores, whose products must match it bit for bit."""
+    return dataclasses.replace(
+        mesh, grad_op_t=_frozen_csr(mesh.grad_op.T.tocsr()))
 
 
 def shape_gradients(mesh: Mesh) -> np.ndarray:

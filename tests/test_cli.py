@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -11,8 +12,12 @@ import numpy as np
 import pytest
 
 import plap.optimizer
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import plap.cli
 from plap.cli import (_KEYS, _REQUIRED, SWEEP_HEADER, _coordinate_columns,
-                      _write_field_csv, main, parse_config_text)
+                      _write_field_csvs, main, parse_config_text)
 from plap.errors import ConfigurationError
 from plap.mesh import build_mesh
 
@@ -55,6 +60,16 @@ def readme_config_table() -> dict:
         if m:
             rows[m.group(1)] = m.group(2).strip("`")
     return rows
+
+
+def per_row_csv(mesh, values) -> bytes:
+    """A field CSV with each row formatted from scratch, coordinates and
+    value each by '%.17g': the oracle of the CSV writer."""
+    lines = ["x,y,value" if mesh.dim == 2 else "x,y,z,value"]
+    for vertex, value in zip(mesh.vertices, values):
+        lines.append(",".join(["%.17g" % float(c) for c in vertex]
+                              + ["%.17g" % float(value)]))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def write_config(tmp_path, base=BASE_3D, extra="", name="run.cfg"):
@@ -193,22 +208,68 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("dim,m", [(2, 3), (3, 3)])
     def test_field_csv_matches_per_row_writer(self, tmp_path, dim, m):
-        # oracle: each row formatted from scratch, coordinates included
-        def per_row(mesh, values):
-            lines = ["x,y,value" if mesh.dim == 2 else "x,y,z,value"]
-            for vertex, value in zip(mesh.vertices, values):
-                lines.append(",".join([format(float(c), ".17g") for c in vertex]
-                                      + [format(float(value), ".17g")]))
-            return ("\n".join(lines) + "\n").encode()
-
         mesh = build_mesh(dim, m)
         columns = _coordinate_columns(mesh)
         rng = np.random.default_rng(2)
+        fields = []
         for k in range(3):
             values = rng.standard_normal(mesh.n_vertices) * 10.0 ** (4 * k - 4)
             values[:3] = (0.0, -0.0, 1e-300)
-            _write_field_csv(tmp_path / "u.csv", columns, values)
-            assert (tmp_path / "u.csv").read_bytes() == per_row(mesh, values)
+            fields.append(values)
+        # the K2 mirror of the writer's inputs: 0 - u1 shares u1's magnitudes
+        fields[1] = 0.0 - fields[0]
+        paths = [tmp_path / f"u{i}.csv" for i in range(3)]
+        _write_field_csvs(paths, columns, fields)
+        for path, values in zip(paths, fields):
+            assert path.read_bytes() == per_row_csv(mesh, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_field_csvs_match_per_value_format(self, tmp_path_factory, data):
+        # signed zeros, subnormals, infinities and NaN of either sign, in
+        # fields that share some magnitudes; '%.17g' prints -nan as nan
+        mesh = build_mesh(2, 2)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   -1e-310, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0]
+        value = st.one_of(st.sampled_from(special), st.floats())
+        n_fields = data.draw(st.integers(1, 3))
+        fields = [np.array(data.draw(st.lists(value, min_size=mesh.n_vertices,
+                                              max_size=mesh.n_vertices)))
+                  for _ in range(n_fields)]
+        if n_fields > 1:
+            fields[1][::2] = -fields[0][::2]
+        tmp_path = tmp_path_factory.mktemp("fields")
+        paths = [tmp_path / f"u{i}.csv" for i in range(n_fields)]
+        _write_field_csvs(paths, _coordinate_columns(mesh), fields)
+        for path, values in zip(paths, fields):
+            assert path.read_bytes() == per_row_csv(mesh, values)
+
+    def test_triple_json_matches_asdict(self, tmp_path, monkeypatch):
+        # oracle: the reports and checks deep-copied by dataclasses.asdict
+        seen = {}
+        solve_three, checks = plap.cli.solve_three, plap.cli._checks
+
+        def keep(name, fn):
+            def wrapped(*args):
+                seen[name] = fn(*args)
+                return seen[name]
+            return wrapped
+
+        monkeypatch.setattr(plap.cli, "solve_three", keep("triple", solve_three))
+        monkeypatch.setattr(plap.cli, "_checks", keep("checks", checks))
+        out = tmp_path / "artifacts"
+        cfg = write_config(tmp_path, BASE_2D.replace("res = 6", "res = 4"),
+                           extra=f"out-dir = {out}\n")
+        main(["solve", "--config", cfg])
+        payload = json.loads((out / "triple.json").read_text())
+        reports = {f"u{i + 1}": dataclasses.asdict(rep)
+                   for i, rep in enumerate(seen["triple"].reports)}
+        checks = [dataclasses.asdict(rep) for rep in seen["checks"]]
+        assert (json.dumps([payload["reports"], payload["checks"]],
+                           indent=2, sort_keys=True)
+                == json.dumps([reports, checks], indent=2, sort_keys=True))
+        assert all(rep["step_history"] for rep in reports.values())
+        assert any(rep["measured"] for rep in checks)
 
     def test_invalid_exponent_exits_2_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -369,6 +430,18 @@ class TestVerifyCommand:
         shifted = tmp_path / "shifted.csv"
         shifted.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--config", cfg, str(shifted)]) == 2
+        assert "vertex coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_nan_coordinate_exits_2(self, solved, tmp_path, capsys, column):
+        _, cfg, out = solved
+        lines = (out / "u1.csv").read_text().splitlines()
+        cols = lines[300].split(",")
+        cols[column] = "nan"
+        lines[300] = ",".join(cols)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--config", cfg, str(bad)]) == 2
         assert "vertex coordinates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap.errors import ConfigurationError, DimensionMismatchError
-from plap.functional import _p_dirichlet, _squared_norms
+from plap.functional import _p_dirichlet, _squared_norms, p_stiffness_vector
 from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
                        gradient_table, integrate, laplace_apply)
 
-from conftest import _LUPreconditioner, laplace_stiffness, shape_gradients
+from plap.optimizer import solve_three
+from plap.verify import verify_fields
+
+from conftest import (_LUPreconditioner, coarse_config, csr_transpose_mesh,
+                      laplace_stiffness, reference_config, shape_gradients)
 
 
 def test_counts_2d():
@@ -146,6 +150,8 @@ def test_mesh_arrays_are_frozen():
         mesh.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         shape_gradients(mesh)[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        mesh.simplices[0, 0] = 5
     for op in (mesh.grad_op, mesh.grad_op_t):
         for arr in (op.data, op.indices, op.indptr):
             with pytest.raises(ValueError):
@@ -250,6 +256,50 @@ def test_gradient_operator_layout(dim, m):
         shape=G.shape)
     assert np.array_equal(G.toarray(), coo.toarray())
     assert (mesh.grad_op_t != G.T).nnz == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_transpose_is_a_view_of_the_gradient_operator(dim):
+    mesh = build_mesh(dim, 3)
+    G, Gt = mesh.grad_op, mesh.grad_op_t
+    assert Gt.format == "csc" and Gt.shape == G.shape[::-1]
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(Gt, name), getattr(G, name)), name
+        assert np.array_equal(getattr(Gt, name), getattr(G, name)), name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_p_stiffness_through_the_view_matches_csr_transpose(dim, m):
+    # the CSC matvec adds each vertex's entries in ascending row order of
+    # G, as the sorted rows of the CSR transpose do: bit for bit the same
+    mesh = build_mesh(dim, m)
+    oracle = csr_transpose_mesh(mesh)
+    rng = np.random.default_rng(10 * dim + m)
+    for p, eps in ((1.5, 1e-8), (2.0, 0.0), (3.0, 0.0), (1.2, 0.0)):
+        g = rng.standard_normal((mesh.n_simplices, dim)) * m
+        g[::5] = 0.0
+        assert np.array_equal(p_stiffness_vector(mesh, g, p, eps),
+                              p_stiffness_vector(oracle, g, p, eps)), (p, eps)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_n_simplices_is_the_table_length(dim, m):
+    mesh = build_mesh(dim, m)
+    assert mesh.n_simplices == mesh.simplices.shape[0]
+    assert mesh.n_simplices == mesh.volumes.shape[0]
+
+
+@pytest.mark.parametrize("config", [coarse_config(), reference_config()],
+                         ids=["2d-p1.5", "3d-p2"])
+def test_solve_and_verify_build_no_simplex_table(config):
+    mesh = build_mesh(config.params.dim, config.cells_per_side)
+    triple = solve_three(config, mesh)
+    verify_fields(mesh, config.nonlin, config.params, triple.fields())
+    assert "simplices" not in vars(mesh)
+    mesh.simplices
+    assert "simplices" in vars(mesh)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
