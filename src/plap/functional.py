@@ -74,14 +74,10 @@ class RunParameters:
 class Nonlinearity:
     """Lower-order term f(u) of a family with exponents r <= q.
 
-    The growth constants k2, c3, c1, c4 follow from q and r: they are
-    the tightest values for which the superlinear growth sandwich
-
-        c3 |u|_q^q <= k2 int F(u) <= int f(u) u
-                   <= c1 int f'(u) u^2 <= c4 |u|_q^q   (for q = r)
-
-    holds pointwise for both families.  Given p < r <= q < p*, which
-    `validate` checks, they satisfy p < k2 < p* and 0 < c3 < c4.
+    The growth constant k2 = r is the tightest value for which the
+    superlinear (Ambrosetti-Rabinowitz) bound k2 F(u) <= f(u) u holds
+    pointwise for both families.  Given p < r <= q < p*, which `validate`
+    checks, it satisfies p < k2 < p*.
     """
 
     family: str
@@ -103,21 +99,6 @@ class Nonlinearity:
     def k2(self) -> float:
         """Growth: k2 F(u) <= f(u) u."""
         return self.r
-
-    @property
-    def c3(self) -> float:
-        """Lower norm bound: c3 |u|^q <= k2 F(u)."""
-        return self.r / self.q
-
-    @property
-    def c1(self) -> float:
-        """Derivative bound: f(u) u <= c1 f'(u) u^2."""
-        return 1.0 / (self.r - 1.0)
-
-    @property
-    def c4(self) -> float:
-        """Upper norm bound (q = r): c1 f'(u) u^2 <= c4 |u|^q."""
-        return 1.0 + (self.q - 1.0) / (self.r - 1.0)
 
     def validate(self, params: RunParameters) -> None:
         """Check the exponents against p and p*."""
@@ -213,27 +194,25 @@ def _squared_norms(g: np.ndarray) -> np.ndarray:
 
 def _p_dirichlet(mesh: Mesh, g2: np.ndarray, p: float) -> float:
     """int |grad u|^p of the field u whose squared gradient norms are g2."""
-    return float(np.dot(mesh.volumes, g2 ** (p / 2.0)))
+    return mesh.volume * float((g2 ** (p / 2.0)).sum())
 
 
 def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float, eps: float,
-                       *, sq_norms: np.ndarray | None = None) -> np.ndarray:
+                       *, sq_norms: np.ndarray) -> np.ndarray:
     """Nodal co-vector of the regularized p-Dirichlet term of the field u
-    whose gradient table is g: entry i pairs a variation v to
+    whose gradient table is g and whose squared gradient norms
+    |grad u|^2 per simplex are `sq_norms` (`_squared_norms(g)`): entry i
+    pairs a variation v to
     int (|grad u|^2 + eps^2)^((p-2)/2) grad u . grad v.
-
-    A caller that already holds the squared norms |grad u|^2 per simplex
-    passes them as `sq_norms`, so they are not taken again.
     """
-    g2 = _squared_norms(g) if sq_norms is None else sq_norms
     expo = (p - 2.0) / 2.0
     if eps == 0.0 and expo < 0.0:
-        w = np.zeros_like(g2)
-        mask = g2 > 0.0
-        w[mask] = g2[mask] ** expo
+        w = np.zeros_like(sq_norms)
+        mask = sq_norms > 0.0
+        w[mask] = sq_norms[mask] ** expo
     else:
-        w = (g2 + eps * eps) ** expo
-    flux = (mesh.volumes * w)[:, None] * g
+        w = (sq_norms + eps * eps) ** expo
+    flux = (mesh.volume * w)[:, None] * g
     return mesh.grad_op_t @ flux.ravel()
 
 

@@ -1,15 +1,16 @@
 """Uniform simplicial meshes of the unit square and cube with P1 plumbing.
 
 A mesh stores, besides its vertices, everything the nonlinear solver
-needs repeatedly: per-simplex volumes, a boundary mask, the lumped vertex
-weights used by the nodal quadrature rule
+needs repeatedly: a boundary mask, the lumped vertex weights used by the
+nodal quadrature rule
 
     integral(u) ~ sum_T vol(T) * mean(u at vertices of T),
 
 and the P1 gradient as one sparse operator G, whose row (T, k) holds the
 k-th partial derivative of each hat function of T.  G^T is a CSC view of
-G's own arrays, not a second copy.  The simplex table itself is built
-only on first read: no solver kernel reads it.
+G's own arrays, not a second copy.  Every simplex has the same volume, a
+closed form of (dim, m) like the simplex count, and no solver kernel
+reads a simplex table, so the mesh stores neither.
 
 Each square cell holds 2 triangles and each cube cell 6 tetrahedra, one
 per path from the cell's origin corner to its opposite corner (Kuhn,
@@ -66,7 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Simplicial mesh of (0,1)^dim, immutable after construction.
 
@@ -77,15 +78,15 @@ class Mesh:
     cells_per_side : int
         Number of grid cells along each axis.
     vertices : ndarray, shape (n_vertices, dim)
-    volumes : ndarray, shape (n_simplices,)
     boundary : ndarray of bool, shape (n_vertices,)
     lumped_mass : ndarray, shape (n_vertices,)
         Vertex weights of the nodal quadrature rule; sums to 1.  Built
         from the simplex count per vertex, which is a sum of closed-form
-        corner counts, not a pass over `simplices`.
+        corner counts.
     grad_op : scipy.sparse.csr_array, shape (n_simplices*dim, n_vertices)
         P1 gradient operator: row s*dim + k holds d(phi_i)/dx_k of simplex
-        s at column simplices[s, i], so `grad_op @ u` is the gradient table.
+        s at the column of its vertex i, so `grad_op @ u` is the gradient
+        table.  Simplex (c, t) is template t of cell c, cells in C order.
         Zeros are not stored, which leaves exactly two entries per row,
         -m and +m (m = cells_per_side), at every resolution.  The index
         arrays are int32 below 2^31 entries, which covers every mesh that
@@ -95,14 +96,13 @@ class Mesh:
         `data`, `indices` and `indptr`, stored once so that no call pays
         for a new `.T` object.
 
-    `simplices` (vertex indices, shape (n_simplices, dim+1)) is built on
-    first read; the solver never reads it.
+    `n_simplices` and the common simplex `volume` are closed forms of
+    (dim, cells_per_side).  Equality is identity, so a mesh hashes.
     """
 
     dim: int
     cells_per_side: int
     vertices: np.ndarray
-    volumes: np.ndarray
     boundary: np.ndarray
     lumped_mass: np.ndarray
     grad_op: sparse.csr_array
@@ -116,15 +116,11 @@ class Mesh:
     def n_simplices(self) -> int:
         return self.cells_per_side ** self.dim * math.factorial(self.dim)
 
-    @functools.cached_property
-    def simplices(self) -> np.ndarray:
-        """Vertex indices of each simplex, shape (n_simplices, dim+1): 2
-        triangles per square cell, 6 tetrahedra per cube, cell by cell in
-        C order, each in the local vertex order of its template."""
-        origin, offsets = _cell_layout(self.dim, self.cells_per_side)
-        simplices = (origin[:, None, None] + offsets).reshape(-1, self.dim + 1)
-        simplices.flags.writeable = False
-        return simplices
+    @property
+    def volume(self) -> float:
+        """Volume of every simplex, h^dim / dim! with h = 1/m: the
+        simplices tile the unit cube, so it is 1/n_simplices."""
+        return 1.0 / self.n_simplices
 
     @functools.cached_property
     def simplex_reversal(self) -> np.ndarray:
@@ -228,14 +224,13 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     ns = n_cells * math.factorial(dim)
 
     unit = _template_gradients(dim)
-    volumes = np.full(ns, 1.0 / (m ** dim * math.factorial(dim)))
 
     # Row (s, k) of the gradient operator holds d(phi_i)/dx_k.  A grid
     # simplex steps along each axis once, so only the hat functions at the
     # two ends of the step along x_k vary in x_k, with -m and +m: every row
     # stores exactly two entries, in local vertex order.  The entry count
-    # 2 ns dim leaves int32 only beyond 3.5e8 simplices, whose simplex
-    # array alone would take over 11 GB.
+    # 2 ns dim leaves int32 only beyond 3.5e8 simplices, whose operator
+    # values alone would take over 17 GB.
     nnz = 2 * ns * dim
     index = np.int32 if nnz < 2 ** 31 else np.int64
     tmpl, k, local = np.nonzero(unit.transpose(0, 2, 1))
@@ -258,14 +253,13 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
             math.factorial(steps) * math.factorial(dim - steps))
     lumped = count.ravel() / (m ** dim * math.factorial(dim + 1))
 
-    for arr in (vertices, volumes, boundary, lumped):
+    for arr in (vertices, boundary, lumped):
         arr.flags.writeable = False
 
     # G^T is a CSC view of G's own (frozen) arrays: no copy, and its
     # matvec adds each vertex's entries in ascending row order of G, as
     # the sorted rows of a CSR transpose would
-    return Mesh(dim, m, vertices, volumes, boundary, lumped,
-                grad_op, grad_op.T)
+    return Mesh(dim, m, vertices, boundary, lumped, grad_op, grad_op.T)
 
 
 def integrate(mesh: Mesh, values: np.ndarray) -> float:

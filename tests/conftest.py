@@ -1,5 +1,6 @@
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from scipy.sparse.linalg import splu
 
 from plap.functional import (Nonlinearity, RunParameters, _p_dirichlet,
                              _squared_norms, nonlin_eval, p_stiffness_vector)
-from plap.mesh import (Mesh, _check_field, _frozen_csr, _template_gradients,
-                       build_mesh, gradient_table, integrate)
+from plap.mesh import (Mesh, _cell_layout, _check_field, _frozen_csr,
+                       _template_gradients, build_mesh, gradient_table,
+                       integrate)
 from plap.nehari import (KIndex, _nonzero_field, _remove_normal, _sign,
                          retract)
 from plap.optimizer import SolverConfig, initial_shape, solve_three
@@ -112,18 +114,49 @@ def two_loop_direction(pairs, r, g):
     return g
 
 
-# Reference code that only the tests call: the mesh's assembled stiffness
-# and per-simplex hat gradients, the standalone constraint calculus that
+# Reference code that only the tests call: the mesh's simplex table,
+# assembled stiffness and per-simplex hat gradients, the growth constants
+# of the source term, the standalone constraint calculus that
 # `nehari._Iterate` and `plap.verify.measure` compute in fused form, the
 # fibering coefficients with their closed-form root bound, and the
 # retracted initial point.
 
 
+def simplices(mesh: Mesh) -> np.ndarray:
+    """Vertex indices of each simplex, shape (n_simplices, dim+1): 2
+    triangles per square cell, 6 tetrahedra per cube, cell by cell in C
+    order, each in the local vertex order of its template; row s is the
+    simplex of rows s*dim .. s*dim + dim-1 of `grad_op`."""
+    origin, offsets = _cell_layout(mesh.dim, mesh.cells_per_side)
+    return (origin[:, None, None] + offsets).reshape(-1, mesh.dim + 1)
+
+
 def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
     """P1 stiffness matrix of -Laplace, G^T diag(vol) G, as CSR (no boundary
     handling). Entries that cancel to exact zeros are not stored."""
-    weights = sparse.diags_array(np.repeat(mesh.volumes, mesh.dim))
+    weights = sparse.diags_array(
+        np.full(mesh.n_simplices * mesh.dim, mesh.volume))
     return mesh.grad_op_t @ (weights @ mesh.grad_op)
+
+
+class GrowthConstants(NamedTuple):
+    c3: float
+    c1: float
+    c4: float
+
+
+def growth_constants(nl: Nonlinearity) -> GrowthConstants:
+    """The tightest constants, as functions of q and r, for which the
+    growth sandwich
+
+        c3 |u|_q^q <= k2 int F(u) <= int f(u) u
+                   <= c1 int f'(u) u^2 <= c4 |u|_q^q   (for q = r)
+
+    holds pointwise for both families, with k2 = `nl.k2` = r.  Given
+    p < r <= q < p*, 0 < c3 < c4."""
+    q, r = nl.q, nl.r
+    return GrowthConstants(c3=r / q, c1=1.0 / (r - 1.0),
+                           c4=1.0 + (q - 1.0) / (r - 1.0))
 
 
 def csr_transpose_mesh(mesh: Mesh) -> Mesh:
@@ -182,8 +215,9 @@ def energy_residual(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     (|grad u|^2 + eps^2)^((p-2)/2), which only matters for p < 2.
     """
     u = _check_field(mesh, u)
-    res = p_stiffness_vector(mesh, gradient_table(mesh, u), params.p,
-                             params.eps)
+    g = gradient_table(mesh, u)
+    res = p_stiffness_vector(mesh, g, params.p, params.eps,
+                             sq_norms=_squared_norms(g))
     f, _, _ = nonlin_eval(nl, u)
     crit = np.sign(u) * np.abs(u) ** (params.pstar - 1.0)
     res -= mesh.lumped_mass * (crit + params.lam * f)
@@ -256,8 +290,9 @@ def constraint_gradient(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     p, pstar, lam = params.p, params.pstar, params.lam
     f, _, fu = nonlin_eval(nl, u)
     M = mesh.lumped_mass
-    part_stiff = p_stiffness_vector(mesh, gradient_table(mesh, part), p,
-                                    params.eps)
+    g = gradient_table(mesh, part)
+    part_stiff = p_stiffness_vector(mesh, g, p, params.eps,
+                                    sq_norms=_squared_norms(g))
     out = (s * (p * chi * part_stiff - pstar * M * part ** (pstar - 1.0))
            - lam * M * (f * chi + s * fu * part))
     out[mesh.boundary] = 0.0

@@ -19,8 +19,8 @@ from plap.verify import check_energy_chain, measure
 
 from conftest import (constraint_gradient, energy, energy_residual,
                       fibering_coefficients, fibering_upper_bound,
-                      interior_bump, plus_minus_parts, reference_config,
-                      tangent_project)
+                      growth_constants, interior_bump, plus_minus_parts,
+                      reference_config, tangent_project)
 
 ROOT_UNIT = 0.7861513777574233
 ROOT_QUAD = 0.48586827175664576
@@ -71,7 +71,8 @@ def test_criterion_2_bracket_law():
     for lam in lams:
         params = RunParameters(p=1.5, dim=2, lam=lam, eps=1e-8)
         t = scale_to_manifold(mesh, nl, params, w, 1).t
-        bound = fibering_upper_bound(c.A, nl.c3, lam, c.C, nl.q, params.p)
+        bound = fibering_upper_bound(c.A, growth_constants(nl).c3, lam, c.C,
+                                     nl.q, params.p)
         ok_bracket = ok_bracket and t <= bound * (1 + 1e-12)
         ts.append(t)
     nonincreasing = all(b <= a + 1e-15 for a, b in zip(ts, ts[1:]))
@@ -228,7 +229,8 @@ def test_criterion_8_discrete_embedding_floor():
             u = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
             g = gradient_table(mesh, u)
             g2 = np.einsum("sd,sd->s", g, g)
-            A = float(np.dot(mesh.volumes, g2 ** (p / 2.0)))
+            A = float(np.dot(np.full(mesh.n_simplices, mesh.volume),
+                             g2 ** (p / 2.0)))
             B = integrate(mesh, np.abs(u) ** pstar)
             worst = min(worst, A / B ** (p / pstar))
         floor = 0.95 * sobolev_constant(p, dim)

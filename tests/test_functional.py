@@ -8,13 +8,15 @@ from scipy.integrate import quad
 
 from plap.errors import ConfigurationError
 from plap.functional import (Nonlinearity, RunParameters, _Powers,
-                             _source_derivatives, nonlin_eval,
+                             _p_dirichlet, _source_derivatives,
+                             _squared_norms, nonlin_eval,
                              p_stiffness_vector, sobolev_constant,
                              sobolev_threshold)
 from plap.mesh import apply_dirichlet, build_mesh, gradient_table, integrate
 
-from conftest import (energy, energy_parts, energy_residual, interior_bump,
-                      plus_minus_parts, shape_gradients)
+from conftest import (energy, energy_parts, energy_residual,
+                      growth_constants, interior_bump, plus_minus_parts,
+                      shape_gradients, simplices)
 
 
 def params_2d(lam=20.0, eps=1e-8):
@@ -93,13 +95,14 @@ class TestNonlinEval:
         rng = np.random.default_rng(seed)
         u = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
         f, F, fu = nonlin_eval(nl, u)
+        c = growth_constants(nl)
         power = integrate(mesh, np.abs(u) ** nl.k2)
         chain = (
-            nl.c3 * power,
+            c.c3 * power,
             nl.k2 * integrate(mesh, F),
             integrate(mesh, f * u),
-            nl.c1 * integrate(mesh, fu * u * u),
-            nl.c4 * power,
+            c.c1 * integrate(mesh, fu * u * u),
+            c.c4 * power,
         )
         slack = 1e-12 * max(abs(x) for x in chain)
         for lo, hi in zip(chain, chain[1:]):
@@ -206,9 +209,10 @@ class TestValidation:
     def test_default_constants(self):
         nl = Nonlinearity(family="signed", q=4.0, r=3.0)
         assert np.isclose(nl.k2, 3.0, rtol=0, atol=1e-15)
-        assert np.isclose(nl.c3, 0.75, rtol=0, atol=1e-15)
-        assert np.isclose(nl.c1, 0.5, rtol=0, atol=1e-15)
-        assert np.isclose(nl.c4, 2.5, rtol=0, atol=1e-15)
+        c = growth_constants(nl)
+        assert np.isclose(c.c3, 0.75, rtol=0, atol=1e-15)
+        assert np.isclose(c.c1, 0.5, rtol=0, atol=1e-15)
+        assert np.isclose(c.c4, 2.5, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +244,7 @@ class TestEnergy:
 
         grad_term = 0.0
         crit_term = 0.0
-        for simplex in mesh.simplices:
+        for simplex in simplices(mesh):
             X = np.hstack([np.ones((4, 1)), mesh.vertices[simplex]])
             coeff = np.linalg.solve(X, u[simplex])
             edges = mesh.vertices[simplex[1:]] - mesh.vertices[simplex[0]]
@@ -270,7 +274,8 @@ class TestEnergy:
         p, pstar, q = params.p, params.pstar, nl.q
         g = gradient_table(mesh, w)
         g2 = np.einsum("sd,sd->s", g, g)
-        A = float(np.dot(mesh.volumes, g2 ** (p / 2.0)))
+        A = float(np.dot(np.full(mesh.n_simplices, mesh.volume),
+                         g2 ** (p / 2.0)))
         B = integrate(mesh, np.abs(w) ** pstar)
         C = integrate(mesh, np.abs(w) ** q)
         predicted = (A * t**p / p - B * t**pstar / pstar
@@ -288,7 +293,8 @@ class TestEnergy:
             w = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
             g = gradient_table(mesh, w)
             g2 = np.einsum("sd,sd->s", g, g)
-            A = float(np.dot(mesh.volumes, g2 ** (params.p / 2.0)))
+            A = float(np.dot(np.full(mesh.n_simplices, mesh.volume),
+                             g2 ** (params.p / 2.0)))
             w = w / A ** (1.0 / params.p)
             assert energy(mesh, nl, params, 1e-3 * w) > 0.0
 
@@ -377,10 +383,10 @@ def _scatter_p_stiffness(mesh, g, p, eps):
         w[mask] = g2[mask] ** expo
     else:
         w = (g2 + eps * eps) ** expo
-    coef = mesh.volumes * w
+    coef = np.full(mesh.n_simplices, mesh.volume) * w
     contrib = coef[:, None] * np.einsum("sd,sid->si", g, shape_gradients(mesh))
     out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.simplices.ravel(), contrib.ravel())
+    np.add.at(out, simplices(mesh).ravel(), contrib.ravel())
     return out
 
 
@@ -396,8 +402,26 @@ class TestPStiffnessVector:
         g = gradient_table(mesh, u)
         assert np.any(np.all(g == 0.0, axis=1))
         want = _scatter_p_stiffness(mesh, g, p, eps)
-        got = p_stiffness_vector(mesh, g, p, eps)
+        got = p_stiffness_vector(mesh, g, p, eps, sq_norms=_squared_norms(g))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        g2 = np.einsum("sd,sd->s", g, g)
-        assert np.array_equal(
-            p_stiffness_vector(mesh, g, p, eps, sq_norms=g2), got)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_scalar_volume_matches_the_volume_array(self, dim, m):
+        # every simplex has the one volume: scaling by the scalar is bit
+        # for bit scaling by the array; the integral sums before it
+        # scales, so it moves only by the rounding of the sum
+        mesh = build_mesh(dim, m)
+        volumes = np.full(mesh.n_simplices, mesh.volume)
+        rng = np.random.default_rng(10 * dim + m)
+        for p in (1.5, 2.0, 2.5):
+            g = rng.standard_normal((mesh.n_simplices, dim)) * m
+            g[::5] = 0.0
+            g2 = _squared_norms(g)
+            w = (g2 + 1e-16) ** ((p - 2.0) / 2.0)
+            want = mesh.grad_op_t @ ((volumes * w)[:, None] * g).ravel()
+            got = p_stiffness_vector(mesh, g, p, 1e-8, sq_norms=g2)
+            assert np.array_equal(got, want), p
+            want = float(np.dot(volumes, g2 ** (p / 2.0)))
+            got = _p_dirichlet(mesh, g2, p)
+            assert abs(got - want) <= 1e-14 * want, p

@@ -12,8 +12,8 @@ from plap.nehari import KIndex, fibering_root, retract, scale_to_manifold
 
 from conftest import (constraint_gradient, constraint_phi, constraint_scale,
                       energy, energy_residual, fibering_coefficients,
-                      fibering_upper_bound, interior_bump, plus_minus_parts,
-                      tangent_project)
+                      fibering_upper_bound, growth_constants, interior_bump,
+                      plus_minus_parts, simplices, tangent_project)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -39,7 +39,8 @@ def split_pair(mesh, seed=0):
 def bracket(mesh, nl, params, w):
     """The closed-form upper bound t1 of the scaling root of w."""
     c = fibering_coefficients(mesh, nl, params, w)
-    return fibering_upper_bound(c.A, nl.c3, params.lam, c.C, nl.q, params.p)
+    return fibering_upper_bound(c.A, growth_constants(nl).c3, params.lam,
+                                c.C, nl.q, params.p)
 
 
 def test_active_constraints():
@@ -100,7 +101,7 @@ class TestFiberingCoefficients:
         u = center.astype(float)
         c = fibering_coefficients(mesh, NL2, P2, u)
         A = B = C = 0.0
-        for simplex in mesh.simplices:
+        for simplex in simplices(mesh):
             X = np.hstack([np.ones((3, 1)), mesh.vertices[simplex]])
             coeff = np.linalg.solve(X, u[simplex])
             edges = mesh.vertices[simplex[1:]] - mesh.vertices[simplex[0]]

@@ -22,7 +22,7 @@ from plap.verify import check_membership, measure, verify_fields
 
 from conftest import (_LUPreconditioner, coarse_config, constraint_phi,
                       constraint_scale, energy, fibering_coefficients,
-                      initial_point, two_loop_direction)
+                      growth_constants, initial_point, two_loop_direction)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -989,7 +989,8 @@ class TestLambdaSweep:
         for row in rows:
             params = RunParameters(p=P2.p, dim=2, lam=row.lam, eps=P2.eps)
             c = fibering_coefficients(mesh, config.nonlin, params, w)
-            bound = (c.A / (config.nonlin.c3 * row.lam * c.C)) ** (
+            c3 = growth_constants(config.nonlin).c3
+            bound = (c.A / (c3 * row.lam * c.C)) ** (
                 1.0 / (config.nonlin.q - params.p))
             assert row.t_lambda <= bound * (1 + 1e-12)
             for e in (row.c1, row.c2, row.c3):
