@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import Mesh, gradient_table, laplace_apply
+from .mesh import Mesh, _gradient_transpose, gradient_table, laplace_apply
 
 __all__ = [
     "FAMILIES",
@@ -213,7 +213,7 @@ def p_stiffness_vector(mesh: Mesh, g: np.ndarray, p: float, eps: float,
     else:
         w = (sq_norms + eps * eps) ** expo
     flux = (mesh.volume * w)[:, None] * g
-    return mesh.grad_op_t @ flux.ravel()
+    return _gradient_transpose(mesh, flux)
 
 
 class _TableForm(NamedTuple):
@@ -234,7 +234,8 @@ class _TableForm(NamedTuple):
         """The form of -u(1 - x): its gradient on a simplex is that of u
         on the simplex the inversion maps it onto."""
         sigma = mesh.simplex_reversal
-        return _TableForm(self.table[sigma], self.sq_norms[sigma])
+        return _TableForm(np.take(self.table, sigma, axis=0),
+                          self.sq_norms[sigma])
 
     def integral(self, mesh: Mesh, params: RunParameters) -> float:
         """int |grad u|^p."""

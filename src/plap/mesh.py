@@ -6,11 +6,10 @@ nodal quadrature rule
 
     integral(u) ~ sum_T vol(T) * mean(u at vertices of T),
 
-and the P1 gradient as one sparse operator G, whose row (T, k) holds the
-k-th partial derivative of each hat function of T.  G^T is a CSC view of
-G's own arrays, not a second copy.  Every simplex has the same volume, a
-closed form of (dim, m) like the simplex count, and no solver kernel
-reads a simplex table, so the mesh stores neither.
+and one index array that places each entry of the P1 gradient on a grid
+edge.  Every simplex has the same volume, a closed form of (dim, m) like
+the simplex count, and no solver kernel reads a simplex table, so the
+mesh stores neither.
 
 Each square cell holds 2 triangles and each cube cell 6 tetrahedra, one
 per path from the cell's origin corner to its opposite corner (Kuhn,
@@ -22,12 +21,15 @@ template, so the gradients are exact, the volume is rounded once, and no
 per-simplex algebra is needed.  Corner o in {0,1}^dim of a cell lies on
 |o|! (dim - |o|)! of its Kuhn paths, so the number of simplices at each
 vertex, and with it the lumped mass, is a sum of 2^dim shifted grids.
-Only two hat functions of a grid simplex vary along each axis, so a row
-of G has two entries, -m and +m, and G stores no zeros.
 
-The P1 kernels at general p are sparse products with G: the gradient
-table of u is G u, a p-stiffness co-vector is G^T applied to
-volume-weighted gradients, and the Laplace stiffness is G^T diag(vol) G.
+A grid simplex steps along each axis once, and only the hat functions at
+the two ends of that step vary along it, with -m and +m.  So G, with
+(G u)[s, k] the k-th partial derivative of u on simplex s, gathers grid
+edge differences of m u, and G^T sums a table per edge and sends each
+sum to the edge's ends, - at the start and + at the end.  The P1 kernels
+at general p are these two: the gradient table of u is G u, and a
+p-stiffness co-vector is G^T applied to volume-weighted gradients.  The
+Laplace stiffness is G^T diag(vol) G.
 
 On the uniform grid that stiffness, restricted to the interior vertices,
 is the 5-point (2D) or 7-point (3D) stencil, a sum over axes of the
@@ -52,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError, DimensionMismatchError
 
@@ -83,18 +84,13 @@ class Mesh:
         Vertex weights of the nodal quadrature rule; sums to 1.  Built
         from the simplex count per vertex, which is a sum of closed-form
         corner counts.
-    grad_op : scipy.sparse.csr_array, shape (n_simplices*dim, n_vertices)
-        P1 gradient operator: row s*dim + k holds d(phi_i)/dx_k of simplex
-        s at the column of its vertex i, so `grad_op @ u` is the gradient
-        table.  Simplex (c, t) is template t of cell c, cells in C order.
-        Zeros are not stored, which leaves exactly two entries per row,
-        -m and +m (m = cells_per_side), at every resolution.  The index
-        arrays are int32 below 2^31 entries, which covers every mesh that
-        fits in memory.
-    grad_op_t : scipy.sparse.csc_array, shape (n_vertices, n_simplices*dim)
-        The transpose of `grad_op`: a CSC view that shares its frozen
-        `data`, `indices` and `indptr`, stored once so that no call pays
-        for a new `.T` object.
+    edge_index : ndarray of intp, shape (n_simplices, dim)
+        Entry (s, k) is k * n_vertices + a, where vertex a starts the step
+        of simplex s along axis k: the place of that grid edge in a (dim,
+        n_vertices) array whose row k holds the differences along axis k.
+        Simplex (c, t) is template t of cell c, cells in C order.  A
+        read-only view of a writeable array, which `_gradient_transpose`
+        hands to np.bincount, since bincount copies a read-only index.
 
     `n_simplices` and the common simplex `volume` are closed forms of
     (dim, cells_per_side).  Equality is identity, so a mesh hashes.
@@ -105,8 +101,7 @@ class Mesh:
     vertices: np.ndarray
     boundary: np.ndarray
     lumped_mass: np.ndarray
-    grad_op: sparse.csr_array
-    grad_op_t: sparse.csc_array
+    edge_index: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -191,12 +186,6 @@ def _template_gradients(dim: int) -> np.ndarray:
     return unit
 
 
-def _frozen_csr(mat: sparse.csr_array) -> sparse.csr_array:
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
-
-
 def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     """Triangulate (0,1)^dim with a uniform grid of `cells_per_side`^dim cells.
 
@@ -219,28 +208,14 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     vertices = np.linspace(0.0, 1.0, side)[index]
     boundary = ((index == 0) | (index == m)).any(axis=1)
 
+    # The step of template t along x_k starts at the local vertex whose
+    # hat gradient is -1 in x_k, and ends at the one where it is +1.
     origin, offsets = _cell_layout(dim, m)
-    n_cells = origin.shape[0]
-    ns = n_cells * math.factorial(dim)
-
-    unit = _template_gradients(dim)
-
-    # Row (s, k) of the gradient operator holds d(phi_i)/dx_k.  A grid
-    # simplex steps along each axis once, so only the hat functions at the
-    # two ends of the step along x_k vary in x_k, with -m and +m: every row
-    # stores exactly two entries, in local vertex order.  The entry count
-    # 2 ns dim leaves int32 only beyond 3.5e8 simplices, whose operator
-    # values alone would take over 17 GB.
-    nnz = 2 * ns * dim
-    index = np.int32 if nnz < 2 ** 31 else np.int64
-    tmpl, k, local = np.nonzero(unit.transpose(0, 2, 1))
-    grad_op = _frozen_csr(sparse.csr_array(
-        (np.tile(m * unit[tmpl, local, k].astype(float), n_cells),
-         (origin.astype(index)[:, None]
-          + offsets[tmpl, local].astype(index)).ravel(),
-         np.arange(0, nnz + 1, 2, dtype=index)),
-        shape=(ns * dim, vertices.shape[0]),
-    ))
+    tmpl, k, start = np.nonzero(
+        _template_gradients(dim).transpose(0, 2, 1) == -1)
+    edges = (origin[:, None] + (k * vertices.shape[0] + offsets[tmpl, start])
+             ).astype(np.intp, copy=False)
+    edge_index = edges.reshape(-1, dim)
 
     # A vertex's weight is vol/(dim+1) from each simplex that holds it.
     # Corner o of a cell lies on |o|! (dim - |o|)! of its Kuhn paths, so
@@ -253,13 +228,9 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
             math.factorial(steps) * math.factorial(dim - steps))
     lumped = count.ravel() / (m ** dim * math.factorial(dim + 1))
 
-    for arr in (vertices, boundary, lumped):
+    for arr in (vertices, boundary, lumped, edge_index):
         arr.flags.writeable = False
-
-    # G^T is a CSC view of G's own (frozen) arrays: no copy, and its
-    # matvec adds each vertex's entries in ascending row order of G, as
-    # the sorted rows of a CSR transpose would
-    return Mesh(dim, m, vertices, boundary, lumped, grad_op, grad_op.T)
+    return Mesh(dim, m, vertices, boundary, lumped, edge_index)
 
 
 def integrate(mesh: Mesh, values: np.ndarray) -> float:
@@ -269,9 +240,35 @@ def integrate(mesh: Mesh, values: np.ndarray) -> float:
 
 
 def gradient_table(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Per-simplex gradient of the P1 interpolant of u, shape (n_simplices, dim)."""
+    """Per-simplex gradient of the P1 interpolant of u, shape (n_simplices,
+    dim): G u, the difference of m u along each simplex's axis steps."""
     u = _check_field(mesh, u)
-    return (mesh.grad_op @ u).reshape(mesh.n_simplices, mesh.dim)
+    mu, side = mesh.cells_per_side * u, mesh.cells_per_side + 1
+    # row k: the forward differences along axis k; its last `step`
+    # entries start no edge and are never read
+    diffs = np.empty((mesh.dim, u.shape[0]))
+    for k in range(mesh.dim):
+        step = side ** (mesh.dim - 1 - k)
+        np.subtract(mu[step:], mu[:-step], out=diffs[k, :-step])
+    return diffs.ravel()[mesh.edge_index]    # np.take would copy the index
+
+
+def _gradient_transpose(mesh: Mesh, table: np.ndarray) -> np.ndarray:
+    """G^T table, for a per-simplex table of shape (n_simplices, dim).
+    Private, so that bench/spans.py counts it in its caller."""
+    n, side = mesh.n_vertices, mesh.cells_per_side + 1
+    # per-edge sums, sent to the edge's ends as -sum and +sum; m scales
+    # the n-long result rather than the table
+    sums = np.bincount(mesh.edge_index.base.reshape(-1),
+                       weights=table.reshape(-1),
+                       minlength=mesh.dim * n).reshape(mesh.dim, n)
+    out = np.zeros(n)
+    for k in range(mesh.dim):
+        step = side ** (mesh.dim - 1 - k)
+        out[step:] += sums[k, :-step]
+        out -= sums[k]
+    out *= mesh.cells_per_side
+    return out
 
 
 def apply_dirichlet(mesh: Mesh, u: np.ndarray) -> np.ndarray:

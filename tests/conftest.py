@@ -1,4 +1,3 @@
-import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -9,9 +8,8 @@ from scipy.sparse.linalg import splu
 
 from plap.functional import (Nonlinearity, RunParameters, _p_dirichlet,
                              _squared_norms, nonlin_eval, p_stiffness_vector)
-from plap.mesh import (Mesh, _cell_layout, _check_field, _frozen_csr,
-                       _template_gradients, build_mesh, gradient_table,
-                       integrate)
+from plap.mesh import (Mesh, _cell_layout, _check_field, _template_gradients,
+                       build_mesh, gradient_table, integrate)
 from plap.nehari import (KIndex, _nonzero_field, _remove_normal, _sign,
                          retract)
 from plap.optimizer import SolverConfig, initial_shape, solve_three
@@ -115,28 +113,46 @@ def two_loop_direction(pairs, r, g):
 
 
 # Reference code that only the tests call: the mesh's simplex table,
-# assembled stiffness and per-simplex hat gradients, the growth constants
-# of the source term, the standalone constraint calculus that
-# `nehari._Iterate` and `plap.verify.measure` compute in fused form, the
-# fibering coefficients with their closed-form root bound, and the
-# retracted initial point.
+# assembled gradient operator and stiffness, per-simplex hat gradients,
+# the growth constants of the source term, the standalone constraint
+# calculus that `nehari._Iterate` and `plap.verify.measure` compute in
+# fused form, the fibering coefficients with their closed-form root
+# bound, and the retracted initial point.
 
 
 def simplices(mesh: Mesh) -> np.ndarray:
     """Vertex indices of each simplex, shape (n_simplices, dim+1): 2
     triangles per square cell, 6 tetrahedra per cube, cell by cell in C
     order, each in the local vertex order of its template; row s is the
-    simplex of rows s*dim .. s*dim + dim-1 of `grad_op`."""
+    simplex of rows s*dim .. s*dim + dim-1 of `gradient_operator`."""
     origin, offsets = _cell_layout(mesh.dim, mesh.cells_per_side)
     return (origin[:, None, None] + offsets).reshape(-1, mesh.dim + 1)
+
+
+def gradient_operator(mesh: Mesh) -> sparse.csr_array:
+    """The P1 gradient G as CSR, shape (n_simplices*dim, n_vertices): row
+    s*dim + k holds d(phi_i)/dx_k of simplex s at the column of its
+    vertex i, so G u is the gradient table.  Assembled through COO from
+    the full table of hat gradients, zeros included, then stored without
+    them: the oracle for `gradient_table` (G u) and for the edge sums of
+    `plap.mesh._gradient_transpose` (G^T)."""
+    grads = shape_gradients(mesh)
+    ns, nloc, dim = grads.shape
+    G = sparse.coo_array(
+        (grads.transpose(0, 2, 1).ravel(),
+         (np.repeat(np.arange(ns * dim), nloc),
+          np.repeat(simplices(mesh), dim, axis=0).ravel())),
+        shape=(ns * dim, mesh.n_vertices)).tocsr()
+    G.eliminate_zeros()
+    return G
 
 
 def laplace_stiffness(mesh: Mesh) -> sparse.csr_array:
     """P1 stiffness matrix of -Laplace, G^T diag(vol) G, as CSR (no boundary
     handling). Entries that cancel to exact zeros are not stored."""
-    weights = sparse.diags_array(
-        np.full(mesh.n_simplices * mesh.dim, mesh.volume))
-    return mesh.grad_op_t @ (weights @ mesh.grad_op)
+    G = gradient_operator(mesh)
+    weights = sparse.diags_array(np.full(G.shape[0], mesh.volume))
+    return (G.T @ (weights @ G)).tocsr()
 
 
 class GrowthConstants(NamedTuple):
@@ -159,20 +175,12 @@ def growth_constants(nl: Nonlinearity) -> GrowthConstants:
                            c4=1.0 + (q - 1.0) / (r - 1.0))
 
 
-def csr_transpose_mesh(mesh: Mesh) -> Mesh:
-    """The mesh with G^T held as a CSR copy of G's transpose, with sorted
-    rows: the oracle for the CSC view of G's own arrays that `build_mesh`
-    stores, whose products must match it bit for bit."""
-    return dataclasses.replace(
-        mesh, grad_op_t=_frozen_csr(mesh.grad_op.T.tocsr()))
-
-
 def shape_gradients(mesh: Mesh) -> np.ndarray:
     """Gradient of each vertex hat function restricted to each simplex,
     shape (n_simplices, dim+1, dim), zeros included; its nonzero
-    entries are those `grad_op` stores.  Built read-only on each
-    call from the cell templates: the solver reads `grad_op` only,
-    so a mesh does not hold this table."""
+    entries are those `gradient_operator` stores.  Built read-only on
+    each call from the cell templates: the solver reads the mesh's
+    edge index only, so a mesh does not hold this table."""
     m = mesh.cells_per_side
     grads = np.tile(m * _template_gradients(mesh.dim).astype(float),
                     (m ** mesh.dim, 1, 1))

@@ -50,6 +50,7 @@ seed = 0
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SCRIPTS = README.parent / "scripts"
 
 
 def readme_config_table() -> dict:
@@ -70,6 +71,14 @@ def per_row_csv(mesh, values) -> bytes:
         lines.append(",".join(["%.17g" % float(c) for c in vertex]
                               + ["%.17g" % float(value)]))
     return ("\n".join(lines) + "\n").encode()
+
+
+def _script_config(tmp_path, name, out):
+    """scripts/<name> with its out-dir moved to `out`."""
+    path = tmp_path / name
+    path.write_text(re.sub(r"(?m)^out-dir = .*$", f"out-dir = {out}",
+                           (SCRIPTS / name).read_text()))
+    return path
 
 
 def write_config(tmp_path, base=BASE_3D, extra="", name="run.cfg"):
@@ -316,23 +325,47 @@ class TestSolveCommand:
         assert (out / "triple.json").is_file()
         assert "FAIL" in capsys.readouterr().out
 
-    def test_solve_does_not_import_scipy_linalg(self, tmp_path):
-        # importing scipy.linalg adds about 7 MB to the resident memory of
-        # a run; the solver's dense algebra is numpy's.  A fresh interpreter
-        # sees the modules a solve pulls in, and no test's own imports.
+    def test_sweep_config_solve_fails_only_u3_euler_lagrange(self, tmp_path,
+                                                             capsys):
+        # scripts/sweep.cfg solves at its `lambda` = 1: the sign-changing
+        # field carries the interface defect of the inversion-odd class,
+        # and its Euler-Lagrange residual (about 1e-3) fails the 1e-6 bound
         out = tmp_path / "artifacts"
-        cfg = write_config(tmp_path, extra=f"out-dir = {out}\n")
+        cfg = _script_config(tmp_path, "sweep.cfg", out)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        checks = json.loads((out / "triple.json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == [
+            "u3_euler_lagrange"]
+        assert "u3_euler_lagrange: FAIL" in capsys.readouterr().out
+
+    def test_solve_does_not_import_scipy_linalg(self, tmp_path):
+        # the runtime needs numpy alone: importing scipy.sparse added about
+        # 21 MB to the resident memory of a run.  A fresh interpreter sees
+        # the modules plap pulls in, and no test's own imports: importing
+        # plap.cli loads no scipy module, and with every scipy import made
+        # to fail, plap solve and plap verify of the reference config run
+        # and pass.
+        out = tmp_path / "artifacts"
+        cfg = _script_config(tmp_path, "reference.cfg", out)
+        fields = [str(out / f"u{i}.csv") for i in (1, 2, 3)]
         script = ("import sys\n"
+                  "import plap.cli\n"
+                  "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+                  "sys.modules['scipy'] = None\n"
                   "from plap.cli import main\n"
-                  f"code = main(['solve', '--config', {cfg!r}])\n"
-                  "print(code, 'scipy.linalg' in sys.modules)\n")
+                  f"solve = main(['solve', '--config', {str(cfg)!r}])\n"
+                  f"verify = main(['verify', '--config', {str(cfg)!r}, "
+                  f"*{fields!r}])\n"
+                  "print(solve, verify)\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 False"
+        lines = done.stdout.splitlines()
+        assert lines[0] == "False"
+        assert lines[-1] == "0 0"
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap.errors import ConfigurationError, DimensionMismatchError
-from plap.functional import _p_dirichlet, _squared_norms, p_stiffness_vector
-from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
-                       gradient_table, integrate, laplace_apply)
+from plap.functional import _p_dirichlet, _squared_norms
+from plap.mesh import (LaplacePreconditioner, _gradient_transpose,
+                       apply_dirichlet, build_mesh, gradient_table, integrate,
+                       laplace_apply)
 
 from plap.optimizer import solve_three
 from plap.verify import verify_fields
 
-from conftest import (_LUPreconditioner, coarse_config, csr_transpose_mesh,
+from conftest import (_LUPreconditioner, coarse_config, gradient_operator,
                       laplace_stiffness, reference_config, shape_gradients,
                       simplices)
 
@@ -151,10 +153,8 @@ def test_mesh_arrays_are_frozen():
         mesh.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         shape_gradients(mesh)[0, 0, 0] = 5.0
-    for op in (mesh.grad_op, mesh.grad_op_t):
-        for arr in (op.data, op.indices, op.indptr):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+    with pytest.raises(ValueError):
+        mesh.edge_index[0, 0] = 1
 
 
 def test_mesh_equality_is_identity():
@@ -249,48 +249,62 @@ def test_build_matches_cell_loop(dim, m):
 @pytest.mark.parametrize("dim,m", [(2, 5), (3, 4), (2, 17), (3, 6)])
 def test_gradient_operator_layout(dim, m):
     # G stores no zeros: along each axis only the two hat functions at the
-    # ends of a simplex's step in that axis vary
+    # ends of a simplex's step in that axis vary, with -m at the start and
+    # +m at the end, and entry (s, k) of the edge index is k n + the start
     mesh = build_mesh(dim, m)
-    G = mesh.grad_op
-    assert G.shape == (mesh.n_simplices * dim, mesh.n_vertices)
-    assert np.all(G.data != 0.0)
+    G = gradient_operator(mesh)
+    n = mesh.n_vertices
+    assert G.shape == (mesh.n_simplices * dim, n)
     assert np.all(np.diff(G.indptr) == 2)
-    # oracle: the full table, zeros included, assembled through COO
-    ns, nloc, _ = shape_gradients(mesh).shape
-    coo = sparse.coo_array(
-        (shape_gradients(mesh).transpose(0, 2, 1).ravel(),
-         (np.repeat(np.arange(ns * dim), nloc),
-          np.repeat(simplices(mesh), dim, axis=0).ravel())),
-        shape=G.shape)
-    assert np.array_equal(G.toarray(), coo.toarray())
-    assert (mesh.grad_op_t != G.T).nnz == 0
+    assert np.array_equal(np.abs(G.data), np.full(G.nnz, float(m)))
+    rows = np.repeat(np.arange(G.shape[0]), 2)
+    start = G.indices[G.data == -m]
+    end = G.indices[G.data == m]
+    assert np.array_equal(rows[G.data == -m], np.arange(G.shape[0]))
+    axis = np.tile(np.arange(dim), mesh.n_simplices)
+    assert np.array_equal(end - start, (m + 1) ** (dim - 1 - axis))
+    assert mesh.edge_index.shape == (mesh.n_simplices, dim)
+    assert mesh.edge_index.dtype == np.intp
+    assert np.array_equal(mesh.edge_index.ravel(), axis * n + start)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_transpose_is_a_view_of_the_gradient_operator(dim):
-    mesh = build_mesh(dim, 3)
-    G, Gt = mesh.grad_op, mesh.grad_op_t
-    assert Gt.format == "csc" and Gt.shape == G.shape[::-1]
-    for name in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(Gt, name), getattr(G, name)), name
-        assert np.array_equal(getattr(Gt, name), getattr(G, name)), name
+def test_gradient_kernels_do_not_copy_the_index():
+    # np.take and np.bincount copy a read-only index; each kernel allocates
+    # its output and nodal-sized temporaries only, where an index copy
+    # would add n_simplices * dim * 8 bytes (576 KiB at 3D res 16)
+    mesh = build_mesh(3, 16)
+    u = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+    table = gradient_table(mesh, u)
+    nodal, slack = u.nbytes, 8 * 1024
+    for kernel, arg, budget in (
+            (gradient_table, u, table.nbytes + 4 * nodal),
+            (_gradient_transpose, table, 4 * nodal)):
+        kernel(mesh, arg)
+        tracemalloc.start()
+        try:
+            kernel(mesh, arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + slack, (kernel.__name__, peak)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("m", range(1, 10))
-def test_p_stiffness_through_the_view_matches_csr_transpose(dim, m):
-    # the CSC matvec adds each vertex's entries in ascending row order of
-    # G, as the sorted rows of the CSR transpose do: bit for bit the same
+def test_gradient_kernels_are_the_assembled_operator(dim, m):
+    # G u is one edge difference per entry, bit for bit; G^T sums per edge
+    # first, so it matches the CSR product to rounding
     mesh = build_mesh(dim, m)
-    oracle = csr_transpose_mesh(mesh)
+    G = gradient_operator(mesh)
     rng = np.random.default_rng(10 * dim + m)
-    for p, eps in ((1.5, 1e-8), (2.0, 0.0), (3.0, 0.0), (1.2, 0.0)):
-        g = rng.standard_normal((mesh.n_simplices, dim)) * m
-        g[::5] = 0.0
-        g2 = _squared_norms(g)
-        assert np.array_equal(
-            p_stiffness_vector(mesh, g, p, eps, sq_norms=g2),
-            p_stiffness_vector(oracle, g, p, eps, sq_norms=g2)), (p, eps)
+    u = rng.standard_normal(mesh.n_vertices)
+    assert np.array_equal(gradient_table(mesh, u),
+                          (G @ u).reshape(mesh.n_simplices, dim))
+    flux = rng.standard_normal((mesh.n_simplices, dim)) * m
+    flux[::5] = 0.0
+    want = G.T @ flux.ravel()
+    got = _gradient_transpose(mesh, flux)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -298,7 +312,7 @@ def test_p_stiffness_through_the_view_matches_csr_transpose(dim, m):
 def test_n_simplices_is_the_table_length(dim, m):
     mesh = build_mesh(dim, m)
     assert mesh.n_simplices == simplices(mesh).shape[0]
-    assert mesh.n_simplices * mesh.dim == mesh.grad_op.shape[0]
+    assert mesh.edge_index.shape == (mesh.n_simplices, mesh.dim)
 
 
 @pytest.mark.parametrize("config", [coarse_config(), reference_config()],
@@ -313,13 +327,24 @@ def test_solve_and_verify_build_no_simplex_table(config):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_gradient_operator_rows_are_exact(dim):
-    # every row of G is one axis step of one simplex: -m and +m, at every
-    # resolution, with no round-off residue in place of a zero
+    # every entry of G u is one axis step of one simplex: m (u_end -
+    # u_start), at every resolution, with both ends in the simplex and the
+    # step inside the grid
     for m in range(1, 13):
-        G = build_mesh(dim, m).grad_op
-        assert np.all(np.diff(G.indptr) == 2), m
-        assert np.array_equal(np.sort(G.data.reshape(-1, 2), axis=1),
-                              np.tile([-float(m), float(m)], (G.shape[0], 1))), m
+        mesh = build_mesh(dim, m)
+        n, side = mesh.n_vertices, m + 1
+        axis, start = np.divmod(mesh.edge_index, n)
+        assert np.array_equal(axis, np.broadcast_to(np.arange(dim),
+                                                    axis.shape)), m
+        step = side ** (dim - 1 - axis)
+        assert np.all(start // step % side < m), m
+        corners = simplices(mesh)
+        for ends in (start, start + step):
+            assert np.all((corners[:, :, None] == ends[:, None, :])
+                          .any(axis=1)), m
+        u = np.random.default_rng(m).standard_normal(n)
+        assert np.array_equal(gradient_table(mesh, u),
+                              m * u[start + step] - m * u[start]), m
 
 
 @pytest.mark.parametrize("dim,m", [(2, 5), (3, 4)])

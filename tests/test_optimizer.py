@@ -957,12 +957,13 @@ class TestInversionClass:
             assert rep.converged and rep.iterations <= 150, seed
             assert abs(rep.energy - 1.4319544064) <= 1e-9, seed
 
-    @pytest.mark.parametrize("seed", [13])
+    @pytest.mark.parametrize("seed", [41])
     def test_square16_round_off_stop_at_grad_tol_1e_7(self, seed):
         # near grad-tol 1e-7 the predicted decrease t <r, H r> falls below
-        # the round-off of E, so no Armijo test passes; of seeds 0-39 this
-        # one stops there, at the converged level (seeds 4 and 17 stopped
-        # too while the class iterates were odd only to round-off)
+        # the round-off of E, so no Armijo test passes.  Which seeds stop
+        # there, at the converged level, turns on the last bits of the
+        # p-stiffness scatter: of seeds 0-79, 41 and 50 stop with per-edge
+        # sums, and 13, 17, 41 and 75 stopped with the CSR product of G^T
         config = replace(load_config(SCRIPTS / "square16.cfg").solver,
                          grad_tol=1e-7, seed=seed)
         mesh = build_mesh(config.params.dim, config.cells_per_side)
