@@ -230,12 +230,11 @@ class _TableForm(NamedTuple):
         table = self.table + other.table
         return _TableForm(table, _squared_norms(table))
 
-    def mirrored(self, mesh: Mesh) -> "_TableForm":
-        """The form of -u(1 - x): its gradient on a simplex is that of u
-        on the simplex the inversion maps it onto."""
-        sigma = mesh.simplex_reversal
-        return _TableForm(np.take(self.table, sigma, axis=0),
-                          self.sq_norms[sigma])
+    def mirrored(self) -> "_TableForm":
+        """The form of -u(1 - x), as views: the inversion reverses the
+        simplex order, so its gradient on simplex s is that of u on
+        simplex n_simplices - 1 - s."""
+        return _TableForm(self.table[::-1], self.sq_norms[::-1])
 
     def integral(self, mesh: Mesh, params: RunParameters) -> float:
         """int |grad u|^p."""
@@ -263,7 +262,7 @@ class _StencilForm(NamedTuple):
         return _StencilForm(self.field + other.field,
                             self.image + other.image)
 
-    def mirrored(self, mesh: Mesh) -> "_StencilForm":
+    def mirrored(self) -> "_StencilForm":
         """The form of -u(1 - x): K commutes with the inversion."""
         return _StencilForm(-self.field[::-1], -self.image[::-1])
 
@@ -282,7 +281,9 @@ def _dirichlet_form(mesh: Mesh, params: RunParameters, u: np.ndarray):
     Both forms give int |grad u|^p (`integral`) and the p-stiffness
     co-vector (`covector`, exact on the interior rows), scale with u
     (`scaled`), add over fields (`plus`) and give the form of the
-    inverted field -u(1 - x) with no kernel call (`mirrored`).
+    inverted field -u(1 - x) with no kernel call (`mirrored`): the
+    inversion reverses the vertex and the simplex order alike, so each
+    form reverses its arrays.
     `plap.verify` keeps the table at every p, so it checks the stencil
     independently.
     """

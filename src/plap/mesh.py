@@ -12,13 +12,16 @@ the simplex count, and no solver kernel reads a simplex table, so the
 mesh stores neither.
 
 Each square cell holds 2 triangles and each cube cell 6 tetrahedra, one
-per path from the cell's origin corner to its opposite corner (Kuhn,
-IBM J. Res. Dev. 4, 1960).  Every simplex is thus a translate of one of
-2 or 6 integer templates scaled by h = 1/m, and its geometry is the
-template's: the volume is h^dim / dim!, and each hat gradient is m times
-an integer vector with entries -1, 0 and 1.  These are computed once per
-template, so the gradients are exact, the volume is rounded once, and no
-per-simplex algebra is needed.  Corner o in {0,1}^dim of a cell lies on
+per path from the cell's origin corner to its opposite corner, one axis
+step at a time (Kuhn, IBM J. Res. Dev. 4, 1960).  Every simplex is thus
+a translate of one of 2 or 6 integer templates scaled by h = 1/m, and
+its geometry is the template's: the volume is h^dim / dim!, rounded
+once, and each hat gradient is m times an integer vector with entries
+-1, 0 and 1, so no per-simplex algebra is needed.  The paths are
+numbered so that path dim! - 1 - t is path t walked backwards.  The
+inversion x -> 1 - x reverses the C-ordered vertex grid and the cell
+order and walks every path backwards, so it reverses the simplex order
+too: simplex s maps onto simplex n_simplices - 1 - s.  Corner o in {0,1}^dim of a cell lies on
 |o|! (dim - |o|)! of its Kuhn paths, so the number of simplices at each
 vertex, and with it the lumped mass, is a sum of 2^dim shifted grids.
 
@@ -48,7 +51,6 @@ fields are integrated exactly and nodal nonlinearities at second order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,7 +90,8 @@ class Mesh:
         Entry (s, k) is k * n_vertices + a, where vertex a starts the step
         of simplex s along axis k: the place of that grid edge in a (dim,
         n_vertices) array whose row k holds the differences along axis k.
-        Simplex (c, t) is template t of cell c, cells in C order.  A
+        Simplex (c, t) is path t of cell c, cells in C order and paths
+        in the order of `_kuhn_paths`.  A
         read-only view of a writeable array, which `_gradient_transpose`
         hands to np.bincount, since bincount copies a read-only index.
 
@@ -117,23 +120,6 @@ class Mesh:
         simplices tile the unit cube, so it is 1/n_simplices."""
         return 1.0 / self.n_simplices
 
-    @functools.cached_property
-    def simplex_reversal(self) -> np.ndarray:
-        """The simplex sigma(s) that the inversion x -> 1 - x maps simplex
-        s onto, an involution.  The inversion reverses the vertex order,
-        so `gradient_table(v[::-1]) == -gradient_table(v)[sigma]`.
-
-        It maps cell c onto cell n_cells - 1 - c and walks each path
-        backwards: the two square templates swap, and the cube path along
-        axes (a, b, c) becomes (c, b, a) in the sorted template order.
-        """
-        flip = np.array([1, 0] if self.dim == 2 else [5, 3, 4, 1, 2, 0])
-        n_cells = self.n_simplices // len(flip)
-        sigma = (np.arange(n_cells - 1, -1, -1)[:, None] * len(flip)
-                 + flip).ravel()
-        sigma.flags.writeable = False
-        return sigma
-
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
@@ -144,19 +130,27 @@ def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _kuhn_paths(dim: int) -> np.ndarray:
+    """The axis orders of the Kuhn paths of one cell, shape (dim!, dim),
+    numbered so that path dim! - 1 - t is path t walked backwards: the
+    paths that precede their reversal, in sorted order, then those
+    reversals, last first.  The inversion x -> 1 - x walks each path
+    backwards and reverses the cell order, so it maps simplex s onto
+    simplex n_simplices - 1 - s."""
+    first = [p for p in itertools.permutations(range(dim)) if p < p[::-1]]
+    return np.array(first + [p[::-1] for p in reversed(first)])
+
+
 def _cell_corners(dim: int) -> np.ndarray:
     """Integer corner offsets of the simplices of one grid cell, shape
-    (simplices per cell, dim+1, dim).  Every simplex of the grid is one
-    of these templates, scaled by h = 1/m and translated to its cell."""
-    if dim == 2:
-        return np.array([[(0, 0), (1, 0), (1, 1)],
-                         [(0, 0), (1, 1), (0, 1)]])
-    # one tetrahedron per axis permutation: the path from the cell's
-    # origin corner to its opposite corner, one axis step at a time
-    steps = np.eye(3, dtype=np.int64)[sorted(itertools.permutations(range(3)))]
-    return np.concatenate(
-        [np.zeros((len(steps), 1, 3), dtype=np.int64),
-         np.cumsum(steps, axis=1)], axis=1)
+    (simplices per cell, dim+1, dim): vertex j of template t is the
+    corner that path t reaches after j axis steps.  Every simplex of
+    the grid is one of these templates, scaled by h = 1/m and
+    translated to its cell."""
+    steps = np.eye(dim, dtype=np.int64)[_kuhn_paths(dim)]
+    corners = np.zeros((len(steps), dim + 1, dim), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=corners[:, 1:])
+    return corners
 
 
 def _cell_layout(dim: int, m: int):
@@ -169,23 +163,6 @@ def _cell_layout(dim: int, m: int):
     return origin, _cell_corners(dim) @ strides
 
 
-def _template_gradients(dim: int) -> np.ndarray:
-    """Hat gradients of the cell templates in grid units, shape (simplices
-    per cell, dim+1, dim), with entries -1, 0 and 1.
-
-    They are the columns of the inverse edge matrix (rows x_i - x_0) for
-    vertices 1..dim, and minus their sum for vertex 0.  The edge matrices
-    are unimodular, so the inverse is an integer matrix and rounding
-    recovers it exactly.
-    """
-    corners = _cell_corners(dim)
-    edges = corners[:, 1:, :] - corners[:, :1, :]
-    unit = np.empty(corners.shape, dtype=np.int64)
-    unit[:, 1:, :] = np.rint(np.linalg.inv(edges)).astype(np.int64).transpose(0, 2, 1)
-    unit[:, 0, :] = -unit[:, 1:, :].sum(axis=1)
-    return unit
-
-
 def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     """Triangulate (0,1)^dim with a uniform grid of `cells_per_side`^dim cells.
 
@@ -194,8 +171,9 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     main diagonal), which keeps the triangulation conforming.
 
     Every simplex is a translate of one cell template scaled by h = 1/m,
-    so its geometry is that of the template, taken from the integer grid
-    with no per-simplex linear algebra.
+    and each of its edges along an axis is one step of its Kuhn path,
+    so the edge index is read from the paths with no per-simplex linear
+    algebra.
     """
     if dim not in (2, 3):
         raise ConfigurationError(f"dim must be 2 or 3, got {dim}")
@@ -208,13 +186,12 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     vertices = np.linspace(0.0, 1.0, side)[index]
     boundary = ((index == 0) | (index == m)).any(axis=1)
 
-    # The step of template t along x_k starts at the local vertex whose
-    # hat gradient is -1 in x_k, and ends at the one where it is +1.
+    # Path t steps along x_k from its local vertex j with paths[t][j] = k,
+    # so the inverse permutation picks each step's start.
     origin, offsets = _cell_layout(dim, m)
-    tmpl, k, start = np.nonzero(
-        _template_gradients(dim).transpose(0, 2, 1) == -1)
-    edges = (origin[:, None] + (k * vertices.shape[0] + offsets[tmpl, start])
-             ).astype(np.intp, copy=False)
+    start = np.take_along_axis(offsets, np.argsort(_kuhn_paths(dim)), axis=1)
+    edges = (origin[:, None] + (np.arange(dim) * vertices.shape[0]
+                                + start).ravel()).astype(np.intp, copy=False)
     edge_index = edges.reshape(-1, dim)
 
     # A vertex's weight is vol/(dim+1) from each simplex that holds it.

@@ -364,7 +364,7 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     if inversion_odd:
         # the parts t w and T (t w) are disjoint, so this is exact
         out = out - out[::-1]
-        forms[2] = forms[1].mirrored(mesh)
+        forms[2] = forms[1].mirrored()
         scales[2], phis[2] = scales[1], phis[1]
         nodal += nodal
     if k is KIndex.K3:

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 from plap.functional import (Nonlinearity, RunParameters, _p_dirichlet,
                              _squared_norms, nonlin_eval, p_stiffness_vector)
-from plap.mesh import (Mesh, _cell_layout, _check_field, _template_gradients,
+from plap.mesh import (Mesh, _cell_corners, _cell_layout, _check_field,
                        build_mesh, gradient_table, integrate)
 from plap.nehari import (KIndex, _nonzero_field, _remove_normal, _sign,
                          retract)
@@ -179,11 +179,20 @@ def shape_gradients(mesh: Mesh) -> np.ndarray:
     """Gradient of each vertex hat function restricted to each simplex,
     shape (n_simplices, dim+1, dim), zeros included; its nonzero
     entries are those `gradient_operator` stores.  Built read-only on
-    each call from the cell templates: the solver reads the mesh's
-    edge index only, so a mesh does not hold this table."""
+    each call from the corners of the cell templates: the solver reads
+    the mesh's edge index only, so a mesh does not hold this table.
+
+    The hat gradients of vertices 1..dim are the columns of the inverse
+    edge matrix (rows x_i - x_0), and vertex 0 takes minus their sum.  A
+    template's edge matrix is unimodular, so its inverse is an integer
+    matrix that rounding recovers exactly."""
     m = mesh.cells_per_side
-    grads = np.tile(m * _template_gradients(mesh.dim).astype(float),
-                    (m ** mesh.dim, 1, 1))
+    corners = _cell_corners(mesh.dim)
+    edges = corners[:, 1:, :] - corners[:, :1, :]
+    unit = np.empty(corners.shape)
+    unit[:, 1:, :] = np.rint(np.linalg.inv(edges)).transpose(0, 2, 1)
+    unit[:, 0, :] = -unit[:, 1:, :].sum(axis=1)
+    grads = np.tile(m * unit, (m ** mesh.dim, 1, 1))
     grads.flags.writeable = False
     return grads
 

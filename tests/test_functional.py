@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from plap.errors import ConfigurationError
 from plap.functional import (Nonlinearity, RunParameters, _Powers,
-                             _p_dirichlet, _source_derivatives,
-                             _squared_norms, nonlin_eval,
+                             _TableForm, _dirichlet_form, _p_dirichlet,
+                             _source_derivatives, _squared_norms, nonlin_eval,
                              p_stiffness_vector, sobolev_constant,
                              sobolev_threshold)
 from plap.mesh import (_gradient_transpose, apply_dirichlet, build_mesh,
@@ -226,6 +226,23 @@ def test_part_split_identities(seed):
     assert np.all(plus >= 0.0)
     assert np.all(minus >= 0.0)
     assert np.all(plus * minus == 0.0)
+
+
+@pytest.mark.parametrize("dim, m", [(2, 7), (3, 5)])
+def test_mirrored_table_form_is_the_inverted_fields_form(dim, m):
+    # at p != 2 the Dirichlet term is the gradient table, and the form of
+    # -u(1 - x) is the table read backwards: views, no copy, bit for bit
+    mesh = build_mesh(dim, m)
+    params = RunParameters(p=1.5, dim=dim, lam=20.0, eps=1e-8)
+    u = apply_dirichlet(mesh, np.random.default_rng(dim).standard_normal(
+        mesh.n_vertices))
+    form = _dirichlet_form(mesh, params, u)
+    assert isinstance(form, _TableForm)
+    got = form.mirrored()
+    want = _dirichlet_form(mesh, params, -u[::-1])
+    for name in _TableForm._fields:
+        assert np.shares_memory(getattr(got, name), getattr(form, name))
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestEnergy:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from plap.errors import ConfigurationError, DimensionMismatchError
 from plap.functional import _p_dirichlet, _squared_norms
-from plap.mesh import (LaplacePreconditioner, _gradient_transpose,
-                       apply_dirichlet, build_mesh, gradient_table, integrate,
-                       laplace_apply)
+from plap.mesh import (LaplacePreconditioner, _cell_corners,
+                       _gradient_transpose, _kuhn_paths, apply_dirichlet,
+                       build_mesh, gradient_table, integrate, laplace_apply)
 
 from plap.optimizer import solve_three
 from plap.verify import verify_fields
@@ -176,25 +176,19 @@ def _loop_mesh(dim, m):
     def vid(idx):
         return int(np.dot(idx, strides))
 
+    # one simplex per Kuhn path, each listing the corners it walks
+    # through, in the numbering where path T - 1 - t is path t reversed
+    paths = ([(0, 1), (1, 0)] if dim == 2 else
+             [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
     simplices = []
-    cells = itertools.product(range(m), repeat=dim)
-    if dim == 2:
-        for (i, j) in cells:
-            v00, v10 = vid((i, j)), vid((i + 1, j))
-            v01, v11 = vid((i, j + 1)), vid((i + 1, j + 1))
-            simplices.append((v00, v10, v11))
-            simplices.append((v00, v11, v01))
-    else:
-        perms = sorted(itertools.permutations(range(3)))
-        for cell in cells:
-            for perm in perms:
-                corner = np.array(cell)
-                tet = [vid(corner)]
-                for axis in perm:
-                    corner = corner.copy()
-                    corner[axis] += 1
-                    tet.append(vid(corner))
-                simplices.append(tuple(tet))
+    for cell in itertools.product(range(m), repeat=dim):
+        for path in paths:
+            corner = list(cell)
+            walk = [vid(corner)]
+            for axis in path:
+                corner[axis] += 1
+                walk.append(vid(corner))
+            simplices.append(tuple(walk))
     simplices = np.array(simplices, dtype=np.int64)
 
     coords = vertices[simplices]
@@ -477,19 +471,32 @@ def test_laplace_operators_commute_with_the_inversion(dim, m):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("dim, m", INVERSION_MESHES)
-def test_simplex_reversal_is_the_inversion_of_the_simplices(dim, m):
+@pytest.mark.parametrize("dim", [2, 3])
+def test_path_t_reversed_is_path_last_minus_t(dim):
+    # the inversion walks every Kuhn path backwards, and the numbering
+    # puts the reversal of path t at T - 1 - t
+    paths = _kuhn_paths(dim)
+    assert sorted(map(tuple, paths.tolist())) == sorted(
+        itertools.permutations(range(dim)))
+    assert np.array_equal(paths[::-1], paths[:, ::-1])
+    # so template T - 1 - t holds the inverted corners of template t,
+    # in the reverse order
+    corners = _cell_corners(dim)
+    assert np.array_equal(corners[::-1], 1 - corners[:, ::-1])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_reversed_simplex_order_is_the_inversion_of_the_simplices(dim, m):
     mesh = build_mesh(dim, m)
-    n, sigma = mesh.n_vertices, mesh.simplex_reversal
+    n, sigma = mesh.n_vertices, np.arange(mesh.n_simplices)[::-1]
     assert np.array_equal(sigma[sigma], np.arange(mesh.n_simplices))
     # simplex sigma(s) holds the inverted vertices of simplex s
     table = simplices(mesh)
     assert np.array_equal(np.sort(n - 1 - table[sigma], axis=1),
                           np.sort(table, axis=1))
-    # so the gradient table of v(1 - x) is minus that of v, rows permuted,
+    # so the gradient table of v(1 - x) is minus that of v, rows reversed,
     # bit for bit: each row is one difference of two nodal values
     v = np.random.default_rng(m).standard_normal(n)
     got = gradient_table(mesh, v[::-1])
-    assert got.tobytes() == (-gradient_table(mesh, v)[sigma]).tobytes()
-    with pytest.raises(ValueError):
-        sigma[0] = 1
+    assert got.tobytes() == (-gradient_table(mesh, v)[::-1]).tobytes()
