@@ -21,9 +21,10 @@ once, and each hat gradient is m times an integer vector with entries
 numbered so that path dim! - 1 - t is path t walked backwards.  The
 inversion x -> 1 - x reverses the C-ordered vertex grid and the cell
 order and walks every path backwards, so it reverses the simplex order
-too: simplex s maps onto simplex n_simplices - 1 - s.  Corner o in {0,1}^dim of a cell lies on
-|o|! (dim - |o|)! of its Kuhn paths, so the number of simplices at each
-vertex, and with it the lumped mass, is a sum of 2^dim shifted grids.
+too: simplex s maps onto simplex n_simplices - 1 - s.  Corner o in
+{0,1}^dim of a cell lies on |o|! (dim - |o|)! of its Kuhn paths, so the
+number of simplices at each vertex, and with it the lumped mass, is a
+sum of 2^dim shifted grids.
 
 A grid simplex steps along each axis once, and only the hat functions at
 the two ends of that step vary along it, with -m and +m.  So G, with
@@ -141,13 +142,14 @@ def _kuhn_paths(dim: int) -> np.ndarray:
     return np.array(first + [p[::-1] for p in reversed(first)])
 
 
-def _cell_corners(dim: int) -> np.ndarray:
+def _cell_corners(paths: np.ndarray) -> np.ndarray:
     """Integer corner offsets of the simplices of one grid cell, shape
-    (simplices per cell, dim+1, dim): vertex j of template t is the
-    corner that path t reaches after j axis steps.  Every simplex of
-    the grid is one of these templates, scaled by h = 1/m and
-    translated to its cell."""
-    steps = np.eye(dim, dtype=np.int64)[_kuhn_paths(dim)]
+    (simplices per cell, dim+1, dim), for the `_kuhn_paths` table: vertex
+    j of template t is the corner that path t reaches after j axis steps.
+    Every simplex of the grid is one of these templates, scaled by
+    h = 1/m and translated to its cell."""
+    dim = paths.shape[1]
+    steps = np.eye(dim, dtype=np.int64)[paths]
     corners = np.zeros((len(steps), dim + 1, dim), dtype=np.int64)
     np.cumsum(steps, axis=1, out=corners[:, 1:])
     return corners
@@ -155,12 +157,18 @@ def _cell_corners(dim: int) -> np.ndarray:
 
 def _cell_layout(dim: int, m: int):
     """Vertex index of each cell's origin corner, shape (m^dim,), in C
-    order, and the index offset of each template vertex from it, shape
-    (simplices per cell, dim+1): simplex (c, t) holds the vertices
-    origin[c] + offsets[t]."""
+    order; the index offset of each template vertex from it, shape
+    (simplices per cell, dim+1), so that simplex (c, t) holds the
+    vertices origin[c] + offsets[t]; and the offset of the vertex that
+    starts each template's step along each axis, shape (simplices per
+    cell, dim).  Path t steps along x_k from its local vertex j with
+    paths[t][j] = k, so the inverse permutation picks each step's start."""
+    paths = _kuhn_paths(dim)
     strides = (m + 1) ** np.arange(dim - 1, -1, -1)
     origin = np.indices((m,) * dim).reshape(dim, -1).T @ strides
-    return origin, _cell_corners(dim) @ strides
+    offsets = _cell_corners(paths) @ strides
+    start = np.take_along_axis(offsets, np.argsort(paths), axis=1)
+    return origin, offsets, start
 
 
 def build_mesh(dim: int, cells_per_side: int) -> Mesh:
@@ -186,10 +194,7 @@ def build_mesh(dim: int, cells_per_side: int) -> Mesh:
     vertices = np.linspace(0.0, 1.0, side)[index]
     boundary = ((index == 0) | (index == m)).any(axis=1)
 
-    # Path t steps along x_k from its local vertex j with paths[t][j] = k,
-    # so the inverse permutation picks each step's start.
-    origin, offsets = _cell_layout(dim, m)
-    start = np.take_along_axis(offsets, np.argsort(_kuhn_paths(dim)), axis=1)
+    origin, _, start = _cell_layout(dim, m)
     edges = (origin[:, None] + (np.arange(dim) * vertices.shape[0]
                                 + start).ravel()).astype(np.intp, copy=False)
     edge_index = edges.reshape(-1, dim)

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 from plap.functional import (Nonlinearity, RunParameters, _p_dirichlet,
                              _squared_norms, nonlin_eval, p_stiffness_vector)
 from plap.mesh import (Mesh, _cell_corners, _cell_layout, _check_field,
-                       build_mesh, gradient_table, integrate)
+                       _kuhn_paths, build_mesh, gradient_table, integrate)
 from plap.nehari import (KIndex, _nonzero_field, _remove_normal, _sign,
                          retract)
 from plap.optimizer import SolverConfig, initial_shape, solve_three
@@ -125,7 +125,7 @@ def simplices(mesh: Mesh) -> np.ndarray:
     triangles per square cell, 6 tetrahedra per cube, cell by cell in C
     order, each in the local vertex order of its template; row s is the
     simplex of rows s*dim .. s*dim + dim-1 of `gradient_operator`."""
-    origin, offsets = _cell_layout(mesh.dim, mesh.cells_per_side)
+    origin, offsets, _ = _cell_layout(mesh.dim, mesh.cells_per_side)
     return (origin[:, None, None] + offsets).reshape(-1, mesh.dim + 1)
 
 
@@ -187,7 +187,7 @@ def shape_gradients(mesh: Mesh) -> np.ndarray:
     template's edge matrix is unimodular, so its inverse is an integer
     matrix that rounding recovers exactly."""
     m = mesh.cells_per_side
-    corners = _cell_corners(mesh.dim)
+    corners = _cell_corners(_kuhn_paths(mesh.dim))
     edges = corners[:, 1:, :] - corners[:, :1, :]
     unit = np.empty(corners.shape)
     unit[:, 1:, :] = np.rint(np.linalg.inv(edges)).transpose(0, 2, 1)

@@ -481,7 +481,7 @@ def test_path_t_reversed_is_path_last_minus_t(dim):
     assert np.array_equal(paths[::-1], paths[:, ::-1])
     # so template T - 1 - t holds the inverted corners of template t,
     # in the reverse order
-    corners = _cell_corners(dim)
+    corners = _cell_corners(paths)
     assert np.array_equal(corners[::-1], 1 - corners[:, ::-1])
 
 
