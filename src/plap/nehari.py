@@ -17,7 +17,8 @@ gradient pairs nondegenerately with the respective part while the
 constraint itself is zero.
 
 Scaling a fixed shape w onto the constraint set leads to the scalar
-fibering map t -> phi(t w).  For sign-definite w it is a sum of powers,
+fibering map t -> phi(t w).  For a w of one sign, its sign alone picks
+the constraint, and the map is <E'(tw), tw>, a sum of powers,
 A t^p - sum_e c_e t^e with A = int |grad w|^p, the critical pair
 (p*, int |w|^p*) and the source pairs (e, lam int g_e(w)), and has
 exactly one positive root, which `fibering_root` finds.  When the source
@@ -121,7 +122,7 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
     strictly inside, or the Newton update leaves t unchanged.  Rounding
     keeps |h| above about eps_mach * A, so for a root with t^p above about
     tol_rel / eps_mach the tolerance cannot be met and these are the only
-    exits.
+    exits.  A bound or power outside the float range raises NoRootError.
     """
     if A <= 0.0:
         raise DegenerateInputError(f"need A > 0, got {A}")
@@ -129,40 +130,47 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
     if not powers or any(a <= 0.0 or c < 0.0 for a, c in powers):
         raise NoRootError("fibering map needs nonnegative coefficients, "
                           "not all zero, on exponents above p")
-    # pick the tightest single-term bound in log space: the bounds of
-    # negligible terms overflow a float
-    a, c = min(powers, key=lambda ac: math.log(A / ac[1]) / ac[0])
-    lo = 0.0
-    hi = t = (A / c) ** (1.0 / a)
-    for _ in range(MAX_NEWTON):
-        h = A - sum(c * t ** a for a, c in powers)
-        if abs(h) * max(t ** p, 1.0) <= tol_rel * A:
-            return t
-        if h > 0.0:
-            lo = t
-        else:
-            hi = t
-        if math.nextafter(lo, hi) >= hi:
-            return t
-        slope = -sum(a * c * t ** (a - 1.0) for a, c in powers)
-        step = t - h / slope
-        if step == t:
-            return t
-        t = step if lo < step < hi else 0.5 * (lo + hi)
+    try:
+        # pick the tightest single-term bound in log space: the bounds of
+        # negligible terms overflow a float
+        a, c = min(powers, key=lambda ac: math.log(A / ac[1]) / ac[0])
+        lo = 0.0
+        hi = t = (A / c) ** (1.0 / a)
+        if t == 0.0:
+            raise NoRootError("fibering map leaves the float range: "
+                              "its root bound underflows to 0")
+        for _ in range(MAX_NEWTON):
+            h = A - sum(c * t ** a for a, c in powers)
+            if abs(h) * max(t ** p, 1.0) <= tol_rel * A:
+                return t
+            if h > 0.0:
+                lo = t
+            else:
+                hi = t
+            if math.nextafter(lo, hi) >= hi:
+                return t
+            slope = -sum(a * c * t ** (a - 1.0) for a, c in powers)
+            step = t - h / slope
+            if step == t:
+                return t
+            t = step if lo < step < hi else 0.5 * (lo + hi)
+    except (ArithmeticError, ValueError) as exc:
+        # A / c underflowed to 0 (a log domain error) or a power overflowed
+        raise NoRootError(f"fibering map leaves the float range: {exc}") \
+            from exc
     raise NoRootError("fibering root not within tolerance after "
                       f"{MAX_NEWTON} Newton steps")
 
 
 def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-                      w: np.ndarray, which: int,
-                      tol_rel: float = 1e-10) -> ScaleResult:
-    """Scale a sign-definite shape w onto {phi_which = 0}.
+                      w: np.ndarray, tol_rel: float = 1e-10) -> ScaleResult:
+    """Scale a shape w of one sign onto {<E'(tw), tw> = 0}: phi1 = 0 for
+    w >= 0, phi2 = 0 for w <= 0, and SignError for a sign-changing w.
 
-    On sign-definite fields both constraints coincide with <E'(tw), tw>,
-    the sum of powers A t^p - sum_e c_e t^e whose coefficients are
-    nodal moments of w.  Returns A, the term list (the critical pair
-    (p*, int |w|^p*) first) and the unique positive root t, which
-    satisfies |phi_which(t w)| <= tol_rel * min(1, t^p) * A or is
+    <E'(tw), tw> is the sum of powers A t^p - sum_e c_e t^e whose
+    coefficients are nodal moments of w.  Returns A, the term list (the
+    critical pair (p*, int |w|^p*) first) and the unique positive root t,
+    which satisfies |<E'(tw), tw>| <= tol_rel * min(1, t^p) * A or is
     resolved to the last bit where t^p is too large for that.  The
     Dirichlet term of w comes along as `form`, so a caller can evaluate
     the scaled field t w without touching the mesh again.  w vanishes on
@@ -170,11 +178,10 @@ def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     A is read as w . K w, which holds only there.
     """
     w = _nonzero_field(mesh, w)
-    s = _sign(which)
-    # s w >= 0 everywhere iff both extremes of s w are: two reductions
-    # and no temporary field, since this runs on every line-search trial
-    if min(s * w.min(), s * w.max()) < 0.0:
-        raise SignError(f"constraint {which} needs a field of sign {s:+g}")
+    # two reductions and no temporary field, since this runs on every
+    # line-search trial
+    if w.min() < 0.0 < w.max():
+        raise SignError("scaling needs a field that does not change sign")
     form = _dirichlet_form(mesh, params, w)
     A = form.integral(mesh, params)
     pw = _Powers(w)                 # on the cubes |w|^q comes with |w|^p*
@@ -354,7 +361,7 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         if not np.any(w):
             raise LostSignError(
                 f"clipping removed the whole part of sign {s:+g}")
-        res = scale_to_manifold(mesh, nl, params, w, which, tol_rel)
+        res = scale_to_manifold(mesh, nl, params, w, tol_rel)
         t = res.t
         out += t * w
         forms[which] = res.form.scaled(t)

@@ -176,19 +176,6 @@ class SolutionTriple:
     def fields(self):
         return (self.u1, self.u2, self.u3)
 
-    def validate_distinct(self) -> None:
-        """Raise unless every two of the fields differ somewhere by at
-        least 1e-6 times the larger of their maximum moduli."""
-        fields = self.fields()
-        for i in range(3):
-            for j in range(i + 1, 3):
-                a, b = fields[i], fields[j]
-                scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-                if scale == 0.0 or np.max(np.abs(a - b)) < 1e-6 * scale:
-                    raise DegenerateConstraintError(
-                        f"solutions {i + 1} and {j + 1} are not distinct"
-                    )
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -438,9 +425,7 @@ def solve_three(config: SolverConfig, mesh: Mesh) -> SolutionTriple:
     u1 vanishes, as the descent does) and its report is K1's with kind K2
     and `mirror_of="K1"`.  A K1 descent that stopped on an error is not
     mirrored: error texts name the sign of a part ("part of sign +1"),
-    so K2 runs its own descent and reports its own error.  When no
-    descent stopped on an error, the fields must be distinct
-    (`SolutionTriple.validate_distinct`).
+    so K2 runs its own descent and reports its own error.
     """
     P = LaplacePreconditioner(mesh)
 
@@ -455,10 +440,7 @@ def solve_three(config: SolverConfig, mesh: Mesh) -> SolutionTriple:
     else:
         u2, rep2 = run(KIndex.K2)
     u3, rep3 = run(KIndex.K3)
-    triple = SolutionTriple(u1, u2, u3, (rep1, rep2, rep3))
-    if all(rep.error is None for rep in triple.reports):
-        triple.validate_distinct()
-    return triple
+    return SolutionTriple(u1, u2, u3, (rep1, rep2, rep3))
 
 
 def coupling_list(values) -> tuple[float, ...]:
@@ -489,7 +471,7 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
     for lam in lams:
         params = replace(config.params, lam=lam)
         try:
-            t_lam = scale_to_manifold(mesh, config.nonlin, params, w_ref, 1,
+            t_lam = scale_to_manifold(mesh, config.nonlin, params, w_ref,
                                       config.constraint_tol).t
         except NoRootError:
             t_lam = float("nan")

@@ -144,15 +144,13 @@ def infer_kind(u: np.ndarray) -> KIndex:
     return KIndex.K3
 
 
-def check_membership(m: Measures, k: KIndex,
-                     tol_rel: float = 1e-9) -> CheckReport:
-    """Sign condition (u has the sign structure of k), nontrivial part
-    mass, and constraint residual(s) relative to the part's gradient
-    integral."""
+def check_membership(m: Measures, tol_rel: float = 1e-9) -> CheckReport:
+    """Nontrivial part mass and constraint residual(s), relative to the
+    part's gradient integral, on the set of u's sign (`Measures.kind`)."""
     measured = {"min": float(np.min(m.u)), "max": float(np.max(m.u))}
-    ok = m.kind is k
+    ok = True
 
-    for which in k.active_constraints:
+    for which in m.kind.active_constraints:
         mass = m.masses[which]
         measured[f"mass{which}"] = mass
         if not (mass > 0.0):
@@ -164,18 +162,19 @@ def check_membership(m: Measures, k: KIndex,
         if not (rel <= tol_rel):
             ok = False
 
-    return CheckReport("membership", ok, tol_rel, measured, k.name)
+    return CheckReport("membership", ok, tol_rel, measured, m.kind.name)
 
 
-def check_energy_chain(m: Measures, k: KIndex, k2: float, p: float,
+def check_energy_chain(m: Measures, k2: float, p: float,
                        tol_rel: float = 1e-9) -> CheckReport:
-    """Three facts tied together by the active constraints:
+    """Three facts tied together by the constraints of the set of u's
+    sign (`Measures.kind`):
 
     (a) sum of part gradient integrals = int |u|^p* + lam int f(u) u,
     (b) the energy is strictly positive,
     (c) the energy is at most (1/k2 + 1/p) int |grad u|^p.
     """
-    grad_parts = sum(m.scales[which] for which in k.active_constraints)
+    grad_parts = sum(m.scales[which] for which in m.kind.active_constraints)
     identity_rel = abs(grad_parts - m.moment) / grad_parts if grad_parts > 0 \
         else float("inf")
 
@@ -186,13 +185,13 @@ def check_energy_chain(m: Measures, k: KIndex, k2: float, p: float,
     ok = identity_rel <= tol_rel and E > 0.0 and E <= bound
     measured = {"identity_rel": identity_rel, "energy": E,
                 "upper_bound": bound}
-    return CheckReport("energy_chain", ok, tol_rel, measured, k.name)
+    return CheckReport("energy_chain", ok, tol_rel, measured, m.kind.name)
 
 
 def check_sign_structure(records) -> CheckReport:
     """One field of each kind, in any order: a nonnegative, a nonpositive
     and a sign-changing one (`Measures.kind`), each with nontrivial mass
-    in every part its set requires."""
+    in every part its set requires; three such fields are distinct."""
     measured = {f"u{i}_mass{which}": m.masses[which]
                 for i, m in enumerate(records, start=1)
                 for which in m.kind.active_constraints}
@@ -236,8 +235,8 @@ def verify_fields(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
                        else _negated(seen, u))
     reports = []
     for idx, m in enumerate(records, start=1):
-        for rep in (check_membership(m, m.kind),
-                    check_energy_chain(m, m.kind, nl.k2, params.p),
+        for rep in (check_membership(m),
+                    check_energy_chain(m, nl.k2, params.p),
                     check_euler_lagrange(m, residual_tol, P)):
             reports.append(replace(rep, name=f"u{idx}_{rep.name}"))
     if len(records) == 3:

@@ -47,7 +47,7 @@ def test_criterion_1_scaling_root_oracle():
     for lam_c in (1.0, 4.0):
         lam = lam_c * c.A / (2.0 * c.C)
         scaled = RunParameters(p=2.0, dim=3, lam=lam, eps=0.0)
-        roots.append(scale_to_manifold(mesh, nl, scaled, w, 1).t)
+        roots.append(scale_to_manifold(mesh, nl, scaled, w).t)
     err1 = abs(roots[0] - ROOT_UNIT)
     err4 = abs(roots[1] - ROOT_QUAD)
     elapsed = time.perf_counter() - start
@@ -70,7 +70,7 @@ def test_criterion_2_bracket_law():
     ts, ok_bracket = [], True
     for lam in lams:
         params = RunParameters(p=1.5, dim=2, lam=lam, eps=1e-8)
-        t = scale_to_manifold(mesh, nl, params, w, 1).t
+        t = scale_to_manifold(mesh, nl, params, w).t
         bound = fibering_upper_bound(c.A, growth_constants(nl).c3, lam, c.C,
                                      nl.q, params.p)
         ok_bracket = ok_bracket and t <= bound * (1 + 1e-12)
@@ -122,10 +122,9 @@ def test_criterion_4_constraint_identity(reference_run):
     worst = max(rep.max_constraint_residual for rep in triple.reports)
     chain_ok = True
     for u, k in zip(triple.fields(), (KIndex.K1, KIndex.K2, KIndex.K3)):
-        rep = check_energy_chain(
-            measure(mesh, config.nonlin, config.params, u), k,
-            config.nonlin.k2, config.params.p)
-        chain_ok = chain_ok and rep.passed
+        m = measure(mesh, config.nonlin, config.params, u)
+        rep = check_energy_chain(m, config.nonlin.k2, config.params.p)
+        chain_ok = chain_ok and m.kind is k and rep.passed
     _criterion(
         4, "constraint identity along iterates",
         worst <= 1e-9 and chain_ok,

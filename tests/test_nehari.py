@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from plap.errors import (DegenerateConstraintError, DegenerateInputError,
-                         LostSignError, SignError)
+                         LostSignError, NoRootError, SignError)
 from plap.functional import Nonlinearity, RunParameters, nonlin_eval
 from plap.mesh import apply_dirichlet, build_mesh, integrate
 from plap.nehari import KIndex, fibering_root, retract, scale_to_manifold
@@ -90,8 +90,6 @@ class TestConstraintPhi:
             constraint_scale(mesh, P2, w, which)
         with pytest.raises(ValueError):
             constraint_gradient(mesh, NL2, P2, w, which)
-        with pytest.raises(ValueError):
-            scale_to_manifold(mesh, NL2, P2, w, which)
 
 
 class TestFiberingCoefficients:
@@ -152,6 +150,20 @@ class TestRootFinding:
         got = fibering_root(A, [(pstar, B)], p)
         want = (A / B) ** (1.0 / (pstar - p))
         assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("A, terms, p", [
+        (1e-300, [(6.0, 1e300)], 2.0),      # A / c underflows: log(0)
+        (1.0, [(2.1, 1e-300)], 2.0),        # (A / c)^(1/a) overflows
+        (1.0, [(3.0, 1e-200)], 2.0),        # the bound 1e200: t^p overflows
+        (1e-300, [(2.5, 1e10)], 2.0),       # the bound 1e-620 underflows
+    ])
+    def test_float_range_is_a_missing_root(self, A, terms, p):
+        with pytest.raises(NoRootError, match="float range"):
+            fibering_root(A, terms, p)
+
+    def test_nonpositive_A_stays_degenerate_input(self):
+        with pytest.raises(DegenerateInputError):
+            fibering_root(0.0, [(6.0, 1e300)], 2.0)
 
     def test_synthetic_roots(self):
         got = fibering_root(1.0, [(6.0, 1.0), (4.0, 1.0)], 2.0)
@@ -220,7 +232,7 @@ class TestScaleToManifold:
     def test_residual_and_bracket(self):
         mesh = build_mesh(2, 6)
         w = interior_bump(mesh, seed=3)
-        res = scale_to_manifold(mesh, NL2, P2, w, 1)
+        res = scale_to_manifold(mesh, NL2, P2, w)
         assert res.t > 0.0
         assert res.t <= bracket(mesh, NL2, P2, w)
         phi = constraint_phi(mesh, NL2, P2, res.t * w, 1)
@@ -230,7 +242,7 @@ class TestScaleToManifold:
         # on the constraint set the gradient mass balances the source terms
         mesh = build_mesh(2, 6)
         w = interior_bump(mesh, seed=3)
-        u = scale_to_manifold(mesh, NL2, P2, w, 1).t * w
+        u = scale_to_manifold(mesh, NL2, P2, w).t * w
         f, _, _ = nonlin_eval(NL2, u)
         plus, _ = plus_minus_parts(u)
         lhs = constraint_scale(mesh, P2, u, 1)
@@ -242,7 +254,7 @@ class TestScaleToManifold:
         mesh = build_mesh(2, 6)
         for seed in range(5):
             w = interior_bump(mesh, seed=seed)
-            res = scale_to_manifold(mesh, NL2, P2, w, 1)
+            res = scale_to_manifold(mesh, NL2, P2, w)
             lo = res.t / 10.0
             hi = 10.0 * max(res.t, bracket(mesh, NL2, P2, w))
             assert constraint_phi(mesh, NL2, P2, lo * w, 1) > 0.0
@@ -254,18 +266,18 @@ class TestScaleToManifold:
         ts = []
         for lam in (1.0, 2.0, 4.0, 8.0, 16.0):
             params = RunParameters(p=1.5, dim=2, lam=lam, eps=1e-8)
-            ts.append(scale_to_manifold(mesh, NL2, params, w, 1).t)
+            ts.append(scale_to_manifold(mesh, NL2, params, w).t)
         assert all(b <= a + 1e-15 for a, b in zip(ts, ts[1:]))
 
     def test_sign_checks(self):
-        mesh = build_mesh(2, 4)
-        w = interior_bump(mesh)
+        # the sign of the shape picks the constraint, so only a shape that
+        # changes sign has none to be scaled onto
+        mesh = build_mesh(2, 8)
+        w_pos, w_neg = split_pair(mesh)
         with pytest.raises(SignError):
-            scale_to_manifold(mesh, NL2, P2, -w, 1)
-        with pytest.raises(SignError):
-            scale_to_manifold(mesh, NL2, P2, w, 2)
+            scale_to_manifold(mesh, NL2, P2, w_pos + w_neg)
         with pytest.raises(DegenerateInputError):
-            scale_to_manifold(mesh, NL2, P2, np.zeros(mesh.n_vertices), 1)
+            scale_to_manifold(mesh, NL2, P2, np.zeros(mesh.n_vertices))
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_pospart_against_library_solver(self, which):
@@ -274,7 +286,7 @@ class TestScaleToManifold:
         nl = Nonlinearity(family="pospart", q=3.0, r=2.0)
         mesh = build_mesh(2, 6)
         w = interior_bump(mesh, seed=3) * (1.0 if which == 1 else -1.0)
-        res = scale_to_manifold(mesh, nl, P2, w, which)
+        res = scale_to_manifold(mesh, nl, P2, w)
 
         def phi(t):
             return constraint_phi(mesh, nl, P2, t * w, which)
@@ -285,7 +297,7 @@ class TestScaleToManifold:
         oracle = brentq(phi, lo, hi, xtol=1e-15, rtol=1e-14)
         assert np.isclose(res.t, oracle, rtol=1e-9, atol=0)
         assert abs(phi(res.t)) <= 1e-10 * res.A
-        other = scale_to_manifold(mesh, nl, P2, -w, 3 - which).t
+        other = scale_to_manifold(mesh, nl, P2, -w).t
         assert (res.t < other) == (which == 1)
 
     @pytest.mark.parametrize("family", ["signed", "pospart"])
@@ -296,7 +308,7 @@ class TestScaleToManifold:
         nl = Nonlinearity(family=family, q=3.0, r=2.5)
         mesh = build_mesh(2, 6)
         w = interior_bump(mesh, seed=3) * (1.0 if which == 1 else -1.0)
-        res = scale_to_manifold(mesh, nl, P2, w, which)
+        res = scale_to_manifold(mesh, nl, P2, w)
         c = fibering_coefficients(mesh, nl, P2, w)
         second = np.abs(w) if family == "signed" else np.maximum(w, 0.0)
         want = [(P2.pstar, c.B), (nl.q, P2.lam * c.C),
@@ -311,8 +323,8 @@ class TestScaleToManifold:
     def test_negative_side_mirrors_positive_side(self):
         mesh = build_mesh(2, 6)
         w = interior_bump(mesh, seed=3)
-        t1 = scale_to_manifold(mesh, NL2, P2, w, 1).t
-        t2 = scale_to_manifold(mesh, NL2, P2, -w, 2).t
+        t1 = scale_to_manifold(mesh, NL2, P2, w).t
+        t2 = scale_to_manifold(mesh, NL2, P2, -w).t
         assert t1 == t2
 
 
@@ -341,7 +353,7 @@ class TestPairProjection:
         mesh = build_mesh(2, 8)
         w_pos, w_neg = split_pair(mesh, seed=5)
         out = retract(mesh, NL2, P2, w_pos + w_neg, KIndex.K3).u
-        alone = scale_to_manifold(mesh, NL2, P2, w_pos, 1).t * w_pos
+        alone = scale_to_manifold(mesh, NL2, P2, w_pos).t * w_pos
         assert np.allclose(np.maximum(out, 0.0), alone, rtol=1e-12, atol=0)
 
     def test_trivial_part_rejected(self):
@@ -387,7 +399,7 @@ class TestConstraintGradient:
     def test_pairing_sign_on_manifold(self):
         mesh = build_mesh(2, 6)
         w = interior_bump(mesh, seed=3)
-        u = scale_to_manifold(mesh, NL2, P2, w, 1).t * w
+        u = scale_to_manifold(mesh, NL2, P2, w).t * w
         g = constraint_gradient(mesh, NL2, P2, u, 1)
         plus, _ = plus_minus_parts(u)
         assert float(np.dot(g, plus)) < 0.0
@@ -405,7 +417,7 @@ class TestTangentProject:
         w_pos, w_neg = split_pair(self.mesh, seed=1)
         self.u3 = retract(self.mesh, NL2, P2, w_pos + w_neg, KIndex.K3).u
         w = interior_bump(self.mesh, seed=1)
-        self.u1 = scale_to_manifold(self.mesh, NL2, P2, w, 1).t * w
+        self.u1 = scale_to_manifold(self.mesh, NL2, P2, w).t * w
 
     def test_annihilates_normal_direction(self):
         plus, _ = plus_minus_parts(self.u1)

@@ -1,11 +1,12 @@
 import dataclasses
 import importlib.util
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 
-from plap.cli import load_config
+from plap.cli import SWEEP_HEADER, load_config
 from plap.mesh import build_mesh
 from plap.optimizer import solve_three
 
@@ -41,6 +42,19 @@ def test_run_reference_returns_a_configuration_error(run_reference,
     monkeypatch.setattr(run_reference, "HERE", tmp_path)
     monkeypatch.chdir(tmp_path)
     assert run_reference.run() == 2
+
+
+def test_run_sweep_writes_one_row_per_coupling(tmp_path, monkeypatch):
+    # the sweep CSV lands under the working directory, as run_reference's
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPTS / "run_sweep.py"), run_name="__main__")
+    assert exit_.value.code == 0
+    lines = (tmp_path / "results" / "sweep" / "sweep.csv").read_text() \
+        .splitlines()
+    assert lines[0] == SWEEP_HEADER
+    lambdas = load_config(SCRIPTS / "sweep.cfg").lambda_list
+    assert [float(line.split(",")[0]) for line in lines[1:]] == list(lambdas)
 
 
 @pytest.fixture

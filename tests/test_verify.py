@@ -34,25 +34,28 @@ class TestMembership:
     def test_constructed_member_passes(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert check_membership(measure(mesh, NL2, P2, u), KIndex.K1).passed
+        assert check_membership(measure(mesh, NL2, P2, u)).passed
 
     def test_zero_field_fails(self):
         mesh = build_mesh(2, 8)
         rep = check_membership(
-            measure(mesh, NL2, P2, np.zeros(mesh.n_vertices)), KIndex.K1)
+            measure(mesh, NL2, P2, np.zeros(mesh.n_vertices)))
         assert not rep.passed
 
     def test_rescaled_member_fails_on_residual(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert not check_membership(measure(mesh, NL2, P2, 1.1 * u),
-                                    KIndex.K1).passed
+        assert not check_membership(measure(mesh, NL2, P2, 1.1 * u)).passed
 
-    def test_wrong_sign_fails(self):
+    def test_negated_member_is_a_k2_member(self):
+        # the sign of a field fixes its set: for an odd f, -u of a K1
+        # member is classified K2 and sits on phi2 = 0
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert not check_membership(measure(mesh, NL2, P2, -u),
-                                    KIndex.K1).passed
+        m = measure(mesh, NL2, P2, -u)
+        assert m.kind is KIndex.K2
+        rep = check_membership(m)
+        assert rep.passed and rep.detail == "K2"
 
 
 class TestEnergyChain:
@@ -61,25 +64,26 @@ class TestEnergyChain:
         for seed in range(10):
             for k in (KIndex.K1, KIndex.K2, KIndex.K3):
                 u = initial_point(mesh, NL2, P2, k, seed=seed)
-                rep = check_energy_chain(measure(mesh, NL2, P2, u), k,
-                                         NL2.k2, P2.p)
+                m = measure(mesh, NL2, P2, u)
+                assert m.kind is k
+                rep = check_energy_chain(m, NL2.k2, P2.p)
                 assert rep.passed
                 assert rep.measured["energy"] > 0.0
 
     def test_off_constraint_field_fails_identity(self):
         mesh = build_mesh(2, 8)
         u = 1.2 * initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        assert not check_energy_chain(measure(mesh, NL2, P2, u), KIndex.K1,
+        assert not check_energy_chain(measure(mesh, NL2, P2, u),
                                       NL2.k2, P2.p).passed
 
     def test_reference_triple(self, reference_run):
         config, mesh, triple = reference_run
         kinds = (KIndex.K1, KIndex.K2, KIndex.K3)
         for u, k in zip(triple.fields(), kinds):
-            rep = check_energy_chain(
-                measure(mesh, config.nonlin, config.params, u), k,
-                config.nonlin.k2, config.params.p)
-            assert rep.passed
+            m = measure(mesh, config.nonlin, config.params, u)
+            assert m.kind is k
+            assert check_energy_chain(m, config.nonlin.k2,
+                                      config.params.p).passed
 
 
 def records(run, fields):
@@ -185,10 +189,10 @@ class TestSuite:
         P = LaplacePreconditioner(mesh)
         want, ms = [], []
         for idx, u in enumerate(fields, start=1):
-            m, k = measure(mesh, nl, params, u), infer_kind(u)
+            m = measure(mesh, nl, params, u)
             ms.append(m)
-            for rep in (check_membership(m, k),
-                        check_energy_chain(m, k, nl.k2, params.p),
+            for rep in (check_membership(m),
+                        check_energy_chain(m, nl.k2, params.p),
                         check_euler_lagrange(m, 1e-6, P)):
                 want.append(dataclasses.replace(rep,
                                                 name=f"u{idx}_{rep.name}"))
@@ -243,7 +247,7 @@ class TestSuite:
     def test_line_format(self):
         mesh = build_mesh(2, 8)
         u = initial_point(mesh, NL2, P2, KIndex.K1, seed=0)
-        line = check_membership(measure(mesh, NL2, P2, u), KIndex.K1).line()
+        line = check_membership(measure(mesh, NL2, P2, u)).line()
         assert "PASS" in line or "FAIL" in line
         assert line.split(":")[0]
 
