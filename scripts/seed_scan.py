@@ -3,10 +3,10 @@
     python scripts/seed_scan.py --config scripts/square16.cfg --k K3 --seeds 0-159
     python scripts/seed_scan.py --config scripts/square16.cfg --k K3 --random 200
 
-Each seed replaces the config's `seed`, so the descent starts from the
-same seeded shape a `plap solve` of that config would use; the mesh and
-its Laplace solve are built once for all seeds.  One line per seed gives
-the iterations, whether the descent converged, its energy and its error,
+Each seed makes the start (`initial_shape`), the seeded shape a `plap
+solve` of the config at that seed would use; the mesh and its Laplace
+solve are built once for all seeds.  One line per seed gives the
+iterations, whether the descent converged, its energy and its error,
 and the last lines give the min/median/max of the iterations and the
 seeds whose descent did not converge.  `--seeds` takes a comma list of
 seeds and inclusive ranges ("0-4,42"); `--random N` adds N seeds drawn
@@ -15,7 +15,6 @@ descent converged, 1 when one did not, 2 on a bad config or seed list.
 """
 
 import argparse
-import dataclasses
 import statistics
 import sys
 
@@ -56,9 +55,8 @@ def scan(config, k: KIndex, seeds):
     mesh = build_mesh(config.params.dim, config.cells_per_side)
     P = LaplacePreconditioner(mesh)
     for seed in seeds:
-        cfg = dataclasses.replace(config, seed=seed)
         # the start solve_three gives this k at this seed
-        _, rep = descend(mesh, cfg, k, initial_shape(mesh, k, seed), P)
+        _, rep = descend(mesh, config, k, initial_shape(mesh, k, seed), P)
         yield seed, rep
 
 

@@ -255,7 +255,7 @@ class _Iterate:
     energy: float
     phis: dict              # which -> phi_which(u)
     scales: dict            # which -> int |grad u_s|^p
-    inversion_odd: bool = False     # part 2 is T of part 1
+    inversion_odd: bool     # part 2 is T of part 1
 
     @property
     def relative_residuals(self) -> tuple[float, ...]:
@@ -325,8 +325,7 @@ class _Iterate:
 
 
 def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
-            u: np.ndarray, k: KIndex, tol_rel: float = 1e-10, *,
-            inversion_odd: bool = False) -> _Iterate:
+            u: np.ndarray, k: KIndex, tol_rel: float = 1e-10) -> _Iterate:
     """Map an arbitrary field back onto the constraint set of k.
 
     Each active part is clipped to its sign, zeroed on the boundary and
@@ -340,15 +339,15 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
     field's int |grad|^p reads the summed term.  Raises LostSignError when
     clipping removes a whole active part.
 
-    `inversion_odd` retracts in the inversion-odd class of K3 for an odd
-    f, and then u must be odd under T u = -u(1 - x) bit for bit,
-    u == -u[::-1].  Its negative part is T of its positive part, and T
-    keeps E, so only the positive part is clipped and scaled: the
-    negative part takes its root, A and term list, and the mirrored
-    Dirichlet term.  The retracted field is odd bit for bit again.
+    On K3 of an odd f, a u odd under T u = -u(1 - x) bit for bit,
+    u == -u[::-1], is in the inversion-odd class (`inversion_odd`).  Its
+    negative part is T of its positive part, and T keeps E, so only the
+    positive part is clipped and scaled: the negative part takes its
+    root, A and term list, and the mirrored Dirichlet term.  The
+    retracted field is odd bit for bit again.
     """
-    if inversion_odd and not (k is KIndex.K3 and nl.odd):
-        raise ValueError("the inversion-odd class is a class of K3 for odd f")
+    u = _check_field(mesh, u)
+    inversion_odd = k is KIndex.K3 and nl.odd and np.array_equal(u, -u[::-1])
     p = params.p
     out = np.zeros(mesh.n_vertices)
     forms, phis, scales = {}, {}, {}
@@ -366,8 +365,10 @@ def retract(mesh: Mesh, nl: Nonlinearity, params: RunParameters,
         out += t * w
         forms[which] = res.form.scaled(t)
         scales[which] = t ** p * res.A
-        phis[which] = scales[which] - sum(c * t ** e for e, c in res.terms)
-        nodal += sum(c * t ** e / e for e, c in res.terms)
+        # an underflowed coefficient has no term, as in fibering_root
+        terms = [(e, c) for e, c in res.terms if c != 0.0]
+        phis[which] = scales[which] - sum(c * t ** e for e, c in terms)
+        nodal += sum(c * t ** e / e for e, c in terms)
     if inversion_odd:
         # the parts t w and T (t w) are disjoint, so this is exact
         out = out - out[::-1]

@@ -54,11 +54,11 @@ negated.
 Each class part is exact bit for bit (a + b = b + a, a - b = -(b - a)),
 and clipping, scaling, the tangent projection and the step all keep it,
 so every class iterate is even, or odd, bit for bit.  An odd iterate's
-negative part is T of its positive part, and the state reads the
-quantities of the one from those of the other
-(`retract(..., inversion_odd=True)`): one scaling per trial, one part
-scatter per pass at p != 2, one coefficient per projection.  K1 and K2
-have one part each, so the even class has no mirror to read.
+negative part is T of its positive part; `retract` sees that on the
+field (u == -u[::-1] on K3 of an odd f) and reads the quantities of the
+one from those of the other: one scaling per trial, one part scatter
+per pass at p != 2, one coefficient per projection.  K1 and K2 have one
+part each, so the even class has no mirror to read.
 
 The iteration stops when the preconditioned projected-residual norm drops
 below grad_tol, at the iteration cap, or when it cannot go on; in every
@@ -289,16 +289,15 @@ class _LbfgsMemory:
 def _armijo_search(mesh: Mesh, config: SolverConfig, k: KIndex,
                    state: _Iterate, gt: np.ndarray, slope: float):
     """Backtrack from t = STEP_INIT along -gt until the retracted trial
-    meets the Armijo test; each trial is retracted in the class of
-    `state`.  Returns (trial state, t, rejected trials, trials that
-    clipped away a part); the state is None when all MAX_BACKTRACKS
-    trials were rejected."""
+    meets the Armijo test; each trial is in the class of `state`, and
+    `retract` reads the mirror off an odd one.  Returns (trial state, t,
+    rejected trials, trials that clipped away a part); the state is None
+    when all MAX_BACKTRACKS trials were rejected."""
     t, lost = STEP_INIT, 0
     for rejected in range(MAX_BACKTRACKS):
         try:
             cand = retract(mesh, config.nonlin, config.params,
-                           state.u - t * gt, k, config.constraint_tol,
-                           inversion_odd=state.inversion_odd)
+                           state.u - t * gt, k, config.constraint_tol)
         except LostSignError:
             lost += 1
         else:
@@ -329,8 +328,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     tol_rel = config.constraint_tol
     symmetry, in_class = _symmetry_class(k, nl)
     try:
-        state = retract(mesh, nl, params, in_class(initial), k, tol_rel,
-                        inversion_odd=symmetry == INVERSION_ODD)
+        state = retract(mesh, nl, params, in_class(initial), k, tol_rel)
     except _STOPS as exc:
         nan = float("nan")
         return np.zeros(mesh.n_vertices), SolveReport(

@@ -440,34 +440,61 @@ def test_sine_preconditioner_matches_lu(dim, m):
 
 
 # x -> 1 - x is the flat reversal of the C-ordered vertex grid; the K3
-# descent of an odd f is solved in the class it makes (optimizer)
-INVERSION_MESHES = [(dim, m) for dim in (2, 3) for m in range(4, 10)]
+# descent of an odd f is solved in the class it makes (optimizer).  With
+# the axis permutations it generates S_dim x Z_2, whose projectors a
+# class that also swaps axes would use, so every element is checked
+GRID_SYMMETRIES = [(dim, m, axes, inverted)
+                   for dim in (2, 3) for m in range(4, 10)
+                   for axes in itertools.permutations(range(dim))
+                   for inverted in (False, True)]
 
 
-@pytest.mark.parametrize("dim, m", INVERSION_MESHES)
-def test_inversion_maps_the_mesh_onto_itself(dim, m):
+def _axes_id(value):
+    return "".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+def grid_symmetry(mesh, axes, inverted):
+    """The vertex index map g of an element of S_dim x Z_2: v[g] is the
+    nodal field v with the grid axes permuted to `axes`, then reversed
+    all at once (x -> 1 - x) when `inverted`."""
+    grid = np.arange(mesh.n_vertices).reshape(
+        (mesh.cells_per_side + 1,) * mesh.dim).transpose(axes)
+    if inverted:
+        grid = grid[(slice(None, None, -1),) * mesh.dim]
+    return grid.reshape(-1)
+
+
+@pytest.mark.parametrize("dim, m, axes, inverted", GRID_SYMMETRIES,
+                         ids=_axes_id)
+def test_inversion_maps_the_mesh_onto_itself(dim, m, axes, inverted):
     mesh = build_mesh(dim, m)
-    n = mesh.n_vertices
-    assert np.max(np.abs(mesh.vertices[::-1] + mesh.vertices - 1.0)) <= 1e-15
-    # each simplex walked backwards is a simplex of the mesh
+    g = grid_symmetry(mesh, axes, inverted)
+    moved = mesh.vertices[:, np.argsort(axes)]
+    if inverted:
+        moved = 1.0 - moved
+    assert np.max(np.abs(mesh.vertices[g] - moved)) <= 1e-15
+    # each simplex, mapped vertex by vertex, is a simplex of the mesh
     table = simplices(mesh)
     original = {tuple(sorted(s)) for s in table.tolist()}
-    inverted = {tuple(sorted(n - 1 - s)) for s in table}
-    assert inverted == original
-    assert mesh.lumped_mass[::-1].tobytes() == mesh.lumped_mass.tobytes()
-    assert np.array_equal(mesh.boundary[::-1], mesh.boundary)
+    mapped = {tuple(sorted(s)) for s in g[table].tolist()}
+    assert mapped == original
+    assert mesh.lumped_mass[g].tobytes() == mesh.lumped_mass.tobytes()
+    assert np.array_equal(mesh.boundary[g], mesh.boundary)
 
 
-@pytest.mark.parametrize("dim, m", INVERSION_MESHES)
-def test_laplace_operators_commute_with_the_inversion(dim, m):
+@pytest.mark.parametrize("dim, m, axes, inverted", GRID_SYMMETRIES,
+                         ids=_axes_id)
+def test_laplace_operators_commute_with_the_inversion(dim, m, axes,
+                                                      inverted):
     mesh = build_mesh(dim, m)
+    g = grid_symmetry(mesh, axes, inverted)
     P = LaplacePreconditioner(mesh)
     rng = np.random.default_rng(13)
     u = apply_dirichlet(mesh, rng.standard_normal(mesh.n_vertices))
     r = rng.standard_normal(mesh.n_vertices)
     for op, v in ((lambda x: laplace_apply(mesh, x), u), (P.solve, r)):
-        want = op(v)[::-1]
-        got = op(v[::-1])
+        want = op(v)[g]
+        got = op(v[g])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

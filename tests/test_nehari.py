@@ -9,6 +9,7 @@ from plap.errors import (DegenerateConstraintError, DegenerateInputError,
 from plap.functional import Nonlinearity, RunParameters, nonlin_eval
 from plap.mesh import apply_dirichlet, build_mesh, integrate
 from plap.nehari import KIndex, fibering_root, retract, scale_to_manifold
+from plap.optimizer import initial_shape
 
 from conftest import (constraint_gradient, constraint_phi, constraint_scale,
                       energy, energy_residual, fibering_coefficients,
@@ -552,6 +553,14 @@ def _odd_fields(mesh, seed):
             (apply_dirichlet(mesh, smooth), apply_dirichlet(mesh, rough))]
 
 
+def _nudged(u):
+    """u with its largest value, at an interior vertex, moved up by one
+    ulp: no longer odd bit for bit, so it takes the two-part retraction."""
+    v, i = u.copy(), int(np.argmax(u))
+    v[i] = np.nextafter(u[i], np.inf)
+    return v
+
+
 class TestInversionOddRetraction:
     """The class retraction of K3 reads part 2 from part 1; on an odd field
     it is the two-part retraction to rounding."""
@@ -569,9 +578,8 @@ class TestInversionOddRetraction:
 
         for u in _odd_fields(mesh, seed=dim):
             assert np.array_equal(u, -u[::-1])
-            both = retract(mesh, nl, params, u, KIndex.K3, 1e-10)
-            odd = retract(mesh, nl, params, u, KIndex.K3, 1e-10,
-                          inversion_odd=True)
+            both = retract(mesh, nl, params, _nudged(u), KIndex.K3, 1e-10)
+            odd = retract(mesh, nl, params, u, KIndex.K3, 1e-10)
             assert np.array_equal(odd.u, -odd.u[::-1])
             assert odd.inversion_odd and not both.inversion_odd
             close(odd.u, both.u)
@@ -592,10 +600,29 @@ class TestInversionOddRetraction:
                   both.remove_multipliers(both.residual),
                   np.max(np.abs(both.residual)))
 
-    def test_only_for_k3_of_an_odd_f(self):
+    def test_set_exactly_for_an_odd_k3_field_of_an_odd_f(self):
         mesh = build_mesh(2, 8)
-        u = _odd_fields(mesh, seed=0)[0]
         pospart = Nonlinearity(family="pospart", q=3.0, r=3.0)
-        for nl, k in ((NL2, KIndex.K1), (pospart, KIndex.K3)):
-            with pytest.raises(ValueError):
-                retract(mesh, nl, P2, u, k, inversion_odd=True)
+        for u in _odd_fields(mesh, seed=0):
+            assert retract(mesh, NL2, P2, u, KIndex.K3).inversion_odd
+            assert not retract(mesh, pospart, P2, u, KIndex.K3).inversion_odd
+            assert not retract(mesh, NL2, P2, u, KIndex.K1).inversion_odd
+        start = initial_shape(mesh, KIndex.K3, 0)
+        assert not np.array_equal(start, -start[::-1])
+        assert not retract(mesh, NL2, P2, start, KIndex.K3).inversion_odd
+
+    def test_an_underflowed_critical_term_is_skipped(self):
+        # p* = 2p / (2 - p) ~ 4e9: int |w|^p* underflows to 0 and the root
+        # is t ~ 2.16, so t^p* would overflow; both paths skip the term
+        mesh = build_mesh(2, 32)
+        params = RunParameters(p=1.999999999, dim=2, lam=20.0)
+        v = initial_shape(mesh, KIndex.K3, 0)
+        side = mesh.cells_per_side + 1
+        swap = np.arange(mesh.n_vertices).reshape(side, side).T.reshape(-1)
+        a = 0.5 * (v - v[swap])
+        u = 0.5 * (a - a[::-1])     # swap-odd and inversion-odd
+        odd = retract(mesh, NL2, params, u, KIndex.K3)
+        both = retract(mesh, NL2, params, _nudged(u), KIndex.K3)
+        assert odd.inversion_odd and not both.inversion_odd
+        assert abs(odd.energy - 5.714189615928428) <= 1e-13 * odd.energy
+        assert abs(both.energy - odd.energy) <= 1e-13 * odd.energy
