@@ -150,8 +150,6 @@ class _Powers(dict):
 def _source_derivatives(nl: Nonlinearity, pw: _Powers):
     """f(u) and f'(u) of `nonlin_eval`, to rounding, from the powers of u."""
     f, fu = pw.odd(nl.q - 1.0), (nl.q - 1.0) * pw[nl.q - 2.0]
-    if nl.odd and nl.r == nl.q:     # x + x is 2x exactly
-        return f + f, fu + fu
     base = pw if nl.odd else _Powers(np.maximum(pw.x, 0.0))
     return f + base.odd(nl.r - 1.0), fu + (nl.r - 1.0) * base[nl.r - 2.0]
 
@@ -168,11 +166,10 @@ def nonlin_eval(nl: Nonlinearity, u: np.ndarray):
     f = np.sign(u) * au ** (q - 1.0)
     F = au ** q / q
     fu = (q - 1.0) * _masked_power(au, q - 2.0)
-    signed = nl.family == "signed"
-    if signed and r == q:       # x + x is 2x exactly
+    if nl.odd and r == q:       # x + x is 2x exactly
         return f + f, F + F, fu + fu
-    base = au if signed else np.maximum(u, 0.0)
-    return (f + base ** (r - 1.0) * (np.sign(u) if signed else 1.0),
+    base = au if nl.odd else np.maximum(u, 0.0)
+    return (f + base ** (r - 1.0) * (np.sign(u) if nl.odd else 1.0),
             F + base ** r / r, fu + (r - 1.0) * _masked_power(base, r - 2.0))
 
 

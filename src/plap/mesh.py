@@ -332,11 +332,6 @@ class LaplacePreconditioner:
             self._sine(covector[self.interior]) / self._eigenvalues)
         return out
 
-    def norm(self, v: np.ndarray) -> float:
-        """Dirichlet energy norm sqrt(v^T K v) of an interior field."""
-        sv = self._sine(v[self.interior])
-        return float(np.sqrt(np.dot(self._eigenvalues * sv, sv)))
-
     def dual_norm(self, covector: np.ndarray) -> float:
         """Preconditioned norm sqrt(r^T K^-1 r) of a nodal co-vector."""
         sr = self._sine(covector[self.interior])

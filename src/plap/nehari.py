@@ -122,7 +122,9 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
     strictly inside, or the Newton update leaves t unchanged.  Rounding
     keeps |h| above about eps_mach * A, so for a root with t^p above about
     tol_rel / eps_mach the tolerance cannot be met and these are the only
-    exits.  A bound or power outside the float range raises NoRootError.
+    exits.  A bound or power outside the float range raises NoRootError,
+    as does a coefficient that underflowed to 0 unless its term, below
+    ulp(0) t^(e-p), is within tol_rel * A at the root.
     """
     if A <= 0.0:
         raise DegenerateInputError(f"need A > 0, got {A}")
@@ -142,24 +144,29 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
         for _ in range(MAX_NEWTON):
             h = A - sum(c * t ** a for a, c in powers)
             if abs(h) * max(t ** p, 1.0) <= tol_rel * A:
-                return t
+                break
             if h > 0.0:
                 lo = t
             else:
                 hi = t
             if math.nextafter(lo, hi) >= hi:
-                return t
+                break
             slope = -sum(a * c * t ** (a - 1.0) for a, c in powers)
             step = t - h / slope
             if step == t:
-                return t
+                break
             t = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            raise NoRootError("fibering root not within tolerance after "
+                              f"{MAX_NEWTON} Newton steps")
+        if any(math.ulp(0.0) * t ** (e - p) > tol_rel * A
+               for e, c in terms if c == 0.0):
+            raise FloatingPointError("an underflowed term is not negligible")
     except (ArithmeticError, ValueError) as exc:
-        # A / c underflowed to 0 (a log domain error) or a power overflowed
+        # A / c underflowed to 0, a power overflowed or a zero term mattered
         raise NoRootError(f"fibering map leaves the float range: {exc}") \
             from exc
-    raise NoRootError("fibering root not within tolerance after "
-                      f"{MAX_NEWTON} Newton steps")
+    return t
 
 
 def scale_to_manifold(mesh: Mesh, nl: Nonlinearity, params: RunParameters,

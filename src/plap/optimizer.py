@@ -106,7 +106,6 @@ __all__ = [
 MAX_BACKTRACKS = 60
 # square16-p1.5 K3 seeds 0-159: 8/16/32/64 pairs take median 496/321/225/164
 LBFGS_PAIRS = 64        # curvature pairs kept; depth costs the direction little
-LBFGS_COSINE = 0.01     # least <s, y> / (||s||_K ||y||_{K^-1}) of a kept pair
 STEP_INIT = 1.0         # first trial step of every line search
 ARMIJO_C = 1e-4         # sufficient-decrease fraction of the slope
 BACKTRACK = 0.5         # step factor per rejected trial
@@ -244,10 +243,11 @@ def _symmetry_class(k: KIndex, nl: Nonlinearity):
 class _LbfgsMemory:
     """The last LBFGS_PAIRS curvature pairs and the L-BFGS direction H r,
     H0 = gamma K^-1, in the compact form of Byrd, Nocedal and Schnabel
-    (1994).  Pairs (s, y, K^-1 y) are scaled by 1/sqrt(<s, y>), which
-    keeps H and gives R = triu(S^T Y) a unit diagonal.  They fill ring
-    slots of three row blocks, each doubled when full, and R^-1 is kept in
-    slot order; the oldest pair leaves by zeroing its row and column."""
+    (1994).  Pairs (s, y, K^-1 y) with <s, y> > 0, so H is positive
+    definite, are scaled by 1/sqrt(<s, y>), which keeps H and gives
+    R = triu(S^T Y) a unit diagonal.  They fill ring slots of three row
+    blocks, each doubled when full, and R^-1 is kept in slot order; the
+    oldest pair leaves by zeroing its row and column."""
 
     def __init__(self, n: int):
         self._rows = [np.empty((1, n)) for _ in range(3)]  # S, Y, K^-1 Y
@@ -258,7 +258,12 @@ class _LbfgsMemory:
     def clear(self):
         self._len = self._next = 0
 
-    def append(self, s, y, ky, sy: float):
+    def append(self, s, y, ky):
+        """Keep (s, y, K^-1 y) exactly when <s, y> > 0, which its scaling
+        needs; a nan <s, y> is refused too."""
+        sy = float(np.dot(s, y))
+        if not sy > 0.0:
+            return
         slot, m = self._next, min(self._len + 1, LBFGS_PAIRS)
         self._len, self._next = m, (slot + 1) % LBFGS_PAIRS
         for i, v in enumerate((s, y, ky)):
@@ -360,12 +365,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
             if iterations == config.max_iters:
                 break
             if prev is not None:
-                s, y, ky = state.u - prev[0], r_proj - prev[1], g - prev[2]
-                sy = float(np.dot(s, y))
-                # a cosine bound in the metric K: H stays well conditioned
-                if sy > LBFGS_COSINE * P.norm(s) * math.sqrt(
-                        max(float(np.dot(y, ky)), 0.0)):
-                    memory.append(s, y, ky, sy)
+                memory.append(state.u - prev[0], r_proj - prev[1], g - prev[2])
             prev = (state.u, r_proj, g)
             # <r, gt> collapses to <r_proj, ds>: gt is tangent, and r_proj
             # pairs to zero with the part directions.  H is positive

@@ -72,17 +72,12 @@ class _LUPreconditioner:
         self.mesh = mesh
         self.interior = np.where(~mesh.boundary)[0]
         K = laplace_stiffness(mesh)
-        self._K_int = K[self.interior][:, self.interior].tocsc()
-        self._lu = splu(self._K_int)
+        self._lu = splu(K[self.interior][:, self.interior].tocsc())
 
     def solve(self, covector):
         out = np.zeros(self.mesh.n_vertices)
         out[self.interior] = self._lu.solve(covector[self.interior])
         return out
-
-    def norm(self, v):
-        vi = v[self.interior]
-        return float(np.sqrt(max(vi @ (self._K_int @ vi), 0.0)))
 
     def dual_norm(self, covector):
         ri = covector[self.interior]

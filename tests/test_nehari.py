@@ -7,9 +7,10 @@ from scipy.optimize import brentq
 from plap.errors import (DegenerateConstraintError, DegenerateInputError,
                          LostSignError, NoRootError, SignError)
 from plap.functional import Nonlinearity, RunParameters, nonlin_eval
-from plap.mesh import apply_dirichlet, build_mesh, integrate
+from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
+                       integrate)
 from plap.nehari import KIndex, fibering_root, retract, scale_to_manifold
-from plap.optimizer import initial_shape
+from plap.optimizer import SolverConfig, descend, initial_shape
 
 from conftest import (constraint_gradient, constraint_phi, constraint_scale,
                       energy, energy_residual, fibering_coefficients,
@@ -161,6 +162,22 @@ class TestRootFinding:
     def test_float_range_is_a_missing_root(self, A, terms, p):
         with pytest.raises(NoRootError, match="float range"):
             fibering_root(A, terms, p)
+
+    @pytest.mark.parametrize("A, terms, root", [
+        (2.0, [(1e10, 0.0), (3.0, 1.0)], None),     # 2^(1e10 - 2) overflows
+        (1e-300, [(1002.0, 0.0), (3.0, 5e-301)], None),     # ulp(0) 2^1000
+        (2.0, [(1e10, 0.0), (3.0, 4.0)], 0.5),      # 0.5^(1e10 - 2) is 0
+        (2.0, [(5.0, 0.0), (3.0, 1.0)], 2.0),       # pospart's r-term on w <= 0
+    ])
+    def test_a_zero_coefficient_must_be_negligible_at_the_root(self, A,
+                                                               terms, root):
+        # a coefficient that underflowed to 0 is below ulp(0), so its term
+        # is dropped only where ulp(0) t^(e-p) <= tol_rel * A
+        if root is None:
+            with pytest.raises(NoRootError, match="float range"):
+                fibering_root(A, terms, 2.0)
+        else:
+            assert fibering_root(A, terms, 2.0) == root
 
     def test_nonpositive_A_stays_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
@@ -611,9 +628,11 @@ class TestInversionOddRetraction:
         assert not np.array_equal(start, -start[::-1])
         assert not retract(mesh, NL2, P2, start, KIndex.K3).inversion_odd
 
-    def test_an_underflowed_critical_term_is_skipped(self):
-        # p* = 2p / (2 - p) ~ 4e9: int |w|^p* underflows to 0 and the root
-        # is t ~ 2.16, so t^p* would overflow; both paths skip the term
+    def test_an_underflowed_critical_term_has_no_root(self):
+        # p* = 2p / (2 - p) ~ 4e9: int |w|^p* underflows to 0, but the root
+        # of the other terms is t ~ 2.16, where t^(p*-p) overflows, so the
+        # dropped term is not negligible (int |t w|^p* is inf) and neither
+        # path nor a descent from u finds a root
         mesh = build_mesh(2, 32)
         params = RunParameters(p=1.999999999, dim=2, lam=20.0)
         v = initial_shape(mesh, KIndex.K3, 0)
@@ -621,8 +640,12 @@ class TestInversionOddRetraction:
         swap = np.arange(mesh.n_vertices).reshape(side, side).T.reshape(-1)
         a = 0.5 * (v - v[swap])
         u = 0.5 * (a - a[::-1])     # swap-odd and inversion-odd
-        odd = retract(mesh, NL2, params, u, KIndex.K3)
-        both = retract(mesh, NL2, params, _nudged(u), KIndex.K3)
-        assert odd.inversion_odd and not both.inversion_odd
-        assert abs(odd.energy - 5.714189615928428) <= 1e-13 * odd.energy
-        assert abs(both.energy - odd.energy) <= 1e-13 * odd.energy
+        for field in (u, _nudged(u)):
+            with pytest.raises(NoRootError,
+                               match="^fibering map leaves the float range"):
+                retract(mesh, NL2, params, field, KIndex.K3)
+        config = SolverConfig(params=params, nonlin=NL2, cells_per_side=32)
+        _, rep = descend(mesh, config, KIndex.K3, u,
+                         LaplacePreconditioner(mesh))
+        assert rep.error.startswith(
+            "initial point failed: fibering map leaves the float range")

@@ -14,7 +14,7 @@ from plap.functional import Nonlinearity, RunParameters, sobolev_threshold
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import KIndex, retract
 from plap.optimizer import (ARMIJO_C, BACKTRACK, INVERSION_EVEN, INVERSION_ODD,
-                            LBFGS_COSINE, LBFGS_PAIRS, K3_LEAN,
+                            LBFGS_PAIRS, K3_LEAN,
                             MAX_BACKTRACKS, STEP_INIT, SolverConfig,
                             _LbfgsMemory, _symmetry_class, descend,
                             initial_shape, lambda_sweep, solve_three)
@@ -28,6 +28,7 @@ P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
 P3 = RunParameters(p=2.0, dim=3, lam=50.0, eps=1e-8)
 NL3 = Nonlinearity(family="signed", q=4.0, r=4.0)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _fixed_step_descent(mesh, config, k, initial, P):
@@ -199,7 +200,6 @@ class TestPreconditioner:
         assert np.all(v[mesh.boundary] == 0.0)
         quad = float(np.dot(r, v))
         assert np.isclose(P.dual_norm(r) ** 2, quad, rtol=1e-10, atol=0)
-        assert np.isclose(P.norm(v) ** 2, quad, rtol=1e-10, atol=0)
 
 
 def held_pairs(memory):
@@ -255,7 +255,7 @@ class TestSpectralStep:
         """A memory of n-vertex fields that was handed `pairs` in order."""
         memory = _LbfgsMemory(n)
         for pair in pairs:
-            memory.append(*pair)
+            memory.append(*pair[:3])
         return memory
 
     def direction(self, P, pairs, r):
@@ -268,6 +268,16 @@ class TestSpectralStep:
         assert np.array_equal(self.direction(P, [], r), P.solve(r))
         g = P.solve(r)
         assert _LbfgsMemory(mesh.n_vertices).direction(r, g) is g
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.nan])
+    def test_a_pair_without_positive_curvature_is_refused(self, modes, c):
+        # <s, y> = c LAM11 |e11|^2: the memory holds the earlier pair alone
+        mesh, P, e11, e21 = modes
+        kept = self.pair(P, e21, self.LAM21 * e21)
+        refused = self.pair(P, e11, c * self.LAM11 * e11)
+        (got,) = held_pairs(self.filled(mesh.n_vertices, [kept, refused]))
+        (want,) = held_pairs(self.filled(mesh.n_vertices, [kept]))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.fixture(scope="class")
     def square16(self):
@@ -292,7 +302,7 @@ class TestSpectralStep:
         g = P.solve(r)
         assert memory.direction(r, g) is g
         for pair in pairs[:3]:
-            memory.append(*pair)
+            memory.append(*pair[:3])
         self.assert_two_loop(mesh, P, memory, pairs[:3], seed=9)
 
     def test_direction_is_the_two_loop_as_steps_shrink(self, square16):
@@ -364,10 +374,11 @@ class TestSpectralStep:
         monkeypatch.setattr(_LbfgsMemory, "direction", recorded)
         return memories
 
-    def test_failed_cosine_test_stores_no_pair(self, monkeypatch):
-        # a cosine bound above 1 rejects every pair, so each direction is
-        # the Laplace solve and the descent is the oracle's, bit for bit
-        monkeypatch.setattr(plap.optimizer, "LBFGS_COSINE", 2.0)
+    def test_no_stored_pair_gives_the_fixed_step_descent(self, monkeypatch):
+        # with every pair refused, each direction is the Laplace solve and
+        # the descent is the oracle's, bit for bit
+        monkeypatch.setattr(_LbfgsMemory, "append",
+                            lambda memory, s, y, ky: None)
         memories = self.spy(monkeypatch)
         params = replace(P3, lam=20.0)
         nl = Nonlinearity(family="signed", q=3.0, r=3.0)
@@ -385,8 +396,8 @@ class TestSpectralStep:
         assert not any(memories)
 
     def test_memory_bound_and_reset(self, monkeypatch):
-        # the memory fills up to its bound, keeps only pairs that pass the
-        # cosine test, and is empty after an iteration that backtracked:
+        # the memory fills up to its bound, keeps only pairs with positive
+        # curvature, and is empty after an iteration that backtracked:
         # the next pass sees at most the pair of that iteration's step.
         # The square16-p1.5 K3 descent (97 iterations) fills the memory.
         memories = self.spy(monkeypatch)
@@ -406,11 +417,28 @@ class TestSpectralStep:
             else:
                 assert len(after) in (len(before), min(len(before) + 1,
                                                        LBFGS_PAIRS))
-            for s, y, ky, sy in after:
-                assert sy > LBFGS_COSINE * P.norm(s) * math.sqrt(
-                    float(np.dot(y, ky)))
+            for _, _, _, sy in after:
+                assert sy > 0.0
         assert rep.step_history == tuple(BACKTRACK ** b
                                          for b in rep.backtracks)
+
+    @pytest.mark.parametrize("seed", [6, 8, 19])
+    def test_every_step_keeps_its_pair(self, monkeypatch, seed):
+        # the K3 descent of scripts/sweep.cfg (24 iterations at these
+        # seeds) has <s, y> > 0 at every step, so each pass holds the pair
+        # of the step before it, on top of the memory of the pass before
+        # when that step did not backtrack
+        memories = self.spy(monkeypatch)
+        config = load_config(SCRIPTS / "sweep.cfg").solver
+        mesh = build_mesh(config.params.dim, config.cells_per_side)
+        _, rep = descend(mesh, config, KIndex.K3,
+                         initial_shape(mesh, KIndex.K3, seed),
+                         LaplacePreconditioner(mesh))
+        assert rep.converged and rep.iterations == 24
+        assert len(memories) == rep.iterations
+        for before, after, b in zip(memories, memories[1:], rep.backtracks):
+            assert len(after) == (1 if b else min(len(before) + 1,
+                                                  LBFGS_PAIRS))
 
     @pytest.mark.parametrize("at_pass", [0, 5])
     def test_failed_search_stops_at_the_last_iterate(self, monkeypatch,
@@ -875,9 +903,6 @@ class TestK2Mirror:
         assert triple.reports[0].error is not None
         assert triple.reports[1] == rep2 and rep2.mirror_of is None
         assert np.array_equal(triple.u2, u2)
-
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _off_class(u: np.ndarray) -> float:
