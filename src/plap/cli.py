@@ -13,10 +13,8 @@ line, `#` comments allowed::
     seed = 0
     out-dir = out/reference
 
-Recognized keys: dim, res, p, q, r, family, lambda, lambda-list, eps,
-grad-tol, constraint-tol, max-iters, seed, out-dir.  Unknown keys are
-rejected.  Exit codes: 0 success, 1 at least one verification check
-failed, 2 usage or validation error.
+README.md documents the keys with their defaults (a table the tests
+check against this parser) and the exit codes.
 """
 
 from __future__ import annotations

@@ -77,7 +77,9 @@ class Nonlinearity:
     The growth constant k2 = r is the tightest value for which the
     superlinear (Ambrosetti-Rabinowitz) bound k2 F(u) <= f(u) u holds
     pointwise for both families.  Given p < r <= q < p*, which `validate`
-    checks, it satisfies p < k2 < p*.
+    checks, it satisfies p < k2 < p*.  `plap.verify` reads it; the other
+    constants of the growth bounds are test references
+    (`tests/conftest.py`, `growth_constants`).
     """
 
     family: str
@@ -127,7 +129,9 @@ class _Powers(dict):
     """|x|^e of one nodal field x, each power taken once: `pw[e]`.  An
     integer 2 < e <= 8 is a product of the shared squares x x, |x|^4, ...
     (|x|^6 = |x|^4 |x|^2, with no `abs` and no `pow`); any other e is
-    `_masked_power(|x|, e)`, which is |x| ** e for e >= 0."""
+    `_masked_power(|x|, e)`, which is |x| ** e for e >= 0.  `nonlin_eval`
+    and `plap.verify` keep `**`, so they check these chains
+    independently."""
 
     def __init__(self, x: np.ndarray):
         super().__init__()
@@ -281,7 +285,8 @@ def _dirichlet_form(mesh: Mesh, params: RunParameters, u: np.ndarray):
     inverted field -u(1 - x) with no kernel call (`mirrored`): the
     inversion reverses the vertex and the simplex order alike, so each
     form reverses its arrays.
-    `plap.verify` keeps the table at every p, so it checks the stencil
+    `plap.verify` keeps the table at every p, as do the reference energy
+    and energy gradient of the tests, so they check the stencil
     independently.
     """
     if params.p == 2.0:

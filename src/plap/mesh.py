@@ -162,7 +162,9 @@ def _cell_layout(dim: int, m: int):
     vertices origin[c] + offsets[t]; and the offset of the vertex that
     starts each template's step along each axis, shape (simplices per
     cell, dim).  Path t steps along x_k from its local vertex j with
-    paths[t][j] = k, so the inverse permutation picks each step's start."""
+    paths[t][j] = k, so the inverse permutation picks each step's start.
+    No solver kernel reads a simplex table; the tests build one from
+    this layout."""
     paths = _kuhn_paths(dim)
     strides = (m + 1) ** np.arange(dim - 1, -1, -1)
     origin = np.indices((m,) * dim).reshape(dim, -1).T @ strides

@@ -26,6 +26,10 @@ term dominates c3 |u|^q, the root is bounded above by
 t1 = (A / (c3 lam C))^(1/(q-p)) with C = int |w|^q.  The descent reads
 the calculus of a scaled field (E, E', phi_i, grad phi_i and the tangent
 projection) from the private state `_Iterate` that `retract` returns.
+Standalone versions of the constraint maps, their gradients, the
+tangent projection, the fibering coefficients of a shape and the bound
+t1 are test code (`tests/conftest.py`): the references the tests hold
+that state to.
 """
 
 from __future__ import annotations

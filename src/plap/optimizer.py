@@ -205,6 +205,9 @@ def initial_shape(mesh: Mesh, k: KIndex, seed: int) -> np.ndarray:
     solution; along x_1 + x_2 = 1 the constrained minimum sits on the
     kink of the clip retraction at vertices with u = 0 and is none.  The
     lean tips the start toward x_1 = x_2 by far more than the jitter does.
+    It is not odd under x_1 -> 1 - x_1, and the inversion x -> 1 - x maps
+    the midplane x_1 = 1/2 onto itself without fixing its points, so the
+    K3 field need not vanish on that plane.
     """
     v = mesh.vertices
     jitter = 1.0 + 0.1 * np.random.default_rng(seed).random(mesh.n_vertices)
@@ -247,7 +250,9 @@ class _LbfgsMemory:
     definite, are scaled by 1/sqrt(<s, y>), which keeps H and gives
     R = triu(S^T Y) a unit diagonal.  They fill ring slots of three row
     blocks, each doubled when full, and R^-1 is kept in slot order; the
-    oldest pair leaves by zeroing its row and column."""
+    oldest pair leaves by zeroing its row and column.  A new pair adds one
+    column to R^-1, so a direction costs about ten block products at any
+    memory depth, where the two-loop recursion makes a few per pair."""
 
     def __init__(self, n: int):
         self._rows = [np.empty((1, n)) for _ in range(3)]  # S, Y, K^-1 Y
@@ -320,7 +325,12 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
     search direction that does not descend, no acceptable step, every
     trial step clipping away a required part, a missing fibering root or
     a degenerate constraint) stops at its last iterate, and the report of
-    that iterate says why in `error`.  If
+    that iterate says why in `error`.  Two such stops are known: for
+    p < 2 under strong coupling on a coarse mesh, nodes next to the sign
+    interface can flip sign from one iterate to the next, where the energy
+    of the clip retraction has a kink; and close to `grad_tol` the
+    predicted decrease can fall below the round-off of the energy.  In
+    both no trial passes the Armijo test.  If
     `initial` itself cannot be retracted, the field is zero, the energy
     and residuals are nan and the error starts with "initial point
     failed".  `P` is the mesh's Laplace solve, the metric of the descent.
@@ -443,7 +453,8 @@ def solve_three(config: SolverConfig, mesh: Mesh) -> SolutionTriple:
 
 def coupling_list(values) -> tuple[float, ...]:
     """The couplings of a sweep as floats, or ConfigurationError unless
-    each is positive and finite and they strictly increase."""
+    each is positive and finite and they strictly increase.  The config
+    parser applies it to `lambda-list`."""
     lams = tuple(float(x) for x in values)
     if not all(0.0 < x < math.inf for x in lams):
         raise ConfigurationError("sweep couplings must be positive and finite")

@@ -20,6 +20,7 @@ from plap.cli import (_KEYS, _REQUIRED, SWEEP_HEADER, _coordinate_columns,
                       _write_field_csvs, main, parse_config_text)
 from plap.errors import ConfigurationError
 from plap.mesh import build_mesh
+from plap.verify import verify_fields
 
 BASE_2D = """
 # small 2d run: parse and sweep tests
@@ -150,6 +151,18 @@ class TestConfigParsing:
             else:
                 want = type(parsed[key])(text)
             assert parsed[key] == want, key
+
+    def test_readme_exit_codes_name_every_check(self, reference_run):
+        # the README's "Exit codes" section names, in backticks, every
+        # check that verify_fields reports on a triple
+        config, mesh, triple = reference_run
+        names = {re.sub(r"^u\d_", "", c.name) for c in verify_fields(
+            mesh, config.nonlin, config.params, triple.fields())}
+        assert names == {"membership", "energy_chain", "euler_lagrange",
+                         "threshold", "sign_structure"}
+        section = README.read_text().split("\n## Exit codes\n")[1]
+        section = section.split("\n## ")[0]
+        assert [n for n in sorted(names) if f"`{n}`" not in section] == []
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text(
@@ -325,18 +338,22 @@ class TestSolveCommand:
         assert (out / "triple.json").is_file()
         assert "FAIL" in capsys.readouterr().out
 
-    def test_sweep_config_solve_fails_only_u3_euler_lagrange(self, tmp_path,
-                                                             capsys):
+    def test_sweep_config_solve_fails_only_u3_euler_lagrange_and_threshold(
+            self, tmp_path, capsys):
         # scripts/sweep.cfg solves at its `lambda` = 1: the sign-changing
         # field carries the interface defect of the inversion-odd class,
-        # and its Euler-Lagrange residual (about 1e-3) fails the 1e-6 bound
+        # and its Euler-Lagrange residual (about 1e-3) fails the 1e-6
+        # bound; its energy (about 4.59) lies above the compactness
+        # threshold (about 3.19)
         out = tmp_path / "artifacts"
         cfg = _script_config(tmp_path, "sweep.cfg", out)
         assert main(["solve", "--config", str(cfg)]) == 1
         checks = json.loads((out / "triple.json").read_text())["checks"]
         assert [c["name"] for c in checks if not c["passed"]] == [
-            "u3_euler_lagrange"]
-        assert "u3_euler_lagrange: FAIL" in capsys.readouterr().out
+            "u3_euler_lagrange", "u3_threshold"]
+        stdout = capsys.readouterr().out
+        assert "u3_euler_lagrange: FAIL" in stdout
+        assert "u3_threshold: FAIL" in stdout
 
     def test_solve_does_not_import_scipy_linalg(self, tmp_path):
         # the runtime needs numpy alone: importing scipy.sparse added about

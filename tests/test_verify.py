@@ -1,26 +1,31 @@
 import dataclasses
 import itertools
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import plap.verify
 import plap.functional
-from plap.functional import Nonlinearity, RunParameters, nonlin_eval
+from plap.cli import load_config
+from plap.functional import (Nonlinearity, RunParameters, nonlin_eval,
+                             sobolev_threshold)
 from plap.mesh import (LaplacePreconditioner, apply_dirichlet, build_mesh,
                        integrate)
 from plap.nehari import KIndex
+from plap.optimizer import solve_three
 from plap.verify import (Measures, _negated, check_energy_chain,
                          check_euler_lagrange, check_membership,
-                         check_sign_structure, infer_kind, measure,
-                         verify_fields)
+                         check_sign_structure, check_threshold, infer_kind,
+                         measure, verify_fields)
 
 from conftest import (constraint_phi, constraint_scale, energy,
                       energy_residual, initial_point, plus_minus_parts)
 
 P2 = RunParameters(p=1.5, dim=2, lam=20.0, eps=1e-8)
 NL2 = Nonlinearity(family="signed", q=3.0, r=3.0)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_kind_inference():
@@ -157,6 +162,29 @@ class TestEulerLagrange:
         assert rep.measured["trivial"] == 1.0
 
 
+class TestThreshold:
+    def test_the_level_must_lie_strictly_below(self, reference_run):
+        config, mesh, triple = reference_run
+        m = measure(mesh, config.nonlin, config.params, triple.u1)
+        above = np.nextafter(m.energy, np.inf)
+        rep = check_threshold(m, above)
+        assert rep.passed and rep.name == "threshold"
+        assert rep.measured == {"energy": m.energy, "threshold": above}
+        assert not check_threshold(m, m.energy).passed
+
+    def test_sweep_config_u3_lies_above_the_threshold(self):
+        # scripts/sweep.cfg at its `lambda` = 1: the sign-changing level,
+        # about 4.59, lies above (1/N) S^(N/p), about 3.19
+        config = load_config(SCRIPTS / "sweep.cfg").solver
+        mesh = build_mesh(config.params.dim, config.cells_per_side)
+        u3 = solve_three(config, mesh).u3
+        threshold = sobolev_threshold(config.params)
+        rep = check_threshold(measure(mesh, config.nonlin, config.params, u3),
+                              threshold)
+        assert not rep.passed
+        assert rep.measured["energy"] > 4.5 and threshold < 3.2
+
+
 class TestSuite:
     def test_reference_suite_green(self, reference_run):
         config, mesh, triple = reference_run
@@ -193,7 +221,8 @@ class TestSuite:
             ms.append(m)
             for rep in (check_membership(m),
                         check_energy_chain(m, nl.k2, params.p),
-                        check_euler_lagrange(m, 1e-6, P)):
+                        check_euler_lagrange(m, 1e-6, P),
+                        check_threshold(m, sobolev_threshold(params))):
                 want.append(dataclasses.replace(rep,
                                                 name=f"u{idx}_{rep.name}"))
         if len(fields) == 3:
