@@ -241,9 +241,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     )
 
     for i, rep in enumerate(triple.reports, start=1):
-        flag = "below" if rep.below_threshold else "NOT below"
-        print(f"u{i} [{rep.kind}] energy = {rep.energy:.12g}  "
-              f"({flag} threshold {threshold:.12g})")
+        print(f"u{i} [{rep.kind}] energy = {rep.energy:.12g}")
         if rep.error:
             print(f"u{i} error: {rep.error}")
     failed = [rep for rep in checks if not rep.passed]

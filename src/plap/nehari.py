@@ -119,15 +119,18 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
     nonnegative.  Divided by t^p the map becomes
     h(t) = A - sum_e c_e t^(e-p), which strictly decreases from
     h(0) = A > 0.  Any single term drives h below zero by
-    (A / c)^(1/(e-p)), so the smallest of these bounds the root.
-    Safeguarded Newton on h (bisection whenever a step leaves the bracket)
+    (A / c)^(1/(e-p)), so the smallest of these bounds the root.  In
+    s = log t each term is an exponential, so h is concave and decreasing,
+    and Newton in s from the bound, where h <= 0, moves monotonically onto
+    the root without crossing it: no bracket is needed.  With
+    x_e = c_e t^(e-p) the step is t <- t exp(h / sum_e (e-p) x_e).  It
     stops once |phi(t)| <= tol_rel * A and |phi(t)| <= tol_rel * t^p * A,
-    or once t is resolved to the last bit: the bracket holds no double
-    strictly inside, or the Newton update leaves t unchanged.  Rounding
-    keeps |h| above about eps_mach * A, so for a root with t^p above about
-    tol_rel / eps_mach the tolerance cannot be met and these are the only
-    exits.  A bound or power outside the float range raises NoRootError,
-    as does a coefficient that underflowed to 0 unless its term, below
+    or once the step does not lower t: t is resolved to the last bit, or
+    rounding made h positive.  Rounding keeps |h| above about
+    eps_mach * A, so for a root with t^p above about tol_rel / eps_mach
+    the tolerance cannot be met and that is the only exit.  A bound, power
+    or step outside the float range raises NoRootError, as does a
+    coefficient that underflowed to 0 unless its term, below
     ulp(0) t^(e-p), is within tol_rel * A at the root.
     """
     if A <= 0.0:
@@ -140,26 +143,19 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
         # pick the tightest single-term bound in log space: the bounds of
         # negligible terms overflow a float
         a, c = min(powers, key=lambda ac: math.log(A / ac[1]) / ac[0])
-        lo = 0.0
-        hi = t = (A / c) ** (1.0 / a)
+        t = (A / c) ** (1.0 / a)
         if t == 0.0:
             raise NoRootError("fibering map leaves the float range: "
                               "its root bound underflows to 0")
         for _ in range(MAX_NEWTON):
-            h = A - sum(c * t ** a for a, c in powers)
+            xs = [(a, c * t ** a) for a, c in powers]
+            h = A - sum(x for _, x in xs)
             if abs(h) * max(t ** p, 1.0) <= tol_rel * A:
                 break
-            if h > 0.0:
-                lo = t
-            else:
-                hi = t
-            if math.nextafter(lo, hi) >= hi:
+            step = t * math.exp(h / sum(a * x for a, x in xs))
+            if not step < t:
                 break
-            slope = -sum(a * c * t ** (a - 1.0) for a, c in powers)
-            step = t - h / slope
-            if step == t:
-                break
-            t = step if lo < step < hi else 0.5 * (lo + hi)
+            t = step
         else:
             raise NoRootError("fibering root not within tolerance after "
                               f"{MAX_NEWTON} Newton steps")
@@ -167,7 +163,8 @@ def fibering_root(A: float, terms: list[tuple[float, float]], p: float,
                for e, c in terms if c == 0.0):
             raise FloatingPointError("an underflowed term is not negligible")
     except (ArithmeticError, ValueError) as exc:
-        # A / c underflowed to 0, a power overflowed or a zero term mattered
+        # A / c or a step underflowed to 0, a power overflowed or a zero
+        # term mattered
         raise NoRootError(f"fibering map leaves the float range: {exc}") \
             from exc
     return t

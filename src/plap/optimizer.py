@@ -156,7 +156,6 @@ class SolveReport:
     constraint_residuals: tuple[float, ...]   # relative, one per active constraint
     max_constraint_residual: float            # worst relative residual over iterates
     projected_norm: float
-    below_threshold: bool
     energy_history: tuple[float, ...]
     step_history: tuple[float, ...] = ()      # accepted step per iteration
     backtracks: tuple[int, ...] = ()          # rejected trials per iteration
@@ -349,8 +348,7 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
         return np.zeros(mesh.n_vertices), SolveReport(
             kind=k.name, converged=False, iterations=0, energy=nan,
             constraint_residuals=(nan,) * len(k.active_constraints),
-            max_constraint_residual=nan, projected_norm=nan,
-            below_threshold=False, energy_history=(),
+            max_constraint_residual=nan, projected_norm=nan, energy_history=(),
             error=f"initial point failed: {exc}", symmetry=symmetry)
 
     history = [state.energy]
@@ -412,7 +410,6 @@ def descend(mesh: Mesh, config: SolverConfig, k: KIndex,
         constraint_residuals=residuals,
         max_constraint_residual=max_resid,
         projected_norm=pnorm,
-        below_threshold=state.energy < sobolev_threshold(params),
         energy_history=tuple(history),
         step_history=tuple(steps),
         backtracks=tuple(backtracks),
@@ -476,6 +473,7 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
 
     mesh = build_mesh(config.params.dim, config.cells_per_side)
     w_ref = initial_shape(mesh, KIndex.K1, config.seed)
+    threshold = sobolev_threshold(config.params)
     rows = []
     for lam in lams:
         params = replace(config.params, lam=lam)
@@ -487,7 +485,7 @@ def lambda_sweep(config: SolverConfig, lambdas) -> list[SweepRow]:
         reports = solve_three(replace(config, params=params), mesh).reports
         levels = [rep.energy if rep.converged else float("nan")
                   for rep in reports]
-        flags = [rep.below_threshold if rep.converged else None
+        flags = [rep.energy < threshold if rep.converged else None
                  for rep in reports]
         rows.append(SweepRow(lam, t_lam, *levels, *flags))
     return rows

@@ -245,6 +245,26 @@ class TestRootFinding:
         assert abs(got - oracle) <= 4 * np.spacing(oracle)
         assert abs(h(got)) / A <= 1e-12
 
+    def test_bound_decades_above_the_root(self):
+        # the tightest one-term bound, (1 / 0.4)^(1 / 0.004), is near 1e99
+        # and the root near 8e31: a step in log t crosses the decades that
+        # 100 Newton steps in t did not
+        A, p, terms = 1.0, 2.0, [(2.002, 0.4), (2.004, 0.4)]
+
+        def h_log(s):
+            return A - sum(c * np.exp((e - p) * s) for e, c in terms)
+
+        got = fibering_root(A, terms, p)
+        oracle = np.exp(brentq(h_log, 0.0, 300.0, xtol=1e-300, rtol=1e-15))
+        assert np.isclose(got, oracle, rtol=1e-9, atol=0)
+        assert abs(A - sum(c * got**(e - p) for e, c in terms)) / A <= 1e-12
+
+    def test_a_step_that_underflows_is_a_missing_root(self):
+        # the bound is 1 and the root 2^-2000: the first step in log t,
+        # -1 / 0.001, underflows t to 0, which is not returned
+        with pytest.raises(NoRootError, match="float range"):
+            fibering_root(1.0, [(2.0005, 1.0), (2.0005, 1.0)], 2.0)
+
 
 class TestScaleToManifold:
     def test_residual_and_bracket(self):

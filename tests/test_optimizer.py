@@ -10,7 +10,7 @@ import plap.nehari
 import plap.optimizer
 from plap.cli import load_config
 from plap.errors import ConfigurationError, LostSignError, NoRootError
-from plap.functional import Nonlinearity, RunParameters, sobolev_threshold
+from plap.functional import Nonlinearity, RunParameters
 from plap.mesh import LaplacePreconditioner, apply_dirichlet, build_mesh
 from plap.nehari import KIndex, retract
 from plap.optimizer import (ARMIJO_C, BACKTRACK, INVERSION_EVEN, INVERSION_ODD,
@@ -552,8 +552,6 @@ class TestDescend:
             m = measure(mesh, config.nonlin, config.params, u)
             assert m.kind is KIndex[rep.kind]
             assert check_membership(m).passed
-            below = rep.energy < sobolev_threshold(config.params)
-            assert rep.below_threshold == below
 
     def test_initial_energy_bounds_minimum(self, coarse_run):
         config, mesh, triple = coarse_run
@@ -985,13 +983,15 @@ class TestInversionClass:
             assert rep.converged and rep.iterations <= 150, seed
             assert abs(rep.energy - 1.4319544064) <= 1e-9, seed
 
-    @pytest.mark.parametrize("seed", [41])
+    @pytest.mark.parametrize("seed", [112])
     def test_square16_round_off_stop_at_grad_tol_1e_7(self, seed):
         # near grad-tol 1e-7 the predicted decrease t <r, H r> falls below
         # the round-off of E, so no Armijo test passes.  Which seeds stop
         # there, at the converged level, turns on the last bits of the
-        # p-stiffness scatter: of seeds 0-79, 41 and 50 stop with per-edge
-        # sums, and 13, 17, 41 and 75 stopped with the CSR product of G^T
+        # p-stiffness scatter and the fibering root: with Newton in log t,
+        # none of seeds 0-79 stops and of 80-319, 112, 128, 141, 145, 147,
+        # 170, 187, 193 and 293 do; with Newton in t, 41 and 50 of 0-79
+        # stopped, and 13, 17, 41 and 75 with the CSR product of G^T
         config = replace(load_config(SCRIPTS / "square16.cfg").solver,
                          grad_tol=1e-7, seed=seed)
         mesh = build_mesh(config.params.dim, config.cells_per_side)
